@@ -4,7 +4,11 @@ One subcommand per experiment; configuration comes from an optional
 JSON file plus flag overrides (flags win).  Each run writes
 <out>/<experiment>.csv and <out>/<experiment>.json.  All numeric CSV
 fields are printed with 17 significant digits in lowercase scientific
-notation so that reruns are byte-identical for any thread count.
+notation so that reruns are byte-identical.
+
+The thread count (--threads, TRIMLAB_THREADS, default os.cpu_count()) is
+validated and recorded in the JSON config echo but has no effect: the
+Monte Carlo engine is serial, so outputs cannot depend on it.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric error.
 """
@@ -12,6 +16,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -156,7 +161,12 @@ def _load_config(args: argparse.Namespace) -> dict:
     config.update({k: v for k, v in overrides.items() if v is not None})
     if config["threads"] is None:
         env = os.environ.get("TRIMLAB_THREADS")
-        config["threads"] = int(env) if env else (os.cpu_count() or 1)
+        try:
+            config["threads"] = int(env) if env else (os.cpu_count() or 1)
+        except ValueError as exc:
+            raise ConfigError(
+                f"TRIMLAB_THREADS must be an integer, not {env!r}"
+            ) from exc
     if isinstance(config["epsilon"], (int, float)):
         config["epsilon"] = [float(config["epsilon"])]
     return config
@@ -493,10 +503,10 @@ def emit(record: dict, out_dir: str) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{record['experiment']}.csv"
     json_path = out / f"{record['experiment']}.json"
-    lines = [",".join(record["header"])]
-    for row in record["rows"]:
-        lines.append(",".join(_fmt(v) for v in row))
-    csv_path.write_text("\n".join(lines) + "\n")
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(record["header"])
+        writer.writerows([_fmt(v) for v in row] for row in record["rows"])
     json_path.write_text(
         json.dumps(
             {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .fracmoment import ChiReport, DecayMetric, EnsembleSpec, chi_kernel, mc_map
+from .fracmoment import DecayMetric, EnsembleSpec, chi_kernel, mc_map
 from .operators import HamiltonianMatrix, hedgehog_assemble
 from .spectral import green
 
@@ -64,12 +64,6 @@ def s2w_identity_check(h0: HamiltonianMatrix, u: np.ndarray, z: complex) -> dict
         "residual0": float(np.max(np.abs(base - rhs0))),
         "residual1": float(np.max(np.abs(pend - rhs1))),
     }
-
-
-def _hedgehog_sites(ham: HamiltonianMatrix):
-    base = [s + (0,) for s in ham.site_list()]
-    pend = [s + (1,) for s in ham.site_list()]
-    return tuple(pend), tuple(base)
 
 
 def weak_disorder_bound_check(

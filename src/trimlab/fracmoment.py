@@ -2,15 +2,15 @@
 estimation, the strong-disorder contraction check, the localisation
 threshold kernel, and eigenvalue-counting (Wegner) statistics.
 
-All Monte Carlo loops draw disorder through counter-based streams and
-reduce in fixed sample order, so estimates are reproducible bit-for-bit
-for any worker count.
+All Monte Carlo loops run through one serial driver, `mc_map`, which
+draws disorder through counter-based streams and reduces in sample-index
+order, so estimates are reproducible bit for bit.  The `threads`
+arguments are accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -74,11 +74,6 @@ class ChiReport:
     stderr: float = 0.0
     params: dict = field(default_factory=dict)
 
-    @property
-    def ci95(self) -> tuple[float, float]:
-        half = 1.96 * self.stderr
-        return (self.value - half, self.value + half)
-
 
 def chi_kernel(
     a: np.ndarray, sites: Sequence[Site], rho: DecayMetric, s: float = 1.0
@@ -132,37 +127,92 @@ class ResampleBudgetExceeded(RuntimeError):
     pass
 
 
-def mc_map(per_sample: Callable[[int], object], ens: EnsembleSpec, threads: int = 1):
-    """Evaluate per_sample(i) for i = 0..samples-1, in index order.
+#: complex matrix entries per chunk of the stacked engine (1 MiB)
+CHUNK_ENTRIES = 1 << 16
 
-    Samples hitting a spectral collision are deterministically replaced
-    by fresh sample indices (i + k * samples); at most 1% of the budget
-    may be resampled.  Results are independent of the thread count.
+
+def chunk_size(n: int) -> int:
+    """Samples per chunk for n-site operators: max(1, 2**16 // n**2)."""
+    return max(1, CHUNK_ENTRIES // (n * n))
+
+
+def mc_map(per_sample: Callable, ens: EnsembleSpec, threads: int = 1, z=None):
+    """Evaluate the ensemble in sample-index order; returns
+    (values, n_resampled).
+
+    Without z, values[i] = per_sample(i) for i = 0..samples-1, one
+    realization at a time.  With z, the samples go through in chunks
+    (chunk_size of the box): the potentials are drawn as one (S, n)
+    array, the operators built as one (S, n, n) stack and inverted by
+    `green` at once, and per_sample(gs) maps the chunk's Green stack to
+    one row per sample; values holds the rows of all chunks in order.
+
+    A sample whose operator has z on its spectrum (SpectralParameterOnSpectrum)
+    is replaced by sample index i + k * samples, k = 1, 2, ...; at most 1%
+    of the samples may be resampled.  The engine is serial: `threads` is
+    accepted for compatibility and ignored, so results cannot depend on it.
     """
     n = ens.samples
     budget = max(1, n // 100)
-    resampled = []
-
-    def attempt(i: int):
-        for k in range(budget + 1):
-            try:
-                return per_sample(i + k * n), k
-            except SpectralParameterOnSpectrum:
-                continue
-        raise ResampleBudgetExceeded(f"sample {i} kept colliding with z")
-
-    if threads <= 1:
-        results = [attempt(i) for i in range(n)]
+    if z is None:
+        results = [_attempt(per_sample, i, n, budget) for i in range(n)]
+        values = [v for v, _ in results]
+        n_resampled = sum(k for _, k in results)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(attempt, range(n)))
-    values = [v for v, _ in results]
-    n_resampled = sum(k for _, k in results)
+        rows, n_resampled = [], 0
+        for gs, k in _green_chunks(ens, complex(z), budget):
+            rows.append(per_sample(gs))
+            n_resampled += k
+        values = np.concatenate(rows)
     if n_resampled > budget:
         raise ResampleBudgetExceeded(
             f"{n_resampled} resamples exceed the {budget} budget"
         )
     return values, n_resampled
+
+
+def _attempt(per_sample: Callable, i: int, n: int, budget: int):
+    for k in range(budget + 1):
+        try:
+            return per_sample(i + k * n), k
+        except SpectralParameterOnSpectrum:
+            continue
+    raise ResampleBudgetExceeded(f"sample {i} kept colliding with z")
+
+
+def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
+    """(Green stack, resamples) per chunk of the ensemble, in sample order.
+
+    The diagonal is formed as `assemble` forms it, so every matrix of a
+    stack equals ens.realization(i).matrix bit for bit.
+    """
+    box, total = ens.box, ens.samples
+    stream = ens.stream()
+    lap = laplacian_matrix(box)
+    v0 = ens.deterministic_part().v0
+    diag = np.arange(box.size)
+    step = chunk_size(box.size)
+    used = 0
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total))
+        k = np.zeros(len(idx), dtype=int)
+        h = np.repeat(lap[None], len(idx), axis=0)
+        rows = np.arange(len(idx))
+        while True:
+            v = sample_potential(stream, ens.mask, box, idx[rows] + k[rows] * total)
+            h[rows[:, None], diag, diag] = lap[diag, diag] + (v0 + ens.g * v)
+            try:
+                gs = green(h, z).entries
+                break
+            except SpectralParameterOnSpectrum as exc:
+                rows = np.flatnonzero(exc.hits)
+                k[rows] += 1
+                if used + int(k.sum()) > budget:
+                    raise ResampleBudgetExceeded(
+                        f"{used + int(k.sum())} resamples exceed the {budget} budget"
+                    )
+        used += int(k.sum())
+        yield gs, int(k.sum())
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -186,12 +236,11 @@ def mc_fractional_moment(
         raise ValueError("need 0 < s < 1")
     ix, iy = ens.box.index(x), ens.box.index(y)
 
-    def one(i: int) -> float:
-        g = green(ens.realization(i), z).entries
-        return abs(g[ix, iy]) ** s
+    def entries(gs: np.ndarray) -> np.ndarray:
+        return np.abs(gs[:, ix, iy]) ** s
 
-    values, n_resampled = mc_map(one, ens, threads)
-    mean, se = _mean_stderr(np.array(values))
+    values, n_resampled = mc_map(entries, ens, threads, z=z)
+    mean, se = _mean_stderr(values)
     return {
         "estimate": mean,
         "stderr": se,
@@ -215,18 +264,14 @@ def mc_chi_green(
     sites = tuple(ens.box.sites())
     w = rho.weight_matrix(sites)
 
-    def one(i: int) -> np.ndarray:
-        g = green(ens.realization(i), z).entries
-        return np.abs(g) ** s
+    def column_sums(gs: np.ndarray) -> np.ndarray:
+        # sum_y e^{rho(y,x)} |G(y,x)|^s per sample: (S, n), not S kernels
+        return np.sum(w * np.abs(gs) ** s, axis=1)
 
-    values, n_resampled = mc_map(one, ens, threads)
-    mean_kernel = np.mean(values, axis=0)
-    col_sums = np.sum(w * mean_kernel, axis=0)
+    sums, n_resampled = mc_map(column_sums, ens, threads, z=z)
+    col_sums = np.mean(sums, axis=0)
     xstar = int(np.argmax(col_sums))
-    per_sample_at_xstar = np.array(
-        [float(np.sum(w[:, xstar] * v[:, xstar])) for v in values]
-    )
-    _, se = _mean_stderr(per_sample_at_xstar)
+    _, se = _mean_stderr(sums[:, xstar])
     return ChiReport(
         float(col_sums[xstar]),
         "monte-carlo",

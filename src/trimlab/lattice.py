@@ -6,8 +6,9 @@ lexicographically so that every output is bitwise reproducible.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -255,6 +256,14 @@ class BernoulliMask(SublatticeMask):
 
     def descriptor(self) -> str:
         return f"bernoulli:{self.p}:{self.seed}"
+
+
+@functools.lru_cache(maxsize=64)
+def mask_vector(mask: SublatticeMask, box: LatticeBox) -> np.ndarray:
+    """Read-only indicator of Gamma on the box sites, in index order."""
+    keep = np.fromiter((s in mask for s in box.sites()), dtype=bool, count=box.size)
+    keep.flags.writeable = False
+    return keep
 
 
 def mask_from_descriptor(text: str) -> SublatticeMask:

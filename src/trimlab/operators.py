@@ -7,18 +7,12 @@ entries leaving the region are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .lattice import (
-    FullMask,
-    LatticeBox,
-    Site,
-    SublatticeMask,
-    graph_distance,
-)
+from .lattice import LatticeBox, Site, SublatticeMask, mask_vector
 
 DENSE_LIMIT = 6000
 
@@ -44,9 +38,6 @@ class HamiltonianMatrix:
         if self.sites is not None:
             return self.sites
         return tuple(self.box.sites())
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def _resolve_v0(v0, sites: Sequence[Site]) -> np.ndarray:
@@ -98,11 +89,9 @@ def assemble(
         v_vec = np.asarray(v, dtype=float)
         if v_vec.shape != (box.size,):
             raise ValueError("potential vector length does not match box")
-        bad = [
-            s for i, s in enumerate(sites) if v_vec[i] != 0.0 and s not in mask
-        ]
-        if bad:
-            raise ValueError(f"potential nonzero off Gamma at {bad[0]}")
+        bad = np.flatnonzero((v_vec != 0.0) & ~mask_vector(mask, box))
+        if bad.size:
+            raise ValueError(f"potential nonzero off Gamma at {sites[bad[0]]}")
     h = laplacian_matrix(box)
     h[np.diag_indices_from(h)] += v0_vec + g * v_vec
     return HamiltonianMatrix(box, h, mask, float(g), v0_vec, v_vec)

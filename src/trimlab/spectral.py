@@ -14,14 +14,21 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg as sla
 
-from .lattice import LatticeBox, Site, graph_distance
+from .lattice import Site, graph_distance
 from .operators import HamiltonianMatrix, restrict
 
 EIG_TOL = 1e-10
 
 
 class SpectralParameterOnSpectrum(ValueError):
-    """Raised when a real spectral parameter collides with an eigenvalue."""
+    """Raised when a real spectral parameter collides with an eigenvalue.
+
+    For a stack of matrices, `hits` flags the ones that collide.
+    """
+
+    def __init__(self, message: str, hits: np.ndarray | None = None):
+        super().__init__(message)
+        self.hits = hits
 
 
 def _matrix(h) -> np.ndarray:
@@ -32,7 +39,6 @@ def _matrix(h) -> np.ndarray:
 class SpectralData:
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # orthonormal columns
-    source: object = None
 
     @property
     def n(self) -> int:
@@ -44,30 +50,40 @@ def eigendecompose(h) -> SpectralData:
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not exactly symmetric")
     vals, vecs = sla.eigh(m)
-    return SpectralData(vals, vecs, source=h)
+    return SpectralData(vals, vecs)
 
 
 @dataclass(frozen=True)
 class GreenMatrix:
     z: complex
     entries: np.ndarray
-    source: object = None
 
 
 def green(h, z: complex) -> GreenMatrix:
-    """G_z = (H - z)^-1 by direct complex linear solve."""
+    """G_z = (H - z)^-1 by direct complex linear solve.
+
+    h may also be a stack of matrices along leading axes; each matrix is
+    inverted on its own (stacked LAPACK gesv), and a single one by pivoted
+    LU, the oracle for the stacked route.  A real z is refused when it lies
+    within 1e-12 * max(||H||, 1) of an eigenvalue of some H in the stack.
+    """
     m = _matrix(h)
     z = complex(z)
+    n = m.shape[-1]
     if z.imag == 0.0:
         vals = np.linalg.eigvalsh(m)
-        scale = max(np.max(np.abs(vals)), 1.0)
-        if np.min(np.abs(vals - z.real)) <= 1e-12 * scale:
+        scale = np.maximum(np.max(np.abs(vals), axis=-1), 1.0)
+        hits = np.min(np.abs(vals - z.real), axis=-1) <= 1e-12 * scale
+        if np.any(hits):
             raise SpectralParameterOnSpectrum(
-                f"z = {z} lies on the spectrum (within 1e-12 * ||H||)"
+                f"z = {z} lies on the spectrum (within 1e-12 * ||H||)", hits
             )
-    a = m.astype(complex) - z * np.eye(m.shape[0])
-    g = sla.lu_solve(sla.lu_factor(a), np.eye(m.shape[0], dtype=complex))
-    return GreenMatrix(z, g, source=h)
+    a = m.astype(complex) - z * np.eye(n)
+    if a.ndim == 2:
+        g = sla.lu_solve(sla.lu_factor(a), np.eye(n, dtype=complex))
+    else:
+        g = np.linalg.inv(a)
+    return GreenMatrix(z, g)
 
 
 def _index_split(ham: HamiltonianMatrix, x_sites: Sequence[Site]):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 
-from trimlab.cli import _parse_box, main
+from trimlab.cli import _parse_box, emit, main
 
 
 def run_cli(args):
@@ -168,3 +169,31 @@ def test_config_roundtrip(tmp_path):
     a = (out / "lattice-info.csv").read_bytes()
     b = (out2 / "lattice-info.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", " "])
+def test_non_integer_trimlab_threads_exits_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("TRIMLAB_THREADS", value)
+    assert run_cli(["lattice-info", "--out", str(tmp_path)]) == 2
+    assert "TRIMLAB_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "lattice-info.csv").exists()
+
+
+def test_emit_quotes_fields_with_commas(tmp_path):
+    record = {
+        "experiment": "couple",
+        "header": ["check", "value", "bound", "pass"],
+        "rows": [
+            ["weak-bound-error:need a, b", 0.0, 0.5, False],
+            ["weak-bound", 1.25, 2.0, True],
+        ],
+    }
+    csv_path, _ = emit(record, str(tmp_path))
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][0] == "weak-bound-error:need a, b"
+    assert rows[1][1:] == ["0.0000000000000000e+00", "5.0000000000000000e-01", "0"]
+    # plain rows keep the unquoted, newline-terminated layout
+    assert csv_path.read_bytes().endswith(
+        b"\nweak-bound,1.2500000000000000e+00,2.0000000000000000e+00,1\n"
+    )

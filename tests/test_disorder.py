@@ -83,6 +83,35 @@ def test_sample_potential_vanishes_off_gamma():
             assert v[i] == 0.0
 
 
+# draw_vector(3, 2**40 + 5) at master seed 1409, as recorded before batching
+_PINNED_DRAWS = {
+    "uniform": [
+        "0x1.273a075c5992cp+0", "-0x1.febb353db532cp-2", "0x1.c9960dd235eeep-1"
+    ],
+    "bmix": ["-0x1.10ba7498fd1eap-4", "0x1.7eada3a6cfb54p-5", "0x1.e133928ffed8ap-1"],
+}
+
+
+@pytest.mark.parametrize(
+    "spec, pin",
+    [(Uniform(-1.0, 2.0), "uniform"), (BernoulliMixture(0.3, 0.2), "bmix")],
+)
+def test_draw_block_pins_the_philox_stream(spec, pin):
+    stream = SampleStream(spec, 1409)
+    got = [float(v).hex() for v in stream.draw_vector(3, 2**40 + 5)]
+    assert got == _PINNED_DRAWS[pin]
+    # scattered, repeated and out-of-order indices, n > 1
+    idx = [7, 0, 3, 2**40 + 5, 100_003, 3]
+    expected = np.stack([stream.draw_vector(9, i) for i in idx])
+    np.testing.assert_array_equal(stream.draw_block(9, idx), expected)
+    np.testing.assert_array_equal(stream.draw_block(9, np.array(idx)), expected)
+    box, mask = make_box(2, (1, 1), (3, 3)), Gamma1Mask(2, 2)
+    np.testing.assert_array_equal(
+        sample_potential(stream, mask, box, idx),
+        np.stack([sample_potential(stream, mask, box, i) for i in idx]),
+    )
+
+
 def test_window_mass_uniform_oracle():
     u = Uniform()
     assert window_mass(u, 0.5, 0.1) == pytest.approx(0.2, abs=1e-8)
