@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -33,13 +34,12 @@ from .anomalous import (
 )
 from .coupling import s2w_identity_check, weak_disorder_bound_check
 from .disorder import spec_from_descriptor
-from .dynamics import laplace_moment_check, moment_Mp, pmoment_probe
+from .dynamics import dynamics_samples, laplace_summary, sample_mean_stderr
 from .fracmoment import (
     DecayMetric,
     EnsembleSpec,
     kernel_identity_residual,
     mc_chi_green,
-    mc_map,
     wegner_count,
 )
 from .lattice import (
@@ -48,7 +48,7 @@ from .lattice import (
     mask_from_descriptor,
     relative_density,
 )
-from .operators import assemble, trimmed_restriction
+from .operators import DENSE_LIMIT, assemble, trimmed_restriction
 from .spectral import (
     green,
     resolvent_identity_residual,
@@ -172,14 +172,22 @@ def _load_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _resolved(config: dict):
-    """Validate the config into the objects the experiments consume."""
+def _resolved(config: dict, dense: bool = True):
+    """Validate the config into the objects the experiments consume.
+
+    dense: the experiment builds dense operators on the box, so the box
+    must not exceed DENSE_LIMIT sites.
+    """
     try:
         box = _parse_box(config["box"])
         mask = mask_from_descriptor(config["gamma"])
         dist = spec_from_descriptor(config["disorder"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if dense and box.size > DENSE_LIMIT:
+        raise ConfigError(
+            f"box has {box.size} sites, over the dense limit {DENSE_LIMIT}"
+        )
     for key in ("g", "s", "eta", "energy", "p"):
         try:
             config[key] = float(config[key])
@@ -192,8 +200,18 @@ def _resolved(config: dict):
             raise ConfigError(f"field {key!r} must be an integer") from exc
     if config["samples"] < 1:
         raise ConfigError("samples must be >= 1")
-    if not all(isinstance(e, (int, float)) and e > 0 for e in config["epsilon"]):
-        raise ConfigError("epsilon values must be positive numbers")
+    if not all(
+        isinstance(e, (int, float)) and 0 < e < math.inf for e in config["epsilon"]
+    ):
+        raise ConfigError("epsilon values must be positive finite numbers")
+    if not math.isfinite(config["p"]) or config["p"] < 0:
+        raise ConfigError("p must be a nonnegative finite number")
+    times = config["times"]
+    if not isinstance(times, list) or not all(
+        isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
+        for t in times
+    ):
+        raise ConfigError("times must be a list of finite numbers")
     ens = EnsembleSpec(
         box,
         mask,
@@ -358,40 +376,16 @@ def _run_dynamics(config: dict):
     center = tuple(
         (a + b) // 2 for a, b in zip(ens.box.lo, ens.box.hi)
     )
-    rows = []
-    p = config["p"]
-    for t in config["times"]:
-        values, _ = mc_map(
-            lambda i: moment_Mp(ens.realization(i), center, float(t), p),
-            ens,
-            config["threads"],
-        )
-        arr = np.array(values)
-        se = (
-            float(np.std(arr, ddof=1) / np.sqrt(len(arr)))
-            if len(arr) > 1
-            else 0.0
-        )
-        rows.append([float(t), p, float(np.mean(arr)), se])
-    chk = laplace_moment_check(
-        ens,
-        config["energy"],
-        config["epsilon"][0],
-        p,
-        center,
-        config["threads"],
+    p, times, eps = config["p"], config["times"], config["epsilon"]
+    samples = dynamics_samples(
+        ens, center, p, times, config["energy"], eps[0], sorted(eps, reverse=True)
     )
+    mean, se = sample_mean_stderr(samples)
+    nt = len(times)
+    chk = laplace_summary(samples[:, nt], samples[:, nt + 1])
+    rows = [[float(t), p, m, s] for t, m, s in zip(times, mean[:nt], se[:nt])]
     rows.append([-1.0, p, chk["margin"], 1.0 if chk["holds"] else 0.0])
-    probe = pmoment_probe(
-        ens,
-        config["energy"],
-        sorted(config["epsilon"], reverse=True),
-        p,
-        center,
-        config["threads"],
-    )
-    for r in probe["rows"]:
-        rows.append([-2.0, p, r["S"], r["stderr"]])
+    rows += [[-2.0, p, m, s] for m, s in zip(mean[nt + 2 :], se[nt + 2 :])]
     return ["t", "p", "Mp", "stderr"], rows
 
 
@@ -452,7 +446,7 @@ def _run_couple(config: dict):
 
 
 def _run_lattice_info(config: dict):
-    ens, _ = _resolved(config)
+    ens, _ = _resolved(config, dense=False)
     mask = ens.mask
     center = tuple(
         (a + b) // 2 for a, b in zip(ens.box.lo, ens.box.hi)
@@ -551,7 +545,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        _resolved(dict(config))  # validate before dispatch
+        # validate before dispatch
+        _resolved(dict(config), dense=args.experiment != "lattice-info")
     except ConfigError as exc:
         print(f"trimlab: config error: {exc}", file=sys.stderr)
         return 2

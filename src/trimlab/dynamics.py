@@ -2,9 +2,14 @@
 spreading moments M_p(x,t), and the Laplace-transform lower bound that
 ties time-averaged spreading to Green function moments.
 
-The Laplace integral of |e^{itH}(x,y)|^2 is evaluated in closed form
-from the eigenpair differences, so the inequality check carries no time
-quadrature error.
+Each realization is factored once, H = U diag(E) U^T, and everything is
+read off its eigenpairs: the amplitudes e^{itH}(x,.) = U (e^{itE} U[x])
+at every t and the Green rows G_z(x,.) = U (U[x] / (E - z)) at every z.
+The LU route (`spectral.green`) is kept as the test oracle for the
+Green rows.  The Laplace integral of |e^{itH}(x,y)|^2 is evaluated in
+closed form from the eigenpair differences, so the inequality check
+carries no time quadrature error.  The `threads` arguments are accepted
+for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracmoment import EnsembleSpec, mc_map
-from .lattice import Site, graph_distance
+from .fracmoment import mc_map
+from .lattice import LatticeBox, Site
 from .operators import HamiltonianMatrix
-from .spectral import SpectralData, eigendecompose, green
+from .spectral import SpectralData, eigendecompose
 
 
 @dataclass(frozen=True)
@@ -50,31 +55,92 @@ def evolve(sd: SpectralData, psi0: np.ndarray, t: float) -> np.ndarray:
     return sd.eigenvectors @ (np.exp(1j * t * sd.eigenvalues) * coeff)
 
 
-def _distance_weights(ham: HamiltonianMatrix, x: Site, p: float) -> np.ndarray:
-    return np.array(
-        [float(graph_distance(x, y)) ** p if y != x else 0.0 for y in ham.site_list()]
-    )
+def _distance_powers(box: LatticeBox, x: Site, p: float) -> np.ndarray:
+    """||x - y||^p over the box sites y in index order (0^0 = 1)."""
+    coords = np.indices(box.shape).reshape(box.dim, -1).T + np.array(box.lo)
+    return np.abs(coords - np.array(x)).sum(axis=1).astype(float) ** p
 
 
-def _moment_fixed(ham: HamiltonianMatrix, x: Site, t: float, p: float) -> float:
-    sd = eigendecompose(ham)
-    ix = ham.site_list().index(x)
-    amp = evolve(sd, np.eye(ham.n)[ix], t)
-    w = _distance_weights(ham, x, p)
-    if p == 0:
-        return float(np.sum(np.abs(amp) ** 2))
-    return float(np.sum(np.abs(amp) ** 2 * w))
+class _Factored:
+    """One realization's eigenpairs, seen from site index ix with
+    distance weights w."""
+
+    def __init__(self, ham: HamiltonianMatrix, ix: int, w: np.ndarray):
+        sd = eigendecompose(ham)
+        self.e, self.u, self.w = sd.eigenvalues, sd.eigenvectors, w
+        self.ux = self.u[ix]
+
+    def _weighted_norm2(self, c: np.ndarray) -> float:
+        """sum_y |(U c)_y|^2 w(y) for complex coefficients c, with U kept real."""
+        return float(np.sum(((self.u @ c.real) ** 2 + (self.u @ c.imag) ** 2) * self.w))
+
+    def moment(self, t: float) -> float:
+        """M_p(x,t), from e^{itH}(x,.) = U (e^{itE} U[x])."""
+        return self._weighted_norm2(np.exp(1j * t * self.e) * self.ux)
+
+    def laplace_lhs(self, eps: float) -> float:
+        """int_0^inf eps e^{-eps t} M_p(x,t) dt, closed form per eigenpair."""
+        # B_jk = psi_j(x) psi_k(x) sum_y psi_j(y) psi_k(y) w(y)
+        b = np.outer(self.ux, self.ux) * (self.u.T @ (self.w[:, None] * self.u))
+        omega = self.e[:, None] - self.e[None, :]
+        return float(np.sum(b * (eps**2 / (eps**2 + omega**2))))
+
+    def green_moment(self, lam: float, eps: float) -> float:
+        """eps^2 sum_y |G_{lam+i eps}(x,y)|^2 w(y), G_z(x,.) = U (U[x] / (E - z))."""
+        return eps**2 * self._weighted_norm2(self.ux / (self.e - complex(lam, eps)))
 
 
-def moment_Mp(target, x: Site, t: float, p: float, threads: int = 1):
-    """M_p(x,t) = sum_y |e^{itH}(x,y)|^2 ||x-y||^p, averaged for ensembles."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+def dynamics_samples(
+    target,
+    x: Site,
+    p: float,
+    times: Sequence[float] = (),
+    lam: float = 0.0,
+    laplace_eps: float | None = None,
+    eps_sequence: Sequence[float] = (),
+) -> np.ndarray:
+    """One row per realization (one for a fixed operator), from a single
+    eigendecomposition: M_p(x,t) for each t in times; then, if laplace_eps
+    is given, the lhs and rhs of the Laplace check at lam + i laplace_eps;
+    then S(eps) of `pmoment_probe` for each eps in eps_sequence.
+    """
+    if not (math.isfinite(p) and p >= 0):
+        raise ValueError("p must be a nonnegative finite number")
+    eps_sequence = list(eps_sequence)
+    checked = eps_sequence if laplace_eps is None else [laplace_eps, *eps_sequence]
+    if any(not 0 < e < math.inf for e in checked):
+        raise ValueError("eps values must be positive and finite")
+    if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
+        raise ValueError("eps sequence must be strictly decreasing")
+    if isinstance(target, HamiltonianMatrix) and target.sites is not None:
+        raise ValueError("dynamics needs the operator on its whole box")
+    ix, w = target.box.index(x), _distance_powers(target.box, x, p)
+
+    def row(ham: HamiltonianMatrix) -> list[float]:
+        f = _Factored(ham, ix, w)
+        out = [f.moment(float(t)) for t in times]
+        if laplace_eps is not None:
+            out += [f.laplace_lhs(laplace_eps), f.green_moment(lam, laplace_eps)]
+        return out + [f.green_moment(lam, e) for e in eps_sequence]
+
     if isinstance(target, HamiltonianMatrix):
-        return _moment_fixed(target, x, t, p)
-    ens: EnsembleSpec = target
-    values, _ = mc_map(lambda i: _moment_fixed(ens.realization(i), x, t, p), ens, threads)
-    return float(np.mean(values))
+        return np.array([row(target)])
+    values, _ = mc_map(lambda i: row(target.realization(i)), target)
+    return np.array(values)
+
+
+def sample_mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of dynamics_samples rows and their standard errors
+    (0 for a single row)."""
+    n = len(samples)
+    if n < 2:
+        return np.mean(samples, axis=0), np.zeros(samples.shape[1])
+    return np.mean(samples, axis=0), np.std(samples, axis=0, ddof=1) / math.sqrt(n)
+
+
+def moment_Mp(target, x: Site, t: float, p: float, threads: int = 1) -> float:
+    """M_p(x,t) = sum_y |e^{itH}(x,y)|^2 ||x-y||^p, averaged for ensembles."""
+    return float(np.mean(dynamics_samples(target, x, p, [t])))
 
 
 @dataclass(frozen=True)
@@ -91,78 +157,39 @@ class MomentCurve:
 def moment_curve(
     target, x: Site, times: Sequence[float], p: float, threads: int = 1
 ) -> MomentCurve:
-    values = tuple(moment_Mp(target, x, t, p, threads) for t in times)
+    means, _ = sample_mean_stderr(dynamics_samples(target, x, p, times))
     box = target.box
     diameter = sum(b - a for a, b in zip(box.lo, box.hi))
     # ballistic front reaches the box edge at roughly t ~ diameter / 2
-    sat = None
-    for t in times:
-        if t >= diameter / 2.0:
-            sat = t
-            break
-    return MomentCurve(p, x, tuple(times), values, sat)
+    sat = next((t for t in times if t >= diameter / 2.0), None)
+    return MomentCurve(p, x, tuple(times), tuple(map(float, means)), sat)
 
 
-def _laplace_lhs(
-    ham: HamiltonianMatrix, lam: float, eps: float, p: float, x: Site
-) -> float:
-    """int_0^inf eps e^{-eps t} M_p(x,t) dt, closed form per eigenpair."""
-    sd = eigendecompose(ham)
-    ix = ham.site_list().index(x)
-    w = _distance_weights(ham, x, p)
-    if p == 0:
-        w = np.ones(ham.n)
-    u = sd.eigenvectors
-    # B_jk = psi_j(x) psi_k(x) sum_y psi_j(y) psi_k(y) w(y)
-    b = np.outer(u[ix], u[ix]) * (u.T @ (w[:, None] * u))
-    omega = sd.eigenvalues[:, None] - sd.eigenvalues[None, :]
-    weights = eps**2 / (eps**2 + omega**2)
-    return float(np.sum(b * weights))
-
-
-def _laplace_rhs(
-    ham: HamiltonianMatrix, lam: float, eps: float, p: float, x: Site
-) -> float:
-    g = green(ham, complex(lam, eps)).entries
-    ix = ham.site_list().index(x)
-    w = _distance_weights(ham, x, p)
-    if p == 0:
-        w = np.ones(ham.n)
-    return float(eps**2 * np.sum(np.abs(g[ix]) ** 2 * w))
-
-
-def laplace_moment_check(
-    target, lam: float, eps: float, p: float, x: Site, threads: int = 1
-) -> dict:
-    """Check eps-averaged spreading against the Green function bound.
+def laplace_summary(lhs: np.ndarray, rhs: np.ndarray) -> dict:
+    """Reduce per-realization Laplace lhs and rhs to the check's verdict.
 
     Per realization, Jensen's inequality for the probability measure
     eps e^{-eps t} dt gives lhs >= rhs termwise in y, so the check also
     reports the worst per-realization margin.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    def one(ham: HamiltonianMatrix):
-        lhs = _laplace_lhs(ham, lam, eps, p, x)
-        rhs = _laplace_rhs(ham, lam, eps, p, x)
-        return lhs, rhs
-
-    if isinstance(target, HamiltonianMatrix):
-        pairs = [one(target)]
-    else:
-        pairs, _ = mc_map(lambda i: one(target.realization(i)), target, threads)
-    lhs = float(np.mean([a for a, _ in pairs]))
-    rhs = float(np.mean([b for _, b in pairs]))
-    worst = min(a - b for a, b in pairs)
+    lhs_mean, rhs_mean = float(np.mean(lhs)), float(np.mean(rhs))
+    worst = float(np.min(lhs - rhs))
     return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "margin": lhs - rhs,
+        "lhs": lhs_mean,
+        "rhs": rhs_mean,
+        "margin": lhs_mean - rhs_mean,
         "worst_realization_margin": worst,
         "holds": worst >= -1e-9,
-        "realizations": len(pairs),
+        "realizations": len(lhs),
     }
+
+
+def laplace_moment_check(
+    target, lam: float, eps: float, p: float, x: Site, threads: int = 1
+) -> dict:
+    """Check eps-averaged spreading against the Green function bound."""
+    pairs = dynamics_samples(target, x, p, lam=lam, laplace_eps=eps)
+    return laplace_summary(pairs[:, 0], pairs[:, 1])
 
 
 def pmoment_probe(
@@ -179,24 +206,13 @@ def pmoment_probe(
     function moment at lam; off the relevant spectra S ~ eps^2 instead.
     """
     eps_sequence = list(eps_sequence)
-    if any(e <= 0 for e in eps_sequence):
-        raise ValueError("eps values must be positive")
-    if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        raise ValueError("eps sequence must be strictly decreasing")
-    rows = []
-    for eps in eps_sequence:
-        if isinstance(target, HamiltonianMatrix):
-            vals = [_laplace_rhs(target, lam, eps, p, x)]
-        else:
-            vals, _ = mc_map(
-                lambda i: _laplace_rhs(target.realization(i), lam, eps, p, x),
-                target,
-                threads,
-            )
-        vals = np.array(vals)
-        n = len(vals)
-        se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        rows.append({"eps": eps, "S": float(np.mean(vals)), "stderr": se})
+    means, ses = sample_mean_stderr(
+        dynamics_samples(target, x, p, lam=lam, eps_sequence=eps_sequence)
+    )
+    rows = [
+        {"eps": eps, "S": float(s), "stderr": float(se)}
+        for eps, s, se in zip(eps_sequence, means, ses)
+    ]
     logs_e = np.log([r["eps"] for r in rows])
     logs_s = np.log([max(r["S"], 1e-300) for r in rows])
     a = np.vstack([logs_e, np.ones(len(rows))]).T

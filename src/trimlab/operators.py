@@ -58,18 +58,14 @@ def laplacian_matrix(box: LatticeBox) -> np.ndarray:
     n = box.size
     if n > DENSE_LIMIT:
         raise ValueError(f"box size {n} exceeds dense limit {DENSE_LIMIT}")
-    d = box.dim
     h = np.zeros((n, n))
-    np.fill_diagonal(h, 2.0 * d)
-    for i, x in enumerate(box.sites()):
-        for k in range(d):
-            y = list(x)
-            y[k] += 1
-            y = tuple(y)
-            if y in box:
-                j = box.index(y)
-                h[i, j] = -1.0
-                h[j, i] = -1.0
+    np.fill_diagonal(h, 2.0 * box.dim)
+    idx = np.arange(n).reshape(box.shape)
+    for k in range(box.dim):
+        # site indices along axis k: each is adjacent to the next
+        line = np.moveaxis(idx, k, 0)
+        h[line[:-1], line[1:]] = -1.0
+        h[line[1:], line[:-1]] = -1.0
     return h
 
 

@@ -197,3 +197,76 @@ def test_emit_quotes_fields_with_commas(tmp_path):
     assert csv_path.read_bytes().endswith(
         b"\nweak-bound,1.2500000000000000e+00,2.0000000000000000e+00,1\n"
     )
+
+
+def test_dynamics_run_matches_library(tmp_path):
+    from trimlab.disorder import spec_from_descriptor
+    from trimlab.dynamics import laplace_moment_check, moment_Mp, pmoment_probe
+    from trimlab.fracmoment import EnsembleSpec
+    from trimlab.lattice import Gamma1Mask, make_box
+
+    args = ["dynamics", "--box", "1..5,1..5", "--samples", "6", "--seed", "11"]
+    args += ["--epsilon", "0.01,0.1,0.001"]
+    assert run_cli(args + ["--out", str(tmp_path / "a")]) == 0
+    assert run_cli(args + ["--out", str(tmp_path / "b")]) == 0
+    text = (tmp_path / "a" / "dynamics.csv").read_bytes()
+    assert text == (tmp_path / "b" / "dynamics.csv").read_bytes()
+    with open(tmp_path / "a" / "dynamics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "p", "Mp", "stderr"]
+    values = [[float(v) for v in row] for row in rows[1:]]
+    assert [r[0] for r in values] == [0.5, 1.0, 2.0, 4.0, -1.0, -2.0, -2.0, -2.0]
+    assert all(r[1] == 2.0 for r in values)
+
+    ens = EnsembleSpec(
+        make_box(2, (1, 1), (5, 5)),
+        Gamma1Mask(2, 2),
+        spec_from_descriptor("uniform:0,1"),
+        5.0,
+        master_seed=11,
+        samples=6,
+    )
+    x = (3, 3)
+    for t, row in zip((0.5, 1.0, 2.0, 4.0), values):
+        assert row[2] == pytest.approx(moment_Mp(ens, x, t, 2.0), rel=1e-12)
+    chk = laplace_moment_check(ens, 4.0, 0.01, 2.0, x)
+    assert values[4][2] == pytest.approx(chk["margin"], rel=1e-12)
+    assert values[4][3] == 1.0 and chk["holds"]
+    probe = pmoment_probe(ens, 4.0, [0.1, 0.01, 0.001], 2.0, x)
+    for row, ref in zip(values[5:], probe["rows"]):
+        assert row[2] == pytest.approx(ref["S"], rel=1e-12)
+        assert row[3] == pytest.approx(ref["stderr"], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"times": [1.0, float("nan")]}, []),
+        ({"times": "1,2"}, []),
+        ({"p": -1.0}, []),
+        ({"p": float("inf")}, []),
+        ({}, ["--box", "1..80,1..80"]),
+        ({}, ["--epsilon", "0.1,inf"]),
+    ],
+    ids=[
+        "times-nan",
+        "times-not-list",
+        "p-negative",
+        "p-infinite",
+        "box-over-limit",
+        "epsilon-infinite",
+    ],
+)
+def test_bad_dynamics_config_exits_2(tmp_path, capsys, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run_cli(["dynamics", "--config", str(cfg), "--out", str(tmp_path)] + flags)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "dynamics.csv").exists()
+
+
+def test_lattice_info_accepts_box_over_dense_limit(tmp_path):
+    # lattice-info builds no operator, so the dense limit does not apply
+    args = ["lattice-info", "--box", "0..7000", "--gamma", "full"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0

@@ -17,7 +17,7 @@ from trimlab.dynamics import (
 from trimlab.fracmoment import EnsembleSpec
 from trimlab.lattice import FullMask, Gamma1Mask, make_box
 from trimlab.operators import assemble
-from trimlab.spectral import eigendecompose
+from trimlab.spectral import eigendecompose, green
 
 
 def _free_chain(n: int = 21):
@@ -57,6 +57,64 @@ def test_moment_trivial():
     assert moment_Mp(ham, (10,), 2.5, 0.0) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         moment_Mp(ham, (10,), 1.0, -1.0)
+
+
+@pytest.mark.parametrize("p", [-1.0, float("nan"), float("inf")])
+def test_p_validated_everywhere(p):
+    ham = _free_chain(9)
+    with pytest.raises(ValueError, match="p must be"):
+        moment_Mp(ham, (4,), 1.0, p)
+    with pytest.raises(ValueError, match="p must be"):
+        moment_curve(ham, (4,), [1.0, 2.0], p)
+    with pytest.raises(ValueError, match="p must be"):
+        laplace_moment_check(ham, 0.0, 0.1, p, (4,))
+    with pytest.raises(ValueError, match="p must be"):
+        pmoment_probe(ham, 0.0, [1e-1, 1e-2], p, (4,))
+
+
+def _lu_green_moment(ham, lam, eps, p, x):
+    # eps^2 sum_y |G(x,y)|^2 ||x-y||^p from the pivoted-LU inverse
+    g = green(ham, complex(lam, eps)).entries[ham.box.index(x)]
+    w = np.array(
+        [float(sum(abs(a - b) for a, b in zip(x, y))) ** p for y in ham.box.sites()]
+    )
+    return float(eps**2 * np.sum(np.abs(g) ** 2 * w))
+
+
+@pytest.mark.parametrize("case", ["square", "chain"])
+def test_eigen_green_moments_match_lu(case):
+    eps = [1e-1, 1e-2, 1e-3]
+    if case == "square":
+        ens = EnsembleSpec(
+            make_box(2, (1, 1), (21, 21)), Gamma1Mask(2, 2), Uniform(), 5.0
+        )
+        ham, x, lam = ens.realization(0), (11, 11), 4.0
+    else:
+        ham, x, lam = _free_chain(15), (7,), 1.3
+    for p in (0.0, 4.0):
+        probe = pmoment_probe(ham, lam, eps, p, x)
+        for e, row in zip(eps, probe["rows"]):
+            oracle = _lu_green_moment(ham, lam, e, p, x)
+            assert row["S"] == pytest.approx(oracle, rel=1e-10, abs=0.0)
+            rhs = laplace_moment_check(ham, lam, e, p, x)["rhs"]
+            assert rhs == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
+def test_moment_matches_evolution_kernel():
+    rng = np.random.default_rng(4)
+    box = make_box(2, (1, 1), (6, 6))
+    ham = assemble(box, FullMask(), rng.normal(size=box.size), 1.0, None)
+    amp = EvolutionKernel(eigendecompose(ham))
+    x = (2, 5)
+    d = np.array([sum(abs(a - b) for a, b in zip(x, y)) for y in box.sites()])
+    for t in (0.0, 0.9, -2.5, 7.0):
+        row = np.abs(amp.matrix(t)[box.index(x)]) ** 2
+        for p in (0.0, 1.5, 4.0):
+            expected = float(np.sum(row * d.astype(float) ** p))
+            # abs covers t = 0, where M_p (p > 0) is rounding noise
+            assert moment_Mp(ham, x, t, p) == pytest.approx(
+                expected, rel=1e-12, abs=1e-14
+            )
 
 
 def test_moment_time_reversal():
@@ -146,3 +204,7 @@ def test_pmoment_validates_sequence():
         pmoment_probe(ham, 0.0, [1e-2, 1e-1], 2.0, (4,))
     with pytest.raises(ValueError):
         pmoment_probe(ham, 0.0, [1e-1, -1e-2], 2.0, (4,))
+    with pytest.raises(ValueError):
+        pmoment_probe(ham, 0.0, [float("inf"), 1e-1], 2.0, (4,))
+    with pytest.raises(ValueError):
+        laplace_moment_check(ham, 0.0, float("nan"), 2.0, (4,))

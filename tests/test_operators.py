@@ -35,6 +35,36 @@ def test_laplacian_d1_spectrum():
     np.testing.assert_allclose(np.linalg.eigvalsh(h), expected, atol=1e-12)
 
 
+def _laplacian_loop(box):
+    # per-site reference: -1 between each site and its +e_k neighbor
+    h = np.zeros((box.size, box.size))
+    np.fill_diagonal(h, 2.0 * box.dim)
+    for i, x in enumerate(box.sites()):
+        for k in range(box.dim):
+            y = x[:k] + (x[k] + 1,) + x[k + 1 :]
+            if y in box:
+                h[i, box.index(y)] = h[box.index(y), i] = -1.0
+    return h
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        ((0,), (0,)),
+        ((-2,), (5,)),
+        ((1, 1), (4, 6)),
+        ((0, 3), (0, 7)),
+        ((0, 0, 0), (2, 3, 1)),
+        ((5, 5, 5), (5, 5, 5)),
+    ],
+)
+def test_laplacian_matches_loop_oracle(lo, hi):
+    box = make_box(len(lo), lo, hi)
+    h = laplacian_matrix(box)
+    assert h.dtype == np.float64
+    np.testing.assert_array_equal(h, _laplacian_loop(box))
+
+
 def test_dense_limit_enforced():
     with pytest.raises(ValueError):
         laplacian_matrix(make_box(2, (0, 0), (99, 99)))
