@@ -204,6 +204,8 @@ def _resolved(config: dict, dense: bool = True):
         isinstance(e, (int, float)) and 0 < e < math.inf for e in config["epsilon"]
     ):
         raise ConfigError("epsilon values must be positive finite numbers")
+    if len(set(config["epsilon"])) != len(config["epsilon"]):
+        raise ConfigError("epsilon values must be distinct")
     if not math.isfinite(config["p"]) or config["p"] < 0:
         raise ConfigError("p must be a nonnegative finite number")
     times = config["times"]
@@ -547,6 +549,9 @@ def main(argv=None) -> int:
         config = _load_config(args)
         # validate before dispatch
         _resolved(dict(config), dense=args.experiment != "lattice-info")
+        # one sample has no standard error, so the weak bound cannot be judged
+        if args.experiment == "couple" and int(config["samples"]) < 2:
+            raise ConfigError("couple needs samples >= 2")
     except ConfigError as exc:
         print(f"trimlab: config error: {exc}", file=sys.stderr)
         return 2

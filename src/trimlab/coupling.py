@@ -4,7 +4,8 @@ identities, the weak-disorder chi bound with its proof-chain audit, and
 the exploratory coupled operator.
 
 All resolvents here may be non-self-adjoint (complex diagonal blocks);
-everything goes through pivoted LU, never a spectral decomposition.
+everything goes through the pivoted LU of `spectral.green`, never a
+spectral decomposition.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
-from .fracmoment import DecayMetric, EnsembleSpec, chi_kernel, mc_map
+from .fracmoment import DecayMetric, EnsembleSpec, _chi_sup, chi_kernel, mc_map
 from .operators import HamiltonianMatrix, hedgehog_assemble
 from .spectral import green
 
@@ -39,11 +39,6 @@ def u_sharp(u: np.ndarray, z: complex) -> SharpPotential:
     return SharpPotential(z, u, 1.0 / diff)
 
 
-def _complex_inverse(m: np.ndarray, z: complex) -> np.ndarray:
-    a = m.astype(complex) - complex(z) * np.eye(m.shape[0])
-    return sla.lu_solve(sla.lu_factor(a), np.eye(m.shape[0], dtype=complex))
-
-
 def s2w_identity_check(h0: HamiltonianMatrix, u: np.ndarray, z: complex) -> dict:
     """Residuals of both block identities for the doubled operator.
 
@@ -53,13 +48,13 @@ def s2w_identity_check(h0: HamiltonianMatrix, u: np.ndarray, z: complex) -> dict
     u = np.asarray(u)
     z = complex(z)
     hh = hedgehog_assemble(h0, u)
-    gh = _complex_inverse(hh.matrix, z)
-    g0 = _complex_inverse(h0.matrix, z)
+    gh = green(hh.matrix, z).entries
+    g0 = green(h0.matrix, z).entries
     sharp = u_sharp(u, z).values
     base = gh[hh.base_slice(), hh.base_slice()]
     pend = gh[hh.pendant_slice(), hh.pendant_slice()]
-    rhs0 = _complex_inverse(h0.matrix.astype(complex) + np.diag(sharp), z)
-    rhs1 = _complex_inverse(np.diag(u.astype(complex)) - g0, z)
+    rhs0 = green(h0.matrix.astype(complex) + np.diag(sharp), z).entries
+    rhs1 = green(np.diag(u.astype(complex)) - g0, z).entries
     return {
         "residual0": float(np.max(np.abs(base - rhs0))),
         "residual1": float(np.max(np.abs(pend - rhs1))),
@@ -120,26 +115,22 @@ def weak_disorder_bound_check(
             raise ValueError("zero potential value; reciprocal undefined")
         u = z - 1.0 / (ens.g * v)
         hh = hedgehog_assemble(h0, u)
-        gh = _complex_inverse(hh.matrix, z)
+        gh = green(hh.matrix, z).entries
         base = gh[hh.base_slice(), hh.base_slice()]
         pend = gh[hh.pendant_slice(), hh.pendant_slice()]
         # base block must coincide with G_z[H(0) + gV] (exact identity)
-        direct = _complex_inverse(h0.matrix + np.diag(ens.g * v), z)
+        direct = green(h0.matrix + np.diag(ens.g * v), z).entries
         ident = float(np.max(np.abs(base - direct)))
-        return np.abs(base) ** s, np.abs(pend) ** s, ident
+        return (
+            np.sum(w_base * np.abs(base) ** s, axis=0),
+            np.sum(w_base * np.abs(pend) ** s, axis=0),
+            ident,
+        )
 
     values, _ = mc_map(one, ens, threads)
-    mean_base = np.mean([b for b, _, _ in values], axis=0)
-    mean_pend = np.mean([p for _, p, _ in values], axis=0)
+    lhs, se = _chi_sup(np.array([b for b, _, _ in values]))
+    chi_pend, _ = _chi_sup(np.array([p for _, p, _ in values]))
     worst_ident = max(r for _, _, r in values)
-    col_sums = np.sum(w_base * mean_base, axis=0)
-    xstar = int(np.argmax(col_sums))
-    per_sample = np.array(
-        [float(np.sum(w_base[:, xstar] * b[:, xstar])) for b, _, _ in values]
-    )
-    se = float(np.std(per_sample, ddof=1) / math.sqrt(len(per_sample)))
-    lhs = float(col_sums[xstar])
-    chi_pend = float(np.max(np.sum(w_base * mean_pend, axis=0)))
     star_rhs = kappa**2 * enorm**2 * chi0**2 * chi_pend
     return {
         "applicable": True,
@@ -179,7 +170,7 @@ def coupled_weak_operator(
     matrix = h0.matrix.astype(complex) + np.diag(sharp.values)
     return {
         "matrix": matrix,
-        "green": _complex_inverse(matrix, z),
+        "green": green(matrix, z).entries,
         "effective_strength": float(np.max(np.abs(sharp.values))),
         "bare_strength": float(np.max(np.abs(gv))),
         "z": z,

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .fracmoment import mc_map
-from .lattice import LatticeBox, Site
+from .lattice import LatticeBox, Site, l1_distances
 from .operators import HamiltonianMatrix
 from .spectral import SpectralData, eigendecompose
 
@@ -58,7 +58,7 @@ def evolve(sd: SpectralData, psi0: np.ndarray, t: float) -> np.ndarray:
 def _distance_powers(box: LatticeBox, x: Site, p: float) -> np.ndarray:
     """||x - y||^p over the box sites y in index order (0^0 = 1)."""
     coords = np.indices(box.shape).reshape(box.dim, -1).T + np.array(box.lo)
-    return np.abs(coords - np.array(x)).sum(axis=1).astype(float) ** p
+    return l1_distances(coords, [x])[:, 0].astype(float) ** p
 
 
 class _Factored:

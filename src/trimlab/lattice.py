@@ -24,6 +24,24 @@ def graph_distance(x: Site, y: Site) -> int:
     return sum(abs(a - b) for a, b in zip(x, y))
 
 
+def l1_distances(xs: Sequence[Site], ys: Sequence[Site]) -> np.ndarray:
+    """(len(xs), len(ys)) integer matrix of l^1 distances between sites.
+
+    Accumulated one axis at a time, so no (n, m, d) temporary is built.
+    Either argument may also be an (n, d) coordinate array.
+    """
+    out = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    if out.size == 0:
+        return out
+    a = np.asarray(xs, dtype=np.int64)
+    b = np.asarray(ys, dtype=np.int64)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    for k in range(a.shape[1]):
+        out += np.abs(a[:, k, None] - b[None, :, k])
+    return out
+
+
 def neighbors(x: Site) -> list[Site]:
     """The 2d nearest neighbors of a site, in lexicographic order."""
     out = []
@@ -139,8 +157,6 @@ class SublatticeMask:
 class FullMask(SublatticeMask):
     """Gamma = Z^d; every site carries disorder."""
 
-    period = (1, 1)
-
     def __contains__(self, site: Site) -> bool:
         return True
 
@@ -245,8 +261,6 @@ class BernoulliMask(SublatticeMask):
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-
-    period = None
 
     def __contains__(self, site: Site) -> bool:
         u = np.random.Generator(
@@ -372,14 +386,23 @@ def is_doubly_insulated(
         for i, comp in enumerate(comps)
         if any(window.is_boundary_site(s) for s in comp)
     )
+    # one distance block per component i against all later components;
+    # the witness is the first (i, j, x, y) in loop order at the minimum
+    sites = [s for comp in comps for s in comp]
+    coords = np.array(sites, dtype=np.int64).reshape(len(sites), window.dim)
+    sizes = np.array([len(comp) for comp in comps], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     best: tuple[int, Site, Site] | None = None
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            for x in comps[i]:
-                for y in comps[j]:
-                    dist = graph_distance(x, y)
-                    if best is None or dist < best[0]:
-                        best = (dist, x, y)
+    for i in range(len(comps) - 1):
+        hi = ends[i]
+        dist = l1_distances(coords[starts[i] : hi], coords[hi:])
+        per_comp = np.minimum.reduceat(dist.min(axis=0), starts[i + 1 :] - hi)
+        j = i + 1 + int(np.argmin(per_comp))
+        if best is None or per_comp[j - i - 1] < best[0]:
+            block = dist[:, starts[j] - hi : ends[j] - hi]
+            a, b = divmod(int(np.argmin(block)), block.shape[1])
+            best = (int(block[a, b]), sites[starts[i] + a], sites[starts[j] + b])
     if best is not None and best[0] < 3:
         return InsulationReport(False, (best[1], best[2]), best[0], flagged, len(comps))
     return InsulationReport(True, None, None, flagged, len(comps))

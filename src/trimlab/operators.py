@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeBox, Site, SublatticeMask, mask_vector
+from .lattice import LatticeBox, Site, SublatticeMask, l1_distances, mask_vector
 
 DENSE_LIMIT = 6000
 
@@ -40,15 +40,15 @@ class HamiltonianMatrix:
         return tuple(self.box.sites())
 
 
-def _resolve_v0(v0, sites: Sequence[Site]) -> np.ndarray:
+def _resolve_v0(v0, box: LatticeBox) -> np.ndarray:
     if v0 is None:
-        return np.zeros(len(sites))
+        return np.zeros(box.size)
     if callable(v0):
-        return np.array([float(v0(s)) for s in sites])
+        return np.array([float(v0(s)) for s in box.sites()])
     arr = np.asarray(v0, dtype=float)
     if arr.ndim == 0:
-        return np.full(len(sites), float(arr))
-    if arr.shape != (len(sites),):
+        return np.full(box.size, float(arr))
+    if arr.shape != (box.size,):
         raise ValueError("v0 vector length does not match site count")
     return arr
 
@@ -77,8 +77,7 @@ def assemble(
     v: np.ndarray | None = None,
 ) -> HamiltonianMatrix:
     """H(g)|_B = (-Delta + V0 + gV)|_B with V supported on Gamma."""
-    sites = tuple(box.sites())
-    v0_vec = _resolve_v0(v0, sites)
+    v0_vec = _resolve_v0(v0, box)
     if v is None:
         v_vec = np.zeros(box.size)
     else:
@@ -87,16 +86,20 @@ def assemble(
             raise ValueError("potential vector length does not match box")
         bad = np.flatnonzero((v_vec != 0.0) & ~mask_vector(mask, box))
         if bad.size:
-            raise ValueError(f"potential nonzero off Gamma at {sites[bad[0]]}")
+            raise ValueError(
+                f"potential nonzero off Gamma at {box.site(int(bad[0]))}"
+            )
     h = laplacian_matrix(box)
     h[np.diag_indices_from(h)] += v0_vec + g * v_vec
     return HamiltonianMatrix(box, h, mask, float(g), v0_vec, v_vec)
 
 
 def restrict(ham: HamiltonianMatrix, sites: Sequence[Site]) -> HamiltonianMatrix:
-    """Coordinate-projection restriction to a subset of box sites."""
+    """Coordinate-projection restriction to a subset of the operator's sites
+    (which may itself be a restriction)."""
     sites = tuple(sorted(sites))
-    idx = [ham.box.index(s) for s in sites]
+    pos = {s: i for i, s in enumerate(ham.site_list())}
+    idx = [pos[s] for s in sites]
     sub = ham.matrix[np.ix_(idx, idx)]
     return HamiltonianMatrix(
         ham.box,
@@ -135,16 +138,7 @@ def adjacency_operator(
         if s not in box:
             raise ValueError(f"site {s} outside the ambient box")
     cols = tuple(s for s in box.sites() if s not in inside)
-    t = np.zeros((len(rows), len(cols)))
-    col_index = {s: j for j, s in enumerate(cols)}
-    for i, s in enumerate(rows):
-        for d in range(box.dim):
-            for step in (-1, 1):
-                y = list(s)
-                y[d] += step
-                y = tuple(y)
-                if y in col_index:
-                    t[i, col_index[y]] = 1.0
+    t = (l1_distances(rows, cols) == 1).astype(float)
     return AdjacencyOperator(rows, cols, t)
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg as sla
 
-from .lattice import Site, graph_distance
+from .lattice import Site, l1_distances
 from .operators import HamiltonianMatrix, restrict
 
 EIG_TOL = 1e-10
@@ -64,13 +64,16 @@ def green(h, z: complex) -> GreenMatrix:
 
     h may also be a stack of matrices along leading axes; each matrix is
     inverted on its own (stacked LAPACK gesv), and a single one by pivoted
-    LU, the oracle for the stacked route.  A real z is refused when it lies
-    within 1e-12 * max(||H||, 1) of an eigenvalue of some H in the stack.
+    LU, the oracle for the stacked route.  For real symmetric H, a real z
+    is refused when it lies within 1e-12 * max(||H||, 1) of an eigenvalue
+    of some H in the stack.  Complex H (such as the complex-symmetric,
+    non-Hermitian hedgehog blocks) goes straight to the solve: eigvalsh
+    would read only one triangle of it.
     """
     m = _matrix(h)
     z = complex(z)
     n = m.shape[-1]
-    if z.imag == 0.0:
+    if z.imag == 0.0 and np.isrealobj(m):
         vals = np.linalg.eigvalsh(m)
         scale = np.maximum(np.max(np.abs(vals), axis=-1), 1.0)
         hits = np.min(np.abs(vals - z.real), axis=-1) <= 1e-12 * scale
@@ -129,57 +132,25 @@ def resolvent_identity_residual(
     same diagonal convention as the assembly.  The out-out case carries
     the free G_z[A_X](x, y) term in addition to the double boundary sum.
     """
+    if case not in ("in-out", "out-in", "out-out"):
+        raise ValueError(f"unknown case {case!r}")
     z = complex(z)
     xs, ix, xc, ixc = _index_split(ham, x_sites)
     g = green(ham, z).entries
-    sites = ham.site_list()
-    pos = {s: i for i, s in enumerate(sites)}
     if xc:
-        sub = restrict(ham, xc)
-        gx_full = green(sub, z).entries
-        pos_x = {s: i for i, s in enumerate(sub.site_list())}
+        gx = green(restrict(ham, xc), z).entries
     else:
-        gx_full = np.zeros((0, 0), dtype=complex)
-        pos_x = {}
-    # boundary pairs (u' in X) ~ (u in X^c)
-    pairs = [
-        (up, u)
-        for up in xs
-        for u in xc
-        if graph_distance(up, u) == 1
-    ]
-    worst = 0.0
+        gx = np.zeros((0, 0), dtype=complex)
+    # T(u', u) = 1 for the boundary pairs u' in X, u in X^c, u' ~ u
+    t = (l1_distances(xs, xc) == 1).astype(float)
+    gxx = g[np.ix_(ix, ix)]
     if case == "in-out":
-        for x in xs:
-            for y in xc:
-                total = sum(
-                    g[pos[x], pos[up]] * gx_full[pos_x[u], pos_x[y]]
-                    for up, u in pairs
-                )
-                worst = max(worst, abs(g[pos[x], pos[y]] - total))
+        diff = g[np.ix_(ix, ixc)] - gxx @ t @ gx
     elif case == "out-in":
-        for x in xc:
-            for y in xs:
-                total = sum(
-                    gx_full[pos_x[x], pos_x[u]] * g[pos[up], pos[y]]
-                    for up, u in pairs
-                )
-                worst = max(worst, abs(g[pos[x], pos[y]] - total))
-    elif case == "out-out":
-        for x in xc:
-            for y in xc:
-                total = gx_full[pos_x[x], pos_x[y]]
-                total += sum(
-                    gx_full[pos_x[x], pos_x[u]]
-                    * g[pos[up], pos[vp]]
-                    * gx_full[pos_x[v], pos_x[y]]
-                    for up, u in pairs
-                    for vp, v in pairs
-                )
-                worst = max(worst, abs(g[pos[x], pos[y]] - total))
+        diff = g[np.ix_(ixc, ix)] - gx @ t.T @ gxx
     else:
-        raise ValueError(f"unknown case {case!r}")
-    return worst
+        diff = g[np.ix_(ixc, ixc)] - (gx + gx @ t.T @ gxx @ t @ gx)
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -235,27 +206,23 @@ def combes_thomas_rate(ham: HamiltonianMatrix, z: complex, x0: Site) -> dict:
     """
     g = green(ham, z).entries
     sites = ham.site_list()
-    pos = {s: i for i, s in enumerate(sites)}
-    if x0 not in pos:
+    if x0 not in sites:
         raise ValueError(f"site {x0} not in the operator's region")
     box = ham.box
-    lo, hi = box.lo, box.hi
-    dists, logs = [], []
-    for y in sites:
-        dist = graph_distance(x0, y)
-        if dist < 2:
-            continue
-        if any(y[k] - lo[k] < 2 or hi[k] - y[k] < 2 for k in range(box.dim)):
-            continue
-        val = abs(g[pos[x0], pos[y]])
-        if val < 1e-290:
-            continue
-        dists.append(dist)
-        logs.append(math.log(val))
-    if len(set(dists)) < 2:
+    coords = np.array(sites)
+    dist = l1_distances([x0], coords)[0]
+    val = np.abs(g[sites.index(x0)])
+    keep = (
+        (dist >= 2)
+        & np.all(coords - np.array(box.lo) >= 2, axis=1)
+        & np.all(np.array(box.hi) - coords >= 2, axis=1)
+        & (val >= 1e-290)
+    )
+    dists, logs = dist[keep], np.log(val[keep])
+    if len(np.unique(dists)) < 2:
         raise ValueError("insufficient range for fit")
-    a = np.vstack([-np.array(dists, dtype=float), np.ones(len(dists))]).T
-    coef, *_ = np.linalg.lstsq(a, np.array(logs), rcond=None)
+    a = np.vstack([-dists.astype(float), np.ones(len(dists))]).T
+    coef, *_ = np.linalg.lstsq(a, logs, rcond=None)
     c_rate, log_c = float(coef[0]), float(coef[1])
     resid = float(np.sqrt(np.mean((a @ coef - logs) ** 2)))
     if c_rate <= 0:

@@ -266,6 +266,23 @@ def test_bad_dynamics_config_exits_2(tmp_path, capsys, config, flags):
     assert not (tmp_path / "dynamics.csv").exists()
 
 
+@pytest.mark.parametrize("experiment", ["dynamics", "localize"])
+def test_repeated_epsilon_exits_2(tmp_path, capsys, experiment):
+    args = [experiment, "--box", "1..5,1..5", "--samples", "2", "--epsilon", "0.1,0.1"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert "epsilon values must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_couple_one_sample_exits_2(tmp_path, capsys):
+    # a one-sample weak-bound check has no standard error to judge it by
+    args = ["couple", "--box", "1..4", "--gamma", "full", "--g", "0.01"]
+    args += ["--energy=-1", "--epsilon", "1e-4", "--s", "0.5", "--samples", "1"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert "couple needs samples >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "couple.csv").exists()
+
+
 def test_lattice_info_accepts_box_over_dense_limit(tmp_path):
     # lattice-info builds no operator, so the dense limit does not apply
     args = ["lattice-info", "--box", "0..7000", "--gamma", "full"]

@@ -53,12 +53,12 @@ def test_s2w_random_instances():
 
 
 def test_hedgehog_green_complex_symmetric():
-    from trimlab.coupling import _complex_inverse
+    from trimlab.spectral import green
 
     rng = np.random.default_rng(3)
     h0 = assemble(make_box(1, (0,), (4,)), FullMask(), None, 0.0, None)
     hh = hedgehog_assemble(h0, rng.normal(size=5))
-    g = _complex_inverse(hh.matrix, 0.3 + 0.2j)
+    g = green(hh.matrix, 0.3 + 0.2j).entries
     np.testing.assert_allclose(g, g.T, atol=1e-12)
 
 
@@ -74,6 +74,17 @@ def test_weak_disorder_bound():
     assert audit["pendant_holds"]
     assert audit["star_holds"]
     assert audit["block_identity_residual"] <= 1e-10
+
+
+def test_weak_disorder_bound_one_sample():
+    # one sample has no Monte Carlo error estimate: stderr inf, not NaN
+    c_mu = estimate_decoupling_constants(Uniform(), 0.5, 200, 0)["C_s"]
+    ens = EnsembleSpec(make_box(1, (1,), (4,)), FullMask(), Uniform(), 0.01, samples=1)
+    out = weak_disorder_bound_check(ens, -1.0, 1e-4, 0.5, DecayMetric(0.1), c_mu)
+    assert out["applicable"]
+    assert out["lhs_stderr"] == float("inf")
+    assert out["holds"]
+    assert out["audit"]["star_holds"]
 
 
 def test_weak_disorder_bound_inapplicable_at_large_g():

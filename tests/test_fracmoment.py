@@ -24,7 +24,7 @@ from trimlab.fracmoment import (
     wegner_count,
     wegner_uniform_bound_probe,
 )
-from trimlab.lattice import FullMask, Gamma1Mask, make_box
+from trimlab.lattice import FullMask, Gamma1Mask, graph_distance, make_box
 from trimlab.operators import assemble
 
 RHO = DecayMetric(0.1)
@@ -35,6 +35,34 @@ def test_decay_metric():
     assert DecayMetric(0.2).norm == 0.2
     with pytest.raises(ValueError):
         DecayMetric(-1.0)
+
+
+def _weight_matrix_loop(rho, sites):
+    # the per-site-pair loop that DecayMetric.weight_matrix replaced
+    n = len(sites)
+    w = np.empty((n, n))
+    for i, x in enumerate(sites):
+        for j, y in enumerate(sites):
+            w[i, j] = math.exp(rho.eta * graph_distance(x, y))
+    return w
+
+
+@pytest.mark.parametrize(
+    "sites",
+    [
+        tuple(make_box(1, (-3,), (9,)).sites()),
+        tuple(make_box(2, (-2, 1), (3, 4)).sites()),
+        tuple(make_box(3, (0, 0, 0), (2, 3, 2)).sites()),
+        tuple(make_box(2, (0, 0), (6, 6)).sites())[::3],
+        ((5, -5),),
+        (),
+    ],
+    ids=["d1", "d2", "d3", "subset", "one-site", "empty"],
+)
+def test_weight_matrix_matches_loop(sites):
+    for eta in (0.0, 0.1, 0.37):
+        rho = DecayMetric(eta)
+        assert np.array_equal(rho.weight_matrix(sites), _weight_matrix_loop(rho, sites))
 
 
 def test_chi_kernel_chain_oracle():

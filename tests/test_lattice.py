@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from trimlab.lattice import (
     FullMask,
     Gamma1Mask,
     Gamma2Mask,
+    InsulationReport,
     LatticeBox,
     PeriodicCellMask,
     ball,
@@ -18,6 +20,7 @@ from trimlab.lattice import (
     components_of_complement,
     graph_distance,
     is_doubly_insulated,
+    l1_distances,
     make_box,
     mask_from_descriptor,
     neighbors,
@@ -179,3 +182,71 @@ def test_relative_density_gamma1():
 @given(sites_2d)
 def test_full_mask_contains_everything(site):
     assert site in FullMask()
+
+
+def test_l1_distances_matches_graph_distance():
+    rng = np.random.default_rng(0)
+    for d in (1, 2, 3):
+        xs = [tuple(int(c) for c in rng.integers(-9, 10, d)) for _ in range(7)]
+        ys = [tuple(int(c) for c in rng.integers(-9, 10, d)) for _ in range(5)]
+        dist = l1_distances(xs, ys)
+        assert dist.shape == (7, 5)
+        assert dist.dtype.kind == "i"
+        assert dist.tolist() == [[graph_distance(x, y) for y in ys] for x in xs]
+
+
+def test_l1_distances_empty_and_mismatch():
+    assert l1_distances([], [(0, 0)]).shape == (0, 1)
+    assert l1_distances([(0, 0)], []).shape == (1, 0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        l1_distances([(0, 0)], [(0,)])
+
+
+def _insulation_loop(mask, window):
+    # the per-site-pair loop that is_doubly_insulated replaced
+    comps = components_of_complement(mask, window)
+    flagged = tuple(
+        i
+        for i, comp in enumerate(comps)
+        if any(window.is_boundary_site(s) for s in comp)
+    )
+    best = None
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            for x in comps[i]:
+                for y in comps[j]:
+                    dist = graph_distance(x, y)
+                    if best is None or dist < best[0]:
+                        best = (dist, x, y)
+    if best is not None and best[0] < 3:
+        return InsulationReport(False, (best[1], best[2]), best[0], flagged, len(comps))
+    return InsulationReport(True, None, None, flagged, len(comps))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        "gamma1:2,2",
+        "gamma2:3",
+        # 2x2 complement blocks at distance 2 (ties) and at distance 3
+        "cell:3x3:001001111",
+        "cell:4x4:0011001111111111",
+        "bernoulli:0.5:3",
+    ],
+)
+def test_insulation_matches_loop(descriptor):
+    mask = mask_from_descriptor(descriptor)
+    window = make_box(2, (-1, 0), (8, 7))
+    rep = is_doubly_insulated(mask, window)
+    assert rep == _insulation_loop(mask, window)
+    assert rep.n_components >= 2
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize("lo,hi", [((0,), (40,)), ((0, 0), (7, 5)), ((0, 0, 0), (3, 3, 2))])
+def test_insulation_matches_loop_bernoulli_seeds(p, lo, hi):
+    # multi-site components where the witness pair is not the first row
+    window = make_box(len(lo), lo, hi)
+    for seed in range(20):
+        mask = BernoulliMask(p, seed)
+        assert is_doubly_insulated(mask, window) == _insulation_loop(mask, window)

@@ -141,6 +141,42 @@ def test_adjacency_operator():
     assert total == 3.0  # boundary edges of the two-site block
 
 
+def test_adjacency_operator_3d_and_out_of_box():
+    box = make_box(3, (0, 0, 0), (2, 2, 1))
+    x_sites = [(1, 1, 0), (0, 0, 1), (2, 1, 1)]
+    t = adjacency_operator(x_sites, box)
+    assert t.matrix.shape == (3, box.size - 3)
+    for i, x in enumerate(t.rows):
+        for j, y in enumerate(t.cols):
+            expected = 1.0 if sum(abs(a - b) for a, b in zip(x, y)) == 1 else 0.0
+            assert t.matrix[i, j] == expected
+    with pytest.raises(ValueError, match="outside the ambient box"):
+        adjacency_operator([(3, 0, 0)], box)
+
+
+def test_assemble_off_gamma_error_names_site():
+    box = make_box(2, (1, 1), (3, 3))
+    v = np.zeros(box.size)
+    v[box.index((2, 2))] = 1.0  # on Gamma1(2, 2)
+    v[box.index((3, 1))] = 1.0  # off Gamma: the first offending site
+    v[box.index((3, 3))] = 1.0  # off Gamma
+    with pytest.raises(ValueError, match=r"off Gamma at \(3, 1\)"):
+        assemble(box, Gamma1Mask(2, 2), None, 1.0, v)
+
+
+def test_restrict_of_a_restriction():
+    box = make_box(2, (0, 0), (3, 3))
+    v = sample_potential(SampleStream(Uniform(), 2), FullMask(), box, 0)
+    ham = assemble(box, FullMask(), None, 1.0, v)
+    outer = [s for s in box.sites() if s != (1, 1)]
+    inner = [(0, 0), (1, 2), (2, 1), (3, 3)]
+    twice = restrict(restrict(ham, outer), inner)
+    once = restrict(ham, inner)
+    np.testing.assert_array_equal(twice.matrix, once.matrix)
+    np.testing.assert_array_equal(twice.v, once.v)
+    assert twice.sites == once.sites
+
+
 def test_hedgehog_structure():
     box = make_box(1, (0,), (2,))
     h0 = assemble(box, FullMask(), None, 0.0, None)

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trimlab.disorder import SampleStream, Uniform, sample_potential
-from trimlab.lattice import FullMask, Gamma1Mask, make_box
-from trimlab.operators import assemble
+from trimlab import spectral
+from trimlab.lattice import FullMask, Gamma1Mask, graph_distance, make_box
+from trimlab.operators import assemble, hedgehog_assemble, restrict
 from trimlab.spectral import (
     SpectralParameterOnSpectrum,
     combes_thomas_rate,
@@ -59,6 +61,20 @@ def test_green_collision_raises():
     assert g[0, 0] == pytest.approx(1.0)
 
 
+def test_green_complex_symmetric_at_real_z():
+    # complex-symmetric, non-Hermitian: no eigenvalue test, straight to LU.
+    # z is an eigenvalue of the Hermitian matrix eigvalsh would read from
+    # the lower triangle, yet H - z is invertible.
+    rng = np.random.default_rng(11)
+    h0 = assemble(make_box(1, (0,), (4,)), FullMask(), None, 0.0, None)
+    hh = hedgehog_assemble(h0, rng.normal(size=5) + 1j * (0.5 + rng.random(5)))
+    z = float(np.linalg.eigvalsh(hh.matrix)[3])
+    g = green(hh.matrix, z).entries
+    np.testing.assert_allclose(
+        g, np.linalg.inv(hh.matrix - z * np.eye(10)), rtol=1e-12, atol=1e-12
+    )
+
+
 def test_schur_green_matches_direct():
     for seed in range(5):
         ham = _random_ham(seed)
@@ -84,6 +100,76 @@ def test_resolvent_identity_cases(case):
         x_sites = [s for s in sites if s[0] <= 2]
         res = resolvent_identity_residual(ham, x_sites, 0.5 + 0.2j, case)
         assert res <= 1e-10
+
+
+def _shifted(ham, shift):
+    return replace(ham, matrix=ham.matrix + shift * np.eye(ham.n))
+
+
+def _identity_residual_loop(ham, x_sites, z, case, shift):
+    # the boundary pair sums that resolvent_identity_residual replaced,
+    # with A_X's diagonal shifted by `shift`
+    xs = sorted(set(x_sites))
+    sites = ham.site_list()
+    pos = {s: i for i, s in enumerate(sites)}
+    xc = [s for s in sites if s not in set(xs)]
+    g = green(ham, z).entries
+    gx = green(_shifted(restrict(ham, xc), shift), z).entries if xc else None
+    pos_x = {s: i for i, s in enumerate(xc)}
+    pairs = [(up, u) for up in xs for u in xc if graph_distance(up, u) == 1]
+    worst = 0.0
+    if case == "in-out":
+        for x in xs:
+            for y in xc:
+                total = sum(
+                    g[pos[x], pos[up]] * gx[pos_x[u], pos_x[y]] for up, u in pairs
+                )
+                worst = max(worst, abs(g[pos[x], pos[y]] - total))
+    elif case == "out-in":
+        for x in xc:
+            for y in xs:
+                total = sum(
+                    gx[pos_x[x], pos_x[u]] * g[pos[up], pos[y]] for up, u in pairs
+                )
+                worst = max(worst, abs(g[pos[x], pos[y]] - total))
+    else:
+        for x in xc:
+            for y in xc:
+                total = gx[pos_x[x], pos_x[y]]
+                total += sum(
+                    gx[pos_x[x], pos_x[u]] * g[pos[up], pos[vp]] * gx[pos_x[v], pos_x[y]]
+                    for up, u in pairs
+                    for vp, v in pairs
+                )
+                worst = max(worst, abs(g[pos[x], pos[y]] - total))
+    return worst
+
+
+@pytest.mark.parametrize("case", ["in-out", "out-in", "out-out"])
+@pytest.mark.parametrize("region", ["box", "restricted", "empty-complement"])
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_resolvent_identity_matches_loop(monkeypatch, case, region, shift):
+    # shift != 0 perturbs A_X, so both residuals are O(1), not round-off
+    ham = _random_ham(4)
+    sites = ham.site_list()
+    if region == "restricted":
+        ham = restrict(ham, [s for s in sites if s != (2, 2) and s[1] != 4])
+        sites = ham.site_list()
+    if region == "empty-complement":
+        x_sites = sites
+    else:
+        x_sites = [s for s in sites if s[0] <= 2]
+    monkeypatch.setattr(
+        spectral, "restrict", lambda h, sub: _shifted(restrict(h, sub), shift)
+    )
+    z = 0.5 + 0.2j
+    res = resolvent_identity_residual(ham, x_sites, z, case)
+    oracle = _identity_residual_loop(ham, x_sites, z, case, shift)
+    assert abs(res - oracle) <= 1e-14
+    if region == "empty-complement":
+        assert res == 0.0
+    elif shift:
+        assert oracle > 1e-3
 
 
 def test_resolvent_identity_unknown_case():
@@ -123,6 +209,52 @@ def test_combes_thomas_free_chain():
     oracle = math.log((3.0 + math.sqrt(5.0)) / 2.0)
     assert out["rate"] == pytest.approx(oracle, rel=0.02)
     assert out["rms_residual"] < 0.1
+
+
+def _combes_thomas_loop(ham, z, x0):
+    # the per-site loop that combes_thomas_rate replaced
+    g = green(ham, z).entries
+    sites = ham.site_list()
+    pos = {s: i for i, s in enumerate(sites)}
+    lo, hi = ham.box.lo, ham.box.hi
+    dists, logs = [], []
+    for y in sites:
+        dist = graph_distance(x0, y)
+        if dist < 2:
+            continue
+        if any(y[k] - lo[k] < 2 or hi[k] - y[k] < 2 for k in range(ham.box.dim)):
+            continue
+        val = abs(g[pos[x0], pos[y]])
+        if val < 1e-290:
+            continue
+        dists.append(dist)
+        logs.append(math.log(val))
+    a = np.vstack([-np.array(dists, dtype=float), np.ones(len(dists))]).T
+    coef, *_ = np.linalg.lstsq(a, np.array(logs), rcond=None)
+    resid = float(np.sqrt(np.mean((a @ coef - logs) ** 2)))
+    return {"rate": coef[0], "prefactor": math.exp(coef[1]), "rms_residual": resid}
+
+
+@pytest.mark.parametrize(
+    "ham, x0",
+    [
+        (assemble(make_box(1, (0,), (60,)), FullMask(), None, 0.0, None), (17,)),
+        (_random_ham(5, n=9), (4, 6)),
+        (
+            restrict(
+                _random_ham(6, n=8),
+                [(i, j) for i in range(1, 9) for j in range(1, 9) if i != 5],
+            ),
+            (3, 3),
+        ),
+    ],
+    ids=["chain", "box", "restricted"],
+)
+def test_combes_thomas_matches_loop(ham, x0):
+    out = combes_thomas_rate(ham, -1.0, x0)
+    oracle = _combes_thomas_loop(ham, -1.0, x0)
+    for key in ("rate", "prefactor", "rms_residual"):
+        assert out[key] == pytest.approx(oracle[key], rel=1e-12, abs=1e-15)
 
 
 def test_combes_thomas_insufficient_range():
