@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .lattice import (
     Gamma1Mask,
@@ -56,6 +55,8 @@ def compact_eigenfunctions(
     The intersection is computed as the null space of the Gamma-site
     rows of the eigenbasis, which keeps the result orthonormal.
     """
+    from scipy.linalg import null_space
+
     sites = h0.site_list()
     sd = eigendecompose(h0)
     sel = np.abs(sd.eigenvalues - lam) <= cluster_tol
@@ -146,6 +147,8 @@ def _gamma2_null_basis(k: int):
     zero-neighbor-sum condition at every mask site.  The torus has
     horizontal period 2k; the vertical period is searched in steps of 2.
     """
+    from scipy.linalg import null_space
+
     mask = Gamma2Mask(k)
     l1 = 2 * k
     for l2 in range(2, 2 * k + 1, 2):

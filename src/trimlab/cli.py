@@ -33,7 +33,7 @@ from .anomalous import (
     gamma2_eigenfunction,
 )
 from .coupling import s2w_identity_check, weak_disorder_bound_check
-from .disorder import spec_from_descriptor
+from .disorder import estimate_decoupling_constants, spec_from_descriptor
 from .dynamics import dynamics_samples, laplace_summary, sample_mean_stderr
 from .fracmoment import (
     DecayMetric,
@@ -46,9 +46,10 @@ from .lattice import (
     LatticeBox,
     is_doubly_insulated,
     mask_from_descriptor,
+    mask_vector,
     relative_density,
 )
-from .operators import DENSE_LIMIT, assemble, trimmed_restriction
+from .operators import DENSE_LIMIT, assemble, resolve_v0, trimmed_restriction
 from .spectral import (
     green,
     resolvent_identity_residual,
@@ -64,6 +65,9 @@ EXPERIMENTS = (
     "couple",
     "lattice-info",
 )
+
+#: residual at or below which an exact identity row passes (verify, couple)
+IDENTITY_TOL = 1e-10
 
 _CONFIG_KEYS = {
     "box",
@@ -188,6 +192,13 @@ def _resolved(config: dict, dense: bool = True):
         raise ConfigError(
             f"box has {box.size} sites, over the dense limit {DENSE_LIMIT}"
         )
+    try:
+        resolve_v0(config["v0"], box)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"field 'v0' must be null, a number or one number per site "
+            f"({box.size} sites): {exc}"
+        ) from exc
     for key in ("g", "s", "eta", "energy", "p"):
         try:
             config[key] = float(config[key])
@@ -234,11 +245,10 @@ def _resolved(config: dict, dense: bool = True):
 def _run_verify(config: dict):
     ens, _ = _resolved(config)
     rng = np.random.default_rng(config["seed"])
-    tol = 1e-10
     rows = []
 
     def record(check, residual):
-        rows.append([check, residual, tol, residual <= tol])
+        rows.append([check, residual, IDENTITY_TOL, residual <= IDENTITY_TOL])
 
     box, mask = ens.box, ens.mask
     sites = tuple(box.sites())
@@ -402,27 +412,22 @@ def _run_couple(config: dict):
         ("complex", rng.normal(size=ens.box.size) + 1j * rng.random(ens.box.size)),
     ):
         res = s2w_identity_check(h0, u, z)
-        rows.append([f"s2w-{tag}-base", res["residual0"], 0.0, res["residual0"] <= 1e-10])
-        rows.append([f"s2w-{tag}-pendant", res["residual1"], 0.0, res["residual1"] <= 1e-10])
-    from .disorder import estimate_decoupling_constants
-
+        for part, residual in (("base", res["residual0"]), ("pendant", res["residual1"])):
+            rows.append(
+                [f"s2w-{tag}-{part}", residual, IDENTITY_TOL, residual <= IDENTITY_TOL]
+            )
     c_mu = estimate_decoupling_constants(
         ens.dist, config["s"], 200, config["seed"]
     )["C_s"]
-    try:
-        rep = weak_disorder_bound_check(
-            ens,
-            config["energy"],
-            config["epsilon"][0],
-            config["s"],
-            rho,
-            c_mu,
-            config["threads"],
-        )
-    except ValueError as exc:
-        rows.append(["weak-bound", 0.0, 0.0, False])
-        rows.append([f"weak-bound-error:{exc}", 0.0, 0.0, False])
-        return ["check", "value", "bound", "pass"], rows
+    rep = weak_disorder_bound_check(
+        ens,
+        config["energy"],
+        config["epsilon"][0],
+        config["s"],
+        rho,
+        c_mu,
+        config["threads"],
+    )
     if rep["applicable"]:
         rows.append(["weak-bound", rep["lhs"], rep["bound"], rep["holds"]])
         audit = rep["audit"]
@@ -543,15 +548,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_couple(ens: EnsembleSpec, config: dict) -> None:
+    """Preconditions of the weak-disorder bound that `couple` checks."""
+    # one sample has no standard error, so the weak bound cannot be judged
+    if config["samples"] < 2:
+        raise ConfigError("couple needs samples >= 2")
+    if not 0 < config["s"] < 1:
+        raise ConfigError("couple needs 0 < s < 1")
+    if not mask_vector(ens.mask, ens.box).all():
+        raise ConfigError(
+            "couple needs disorder on every site: gamma must cover the box"
+        )
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
         # validate before dispatch
-        _resolved(dict(config), dense=args.experiment != "lattice-info")
-        # one sample has no standard error, so the weak bound cannot be judged
-        if args.experiment == "couple" and int(config["samples"]) < 2:
-            raise ConfigError("couple needs samples >= 2")
+        checked = dict(config)
+        ens, _ = _resolved(checked, dense=args.experiment != "lattice-info")
+        if args.experiment == "couple":
+            _check_couple(ens, checked)
     except ConfigError as exc:
         print(f"trimlab: config error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
+# numpy loads numpy.random lazily; load it with this module, not at the first draw
+import numpy.random  # noqa: F401
 
 from .lattice import LatticeBox, SublatticeMask, mask_vector
 
@@ -57,6 +58,8 @@ class DisorderSpec:
 
     def expect(self, f, points: Sequence[float] = ()) -> float:
         """Integral of f against mu over the support intervals."""
+        from scipy import integrate  # only the quadrature callers need scipy
+
         total = 0.0
         for lo, hi in self.support:
             pts = sorted(p for p in points if lo < p < hi)

@@ -40,7 +40,9 @@ class HamiltonianMatrix:
         return tuple(self.box.sites())
 
 
-def _resolve_v0(v0, box: LatticeBox) -> np.ndarray:
+def resolve_v0(v0, box: LatticeBox) -> np.ndarray:
+    """Background potential per box site from None, a number, one number
+    per site, or a callable on sites."""
     if v0 is None:
         return np.zeros(box.size)
     if callable(v0):
@@ -77,7 +79,7 @@ def assemble(
     v: np.ndarray | None = None,
 ) -> HamiltonianMatrix:
     """H(g)|_B = (-Delta + V0 + gV)|_B with V supported on Gamma."""
-    v0_vec = _resolve_v0(v0, box)
+    v0_vec = resolve_v0(v0, box)
     if v is None:
         v_vec = np.zeros(box.size)
     else:

@@ -1,8 +1,14 @@
 """Dense spectral machinery: eigendecomposition, Green functions, Schur
 complements, resolvent-identity residuals, projections and decay fits.
 
-Green functions are computed by pivoted complex LU solves, independent of
-the eigendecomposition, so the two routes cross-validate each other.
+Green functions are computed by pivoted complex LU (LAPACK gesv through
+`numpy.linalg`), independent of the eigendecomposition (`numpy.linalg.eigh`,
+LAPACK syevd), so the LU route and the eigen route stay oracles for each
+other.  A single matrix and a stack of matrices go through the same gesv;
+`tests/test_engine.py` checks the stacked Monte Carlo engine's own logic
+(draws, assembly, chunking, resampling) against single-matrix `green`
+calls.  All dense algebra uses numpy's LAPACK, so a process loads one BLAS
+and one thread pool.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from .lattice import Site, l1_distances
 from .operators import HamiltonianMatrix, restrict
@@ -49,7 +54,7 @@ def eigendecompose(h) -> SpectralData:
     m = _matrix(h)
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not exactly symmetric")
-    vals, vecs = sla.eigh(m)
+    vals, vecs = np.linalg.eigh(m)
     return SpectralData(vals, vecs)
 
 
@@ -60,13 +65,12 @@ class GreenMatrix:
 
 
 def green(h, z: complex) -> GreenMatrix:
-    """G_z = (H - z)^-1 by direct complex linear solve.
+    """G_z = (H - z)^-1 by pivoted complex LU.
 
-    h may also be a stack of matrices along leading axes; each matrix is
-    inverted on its own (stacked LAPACK gesv), and a single one by pivoted
-    LU, the oracle for the stacked route.  For real symmetric H, a real z
-    is refused when it lies within 1e-12 * max(||H||, 1) of an eigenvalue
-    of some H in the stack.  Complex H (such as the complex-symmetric,
+    h may be one matrix or a stack of matrices along leading axes; each
+    is solved against the identity on its own (`numpy.linalg.inv`, LAPACK
+    gesv).  For real symmetric H, a real z is refused when it lies within
+    1e-12 * max(||H||, 1) of an eigenvalue of some H in the stack.  Complex H (such as the complex-symmetric,
     non-Hermitian hedgehog blocks) goes straight to the solve: eigvalsh
     would read only one triangle of it.
     """
@@ -82,11 +86,7 @@ def green(h, z: complex) -> GreenMatrix:
                 f"z = {z} lies on the spectrum (within 1e-12 * ||H||)", hits
             )
     a = m.astype(complex) - z * np.eye(n)
-    if a.ndim == 2:
-        g = sla.lu_solve(sla.lu_factor(a), np.eye(n, dtype=complex))
-    else:
-        g = np.linalg.inv(a)
-    return GreenMatrix(z, g)
+    return GreenMatrix(z, np.linalg.inv(a))
 
 
 def _index_split(ham: HamiltonianMatrix, x_sites: Sequence[Site]):
@@ -115,7 +115,7 @@ def schur_green(ham: HamiltonianMatrix, x_sites: Sequence[Site], z: complex):
     axc = a[np.ix_(ix, ixc)]
     acx = a[np.ix_(ixc, ix)]
     acc = a[np.ix_(ixc, ixc)]
-    inner = sla.lu_solve(sla.lu_factor(acc), acx)
+    inner = np.linalg.solve(acc, acx)
     comp = axx - axc @ inner
     return xs, np.linalg.inv(comp)
 

@@ -287,3 +287,56 @@ def test_lattice_info_accepts_box_over_dense_limit(tmp_path):
     # lattice-info builds no operator, so the dense limit does not apply
     args = ["lattice-info", "--box", "0..7000", "--gamma", "full"]
     assert run_cli(args + ["--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("v0", ["bogus", [1, 2]], ids=["not-a-number", "wrong-length"])
+def test_bad_v0_exits_2(tmp_path, capsys, v0):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v0": v0}))
+    args = ["verify", "--config", str(cfg), "--box", "1..3,1..3"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "v0" in err
+    assert not (tmp_path / "verify.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "gamma must cover the box"),
+        (["--gamma", "full", "--s", "1"], "0 < s < 1"),
+        (["--gamma", "full", "--s", "0"], "0 < s < 1"),
+    ],
+    ids=["default-gamma", "s-one", "s-zero"],
+)
+def test_couple_preconditions_exit_2(tmp_path, capsys, flags, message):
+    # the default config (gamma1:2,2) leaves sites without disorder
+    assert run_cli(["couple", "--out", str(tmp_path)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "couple.csv").exists()
+
+
+def test_couple_s2w_rows_print_their_bound(tmp_path):
+    args = ["couple", "--box", "0..4", "--gamma", "full", "--g", "0.01"]
+    args += ["--energy=-1", "--epsilon", "1e-4", "--s", "0.5", "--samples", "4"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0
+    with open(tmp_path / "couple.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["check"].startswith("s2w-")]
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row["bound"]) == 1e-10
+        assert row["pass"] == ("1" if float(row["value"]) <= float(row["bound"]) else "0")
+
+
+def test_couple_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a ValueError after dispatch is a numeric failure, not a failure row
+    import trimlab.cli as cli
+
+    def fail(*args, **kwargs):
+        raise ValueError("zero potential value; reciprocal undefined")
+
+    monkeypatch.setattr(cli, "weak_disorder_bound_check", fail)
+    args = ["couple", "--box", "0..4", "--gamma", "full", "--s", "0.5"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 3
+    assert "reciprocal undefined" in capsys.readouterr().err
+    assert not (tmp_path / "couple.csv").exists()
