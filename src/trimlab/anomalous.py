@@ -31,6 +31,18 @@ from .spectral import eigendecompose, gap_and_mult, point_projection
 SUPPORT_TOL = 1e-10
 
 
+def _null_space(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the null space of a, as columns, by SVD (LAPACK
+    gesdd): the right singular vectors whose singular value is at most
+    max(s) * rcond, rcond defaulting to eps * max(a.shape)."""
+    a = np.asarray(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    if rcond is None:
+        rcond = np.finfo(s.dtype).eps * max(a.shape)
+    rank = int(np.sum(s > np.amax(s, initial=0.0) * rcond))
+    return vh[rank:].T.conj()
+
+
 @dataclass(frozen=True)
 class CompactEigenReport:
     lam: float
@@ -55,8 +67,6 @@ def compact_eigenfunctions(
     The intersection is computed as the null space of the Gamma-site
     rows of the eigenbasis, which keeps the result orthonormal.
     """
-    from scipy.linalg import null_space
-
     sites = h0.site_list()
     sd = eigendecompose(h0)
     sel = np.abs(sd.eigenvalues - lam) <= cluster_tol
@@ -71,7 +81,7 @@ def compact_eigenfunctions(
         coeff = np.eye(full_mult)
     else:
         block = eig_basis[gamma_rows, :]
-        coeff = null_space(block, rcond=SUPPORT_TOL)
+        coeff = _null_space(block, rcond=SUPPORT_TOL)
     basis = eig_basis @ coeff if coeff.size else np.zeros((len(sites), 0))
     for j in range(basis.shape[1]):
         mass = np.linalg.norm(basis[gamma_rows, j])
@@ -147,8 +157,6 @@ def _gamma2_null_basis(k: int):
     zero-neighbor-sum condition at every mask site.  The torus has
     horizontal period 2k; the vertical period is searched in steps of 2.
     """
-    from scipy.linalg import null_space
-
     mask = Gamma2Mask(k)
     l1 = 2 * k
     for l2 in range(2, 2 * k + 1, 2):
@@ -169,7 +177,7 @@ def _gamma2_null_basis(k: int):
                 if nb in index:
                     row[index[nb]] += 1.0
             rows.append(row)
-        basis = null_space(np.array(rows))
+        basis = _null_space(np.array(rows))
         if basis.shape[1] > 0:
             return l1, l2, comp, basis
     raise RuntimeError(f"no periodic solution found for skew mask k = {k}")

@@ -39,8 +39,9 @@ from .fracmoment import (
     DecayMetric,
     EnsembleSpec,
     kernel_identity_residual,
-    mc_chi_green,
+    mc_chi_green_sweep,
     wegner_count,
+    wegner_preconditions,
 )
 from .lattice import (
     LatticeBox,
@@ -52,6 +53,7 @@ from .lattice import (
 from .operators import DENSE_LIMIT, assemble, resolve_v0, trimmed_restriction
 from .spectral import (
     green,
+    off_x_green,
     resolvent_identity_residual,
     schur_green,
 )
@@ -188,6 +190,11 @@ def _resolved(config: dict, dense: bool = True):
         dist = spec_from_descriptor(config["disorder"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if mask.dim is not None and mask.dim != box.dim:
+        raise ConfigError(
+            f"gamma {config['gamma']!r} is {mask.dim}-dimensional, "
+            f"the box is {box.dim}-dimensional"
+        )
     if dense and box.size > DENSE_LIMIT:
         raise ConfigError(
             f"box has {box.size} sites, over the dense limit {DENSE_LIMIT}"
@@ -265,14 +272,15 @@ def _run_verify(config: dict):
             f"schur[{trial}]",
             float(np.max(np.abs(schur - g[np.ix_(idx, idx)]))),
         )
+        gx = off_x_green(ham, x_sites, z)
         for case in ("in-out", "out-in", "out-out"):
             record(
                 f"resolvent-{case}[{trial}]",
-                resolvent_identity_residual(ham, x_sites, z, case),
+                resolvent_identity_residual(ham, x_sites, z, case, g, gx),
             )
         if any(s_ not in mask for s_ in sites):
             record(
-                f"kernel[{trial}]", kernel_identity_residual(ens, z, trial)
+                f"kernel[{trial}]", kernel_identity_residual(ens, z, trial, g)
             )
         h0 = ens.deterministic_part()
         u_real = rng.normal(size=len(sites))
@@ -286,21 +294,20 @@ def _run_verify(config: dict):
 
 def _run_localize(config: dict):
     ens, rho = _resolved(config)
-    rows = []
-    for eps in config["epsilon"]:
-        z = complex(config["energy"], eps)
-        rep = mc_chi_green(ens, z, config["s"], rho, config["threads"])
-        rows.append(
-            [
-                ens.box.size,
-                config["s"],
-                config["eta"],
-                eps,
-                rep.value,
-                rep.stderr,
-                rep.samples,
-            ]
-        )
+    zs = [complex(config["energy"], eps) for eps in config["epsilon"]]
+    reports = mc_chi_green_sweep(ens, zs, config["s"], rho)
+    rows = [
+        [
+            ens.box.size,
+            config["s"],
+            config["eta"],
+            eps,
+            rep.value,
+            rep.stderr,
+            rep.samples,
+        ]
+        for eps, rep in zip(config["epsilon"], reports)
+    ]
     return [
         "box_size",
         "s",
@@ -561,6 +568,14 @@ def _check_couple(ens: EnsembleSpec, config: dict) -> None:
         )
 
 
+def _check_wegner(ens: EnsembleSpec, config: dict) -> None:
+    """Hypotheses of the counting bound, decided from H(0) before sampling."""
+    try:
+        wegner_preconditions(ens, config["energy"], config["epsilon"])
+    except ValueError as exc:
+        raise ConfigError(f"wegner: {exc}") from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -570,6 +585,8 @@ def main(argv=None) -> int:
         ens, _ = _resolved(checked, dense=args.experiment != "lattice-info")
         if args.experiment == "couple":
             _check_couple(ens, checked)
+        if args.experiment == "wegner":
+            _check_wegner(ens, checked)
     except ConfigError as exc:
         print(f"trimlab: config error: {exc}", file=sys.stderr)
         return 2

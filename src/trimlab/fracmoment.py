@@ -2,10 +2,13 @@
 estimation, the strong-disorder contraction check, the localisation
 threshold kernel, and eigenvalue-counting (Wegner) statistics.
 
-All Monte Carlo loops run through one serial driver, `mc_map`, which
-draws disorder through counter-based streams and reduces in sample-index
-order, so estimates are reproducible bit for bit.  The `threads`
-arguments are accepted for compatibility and ignored.
+All Monte Carlo loops are serial, draw disorder through counter-based
+streams and reduce in sample-index order, so estimates are reproducible
+bit for bit.  They run through `mc_map`, one LU inverse per realization
+and z, except the z sweep of `mc_chi_green_sweep`, which factors each
+realization once and reads every z off its eigenpairs; both take their
+operator stacks from the same generator.  The `threads` arguments are
+accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -178,27 +181,41 @@ def _attempt(per_sample: Callable, i: int, n: int, budget: int):
     raise ResampleBudgetExceeded(f"sample {i} kept colliding with z")
 
 
-def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
-    """(Green stack, resamples) per chunk of the ensemble, in sample order.
+def _operator_stacks(ens: EnsembleSpec):
+    """(sample indices, stack, redraw) per chunk of the ensemble, in
+    sample order; no linear algebra.
 
-    The diagonal is formed as `assemble` forms it, so every matrix of a
-    stack equals ens.realization(i).matrix bit for bit.
+    The stack is (S, n, n) and holds the operators of the chunk's sample
+    indices; redraw(rows, samples) overwrites the given rows with the
+    operators of other sample indices.  The diagonal is formed as
+    `assemble` forms it, so every matrix equals ens.realization(i).matrix
+    bit for bit.
     """
-    box, total = ens.box, ens.samples
+    box = ens.box
     stream = ens.stream()
     lap = laplacian_matrix(box)
     v0 = ens.deterministic_part().v0
     diag = np.arange(box.size)
     step = chunk_size(box.size)
-    used = 0
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total))
-        k = np.zeros(len(idx), dtype=int)
+    for start in range(0, ens.samples, step):
+        idx = np.arange(start, min(start + step, ens.samples))
         h = np.repeat(lap[None], len(idx), axis=0)
-        rows = np.arange(len(idx))
-        while True:
-            v = sample_potential(stream, ens.mask, box, idx[rows] + k[rows] * total)
+
+        def redraw(rows: np.ndarray, samples: np.ndarray, h=h) -> None:
+            v = sample_potential(stream, ens.mask, box, samples)
             h[rows[:, None], diag, diag] = lap[diag, diag] + (v0 + ens.g * v)
+
+        redraw(np.arange(len(idx)), idx)
+        yield idx, h, redraw
+
+
+def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
+    """(Green stack, resamples) per chunk of the ensemble, in sample order,
+    by LU; a sample colliding with a real z is redrawn as i + k * samples."""
+    total, used = ens.samples, 0
+    for idx, h, redraw in _operator_stacks(ens):
+        k = np.zeros(len(idx), dtype=int)
+        while True:
             try:
                 gs = green(h, z).entries
                 break
@@ -209,6 +226,7 @@ def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
                     raise ResampleBudgetExceeded(
                         f"{used + int(k.sum())} resamples exceed the {budget} budget"
                     )
+                redraw(rows, idx[rows] + k[rows] * total)
         used += int(k.sum())
         yield gs, int(k.sum())
 
@@ -258,24 +276,20 @@ def mc_fractional_moment(
     }
 
 
-def mc_chi_green(
+def _column_sums(w: np.ndarray, abs_s: np.ndarray) -> np.ndarray:
+    """sum_y e^{rho(y,x)} |G(y,x)|^s per sample: (S, n), not S kernels."""
+    return np.sum(w * abs_s, axis=1)
+
+
+def _chi_report(
+    sums: np.ndarray,
     ens: EnsembleSpec,
     z: complex,
     s: float,
     rho: DecayMetric,
-    threads: int = 1,
+    n_resampled: int,
 ) -> ChiReport:
-    """chi_rho(E |G_z[H(g)|_B]|^s) over the box, with a CI at the sup row."""
-    if not 0 < s <= 1:
-        raise ValueError("need 0 < s <= 1")
-    sites = tuple(ens.box.sites())
-    w = rho.weight_matrix(sites)
-
-    def column_sums(gs: np.ndarray) -> np.ndarray:
-        # sum_y e^{rho(y,x)} |G(y,x)|^s per sample: (S, n), not S kernels
-        return np.sum(w * np.abs(gs) ** s, axis=1)
-
-    sums, n_resampled = mc_map(column_sums, ens, threads, z=z)
+    """The Monte Carlo chi report of per-sample weighted column sums."""
     value, se = _chi_sup(sums)
     return ChiReport(
         value,
@@ -284,6 +298,66 @@ def mc_chi_green(
         stderr=se,
         params={"s": s, "eta": rho.eta, "z": z, "resampled": n_resampled},
     )
+
+
+def mc_chi_green(
+    ens: EnsembleSpec,
+    z: complex,
+    s: float,
+    rho: DecayMetric,
+    threads: int = 1,
+) -> ChiReport:
+    """chi_rho(E |G_z[H(g)|_B]|^s) over the box, with a CI at the sup row.
+
+    One LU inverse per realization (`green`); a realization colliding
+    with a real z is resampled.
+    """
+    if not 0 < s <= 1:
+        raise ValueError("need 0 < s <= 1")
+    w = rho.weight_matrix(tuple(ens.box.sites()))
+    sums, n_resampled = mc_map(
+        lambda gs: _column_sums(w, np.abs(gs) ** s), ens, threads, z=z
+    )
+    return _chi_report(sums, ens, z, s, rho, n_resampled)
+
+
+def mc_chi_green_sweep(
+    ens: EnsembleSpec, zs: Sequence[complex], s: float, rho: DecayMetric
+) -> list[ChiReport]:
+    """`mc_chi_green` at every z of zs from one pass over the ensemble.
+
+    Each realization is factored once, H = U diag(E) U^T, and
+    G_z = U diag(1 / (E - z)) U^T is read off its eigenpairs at every z
+    with two real products (real and imaginary part).  Every z needs
+    Im z > 0, so no realization can collide and none is resampled; a
+    real z stays on `mc_chi_green`.  A single z goes to `mc_chi_green`,
+    where one LU inverse is cheaper than one eigendecomposition.
+    """
+    zs = [complex(z) for z in zs]
+    if not all(z.imag > 0 for z in zs):
+        raise ValueError("the eigen route needs Im z > 0 at every z")
+    if len(zs) == 1:
+        return [mc_chi_green(ens, zs[0], s, rho)]
+    if not 0 < s <= 1:
+        raise ValueError("need 0 < s <= 1")
+    w = rho.weight_matrix(tuple(ens.box.sites()))
+    sums: list[list[np.ndarray]] = [[] for _ in zs]
+    for _, h, _ in _operator_stacks(ens):
+        sd = eigendecompose(h)
+        u, ut = sd.eigenvectors, sd.eigenvectors.swapaxes(-1, -2)
+        for rows, z in zip(sums, zs):
+            d = 1.0 / (sd.eigenvalues - z)
+            g2 = (u * d.real[:, None, :]) @ ut
+            g2 **= 2
+            gi = (u * d.imag[:, None, :]) @ ut
+            gi **= 2
+            g2 += gi
+            g2 **= s / 2  # |G|^s from (Re G)^2 + (Im G)^2, in place
+            rows.append(_column_sums(w, g2))
+    return [
+        _chi_report(np.concatenate(rows), ens, z, s, rho, 0)
+        for rows, z in zip(sums, zs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +515,16 @@ def kernel_K(
 
 
 def kernel_identity_residual(
-    ens: EnsembleSpec, z: complex, sample_index: int
+    ens: EnsembleSpec, z: complex, sample_index: int, g: np.ndarray | None = None
 ) -> float:
-    """Max-norm residual of P_G G_z[H] P_G* - G_z[gV|_G - D - K]."""
+    """Max-norm residual of P_G G_z[H] P_G* - G_z[gV|_G - D - K].
+
+    g = G_z[H] of the realization may be passed in when already computed.
+    """
     kd = kernel_K(ens.mask, ens.box, ens.v0, z)
     ham = ens.realization(sample_index)
     idx = [ens.box.index(s) for s in kd["sites"]]
-    g_full = green(ham, z).entries
+    g_full = green(ham, z).entries if g is None else g
     lhs = g_full[np.ix_(idx, idx)]
     gv = ens.g * ham.v[idx]
     op = np.diag(gv.astype(complex)) - np.diag(kd["D"]) - kd["K"]
@@ -506,12 +583,37 @@ def eigenvector_gamma_mass(
     return float(np.linalg.norm(phi[sel]))
 
 
-def _lambda_kernel_basis(
-    h0: HamiltonianMatrix, lam: float, cluster_tol: float
-) -> np.ndarray:
+def wegner_preconditions(
+    ens: EnsembleSpec,
+    lam: float,
+    eps_values: Sequence[float],
+    cluster_tol: float = 1e-9,
+) -> dict:
+    """The counting bound's hypotheses, decided from H(0)|_B alone.
+
+    lam must be an eigenvalue of H(0)|_B, every eps at most a third of
+    its gap, and every lam-eigenvector must vanish on Gamma; ValueError
+    names the first that fails.  Returns the multiplicity, the gap and
+    an orthonormal basis of the lam-eigenspace.
+    """
+    h0 = ens.deterministic_part()
     sd = eigendecompose(h0)
-    sel = np.abs(sd.eigenvalues - lam) <= cluster_tol
-    return sd.eigenvectors[:, sel]
+    gm = gap_and_mult(sd, lam, cluster_tol)
+    mult, gap = gm["mult"], gm["gap"]
+    if mult == 0:
+        raise ValueError(f"lambda = {lam} is not in sigma(H(0)|_B)")
+    for eps in eps_values:
+        if eps > gap / 3:
+            raise ValueError(f"eps = {eps} exceeds gap/3 = {gap / 3:.6g}")
+    ker = sd.eigenvectors[:, np.abs(sd.eigenvalues - lam) <= cluster_tol]
+    for j in range(ker.shape[1]):
+        mass = eigenvector_gamma_mass(ker[:, j], ens.mask, h0.site_list())
+        if mass > 1e-8:
+            raise ValueError(
+                "support precondition fails: a lambda-eigenvector of "
+                f"H(0)|_B has Gamma mass {mass:.3g}"
+            )
+    return {"mult": mult, "gap": gap, "ker": ker}
 
 
 def wegner_count(
@@ -523,26 +625,13 @@ def wegner_count(
 ) -> dict:
     """Excess eigenvalue counts N in (lam-eps, lam+eps) over the ensemble.
 
-    Requires every lam-eigenvector of H(0)|_B to vanish on Gamma (the
-    counting bound's hypothesis); refuses otherwise.  Also audits the
-    deterministic eigenvector-mass bound on every qualifying eigenvector.
+    Requires the hypotheses of `wegner_preconditions`; refuses otherwise.
+    Also audits the deterministic eigenvector-mass bound on every
+    qualifying eigenvector.
     """
-    h0 = ens.deterministic_part()
-    sites = h0.site_list()
-    gm = gap_and_mult(eigendecompose(h0), lam, cluster_tol)
-    mult, gap = gm["mult"], gm["gap"]
-    if mult == 0:
-        raise ValueError(f"lambda = {lam} is not in sigma(H(0)|_B)")
-    if eps > gap / 3:
-        raise ValueError(f"eps = {eps} exceeds gap/3 = {gap / 3:.6g}")
-    ker = _lambda_kernel_basis(h0, lam, cluster_tol)
-    for j in range(ker.shape[1]):
-        mass = eigenvector_gamma_mass(ker[:, j], ens.mask, sites)
-        if mass > 1e-8:
-            raise ValueError(
-                "support precondition fails: a lambda-eigenvector of "
-                f"H(0)|_B has Gamma mass {mass:.3g}"
-            )
+    pre = wegner_preconditions(ens, lam, [eps], cluster_tol)
+    mult, gap, ker = pre["mult"], pre["gap"], pre["ker"]
+    sites = tuple(ens.box.sites())
     n_gamma = sum(1 for s in sites if s in ens.mask)
 
     def one(i: int):

@@ -145,6 +145,8 @@ class SublatticeMask:
 
     #: diagonal period vector under which membership is invariant, or None
     period: Site | None = None
+    #: dimension of the sites the mask is defined on, or None for any
+    dim: int | None = None
 
     def __contains__(self, site: Site) -> bool:
         raise NotImplementedError
@@ -168,6 +170,7 @@ class FullMask(SublatticeMask):
 class Gamma1Mask(SublatticeMask):
     """x in Gamma iff x1 = 0 mod k or x2 = 0 mod m (d = 2)."""
 
+    dim = 2
     k: int
     m: int
 
@@ -191,6 +194,7 @@ class Gamma1Mask(SublatticeMask):
 class Gamma2Mask(SublatticeMask):
     """x in Gamma iff x1 = 0 mod k or x2 - x1 even (d = 2)."""
 
+    dim = 2
     k: int
 
     def __post_init__(self):
@@ -227,6 +231,10 @@ class PeriodicCellMask(SublatticeMask):
     @property
     def period(self) -> Site:
         return self.cell_period
+
+    @property
+    def dim(self) -> int:
+        return len(self.cell_period)
 
     def __contains__(self, site: Site) -> bool:
         if len(site) != len(self.cell_period):

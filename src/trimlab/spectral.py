@@ -4,11 +4,15 @@ complements, resolvent-identity residuals, projections and decay fits.
 Green functions are computed by pivoted complex LU (LAPACK gesv through
 `numpy.linalg`), independent of the eigendecomposition (`numpy.linalg.eigh`,
 LAPACK syevd), so the LU route and the eigen route stay oracles for each
-other.  A single matrix and a stack of matrices go through the same gesv;
-`tests/test_engine.py` checks the stacked Monte Carlo engine's own logic
-(draws, assembly, chunking, resampling) against single-matrix `green`
-calls.  All dense algebra uses numpy's LAPACK, so a process loads one BLAS
-and one thread pool.
+other.  The eigen route serves `dynamics` and the multi-z sweep of
+`localize` (`fracmoment.mc_chi_green_sweep`), which read G_z at every z
+off one eigendecomposition per realization; LU remains their test oracle
+and the route for a single z or a real z.  A single matrix and a stack of
+matrices go through the same gesv or syevd; `tests/test_engine.py` checks
+the stacked Monte Carlo engine's own logic (draws, assembly, chunking,
+resampling) against single-matrix `green` calls, and the eigen sweep
+against the LU engine.  All dense algebra uses numpy's LAPACK, so a
+process loads one BLAS and one thread pool.
 """
 
 from __future__ import annotations
@@ -42,17 +46,19 @@ def _matrix(h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralData:
-    eigenvalues: np.ndarray  # ascending
+    eigenvalues: np.ndarray  # ascending along the last axis
     eigenvectors: np.ndarray  # orthonormal columns
 
     @property
     def n(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
 
 def eigendecompose(h) -> SpectralData:
+    """H = U diag(E) U^T by LAPACK syevd, for one matrix or a stack of
+    matrices along leading axes (eigenvalues (..., n), U (..., n, n))."""
     m = _matrix(h)
-    if not np.array_equal(m, m.T):
+    if not np.array_equal(m, m.swapaxes(-1, -2)):
         raise ValueError("matrix is not exactly symmetric")
     vals, vecs = np.linalg.eigh(m)
     return SpectralData(vals, vecs)
@@ -120,27 +126,39 @@ def schur_green(ham: HamiltonianMatrix, x_sites: Sequence[Site], z: complex):
     return xs, np.linalg.inv(comp)
 
 
+def off_x_green(ham: HamiltonianMatrix, x_sites: Sequence[Site], z: complex):
+    """G_z[A_X], A_X the restriction of the operator off X (to X^c), in
+    the order of X^c in the operator's site list; 0 x 0 for empty X^c."""
+    _, _, xc, _ = _index_split(ham, x_sites)
+    if not xc:
+        return np.zeros((0, 0), dtype=complex)
+    return green(restrict(ham, xc), z).entries
+
+
 def resolvent_identity_residual(
     ham: HamiltonianMatrix,
     x_sites: Sequence[Site],
     z: complex,
     case: str,
+    g: np.ndarray | None = None,
+    gx: np.ndarray | None = None,
 ) -> float:
     """Max deviation from the boundary-sum resolvent identity.
 
     A_X denotes the restriction of the operator off X (to X^c), with the
     same diagonal convention as the assembly.  The out-out case carries
     the free G_z[A_X](x, y) term in addition to the double boundary sum.
+    g = G_z[H] and gx = `off_x_green` may be passed in when already
+    computed; otherwise they are solved here.
     """
     if case not in ("in-out", "out-in", "out-out"):
         raise ValueError(f"unknown case {case!r}")
     z = complex(z)
     xs, ix, xc, ixc = _index_split(ham, x_sites)
-    g = green(ham, z).entries
-    if xc:
-        gx = green(restrict(ham, xc), z).entries
-    else:
-        gx = np.zeros((0, 0), dtype=complex)
+    if g is None:
+        g = green(ham, z).entries
+    if gx is None:
+        gx = off_x_green(ham, x_sites, z)
     # T(u', u) = 1 for the boundary pairs u' in X, u in X^c, u' ~ u
     t = (l1_distances(xs, xc) == 1).astype(float)
     gxx = g[np.ix_(ix, ix)]

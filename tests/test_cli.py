@@ -75,26 +75,61 @@ def test_malformed_gamma_exits_2(tmp_path):
     assert run_cli(["localize", "--gamma", "bogus:1", "--out", str(tmp_path)]) == 2
 
 
-def test_numeric_failure_exits_3(tmp_path):
-    # wegner at an energy that is not an eigenvalue of the clean operator
-    code = run_cli(
-        [
-            "wegner",
-            "--out",
-            str(tmp_path),
-            "--box",
-            "1..3,1..1",
-            "--gamma",
-            "gamma1:2,2",
-            "--energy",
-            "3.17",
-            "--epsilon",
-            "0.1",
-            "--samples",
-            "5",
-        ]
-    )
-    assert code == 3
+WEGNER = ["wegner", "--box", "1..3,1..1", "--gamma", "gamma1:2,2", "--samples", "5"]
+
+
+def test_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a collision found while sampling is numeric (exit 3), not a config error
+    import trimlab.cli as cli
+    from trimlab.spectral import SpectralParameterOnSpectrum
+
+    def collide(*args, **kwargs):
+        raise SpectralParameterOnSpectrum("z = 4.0 lies on the spectrum")
+
+    monkeypatch.setattr(cli, "wegner_count", collide)
+    args = WEGNER + ["--energy", "4.0", "--epsilon", "0.1"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 3
+    assert "lies on the spectrum" in capsys.readouterr().err
+    assert not (tmp_path / "wegner.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--energy", "3.17", "--epsilon", "0.1"], "is not in sigma(H(0)|_B)"),
+        (["--energy", "4.0", "--epsilon", "0.1,0.5"], "exceeds gap/3"),
+        (["--energy", "4.0", "--box", "1..5,1..5"], "support precondition fails"),
+    ],
+    ids=["not-an-eigenvalue", "eps-over-gap", "support"],
+)
+def test_wegner_preconditions_exit_2(tmp_path, capsys, flags, message):
+    # decided from H(0) before any sampling
+    assert run_cli(WEGNER + flags + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "wegner.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "box, gamma",
+    [
+        ("1..3", "gamma1:2,2"),
+        ("1..3", "gamma2:3"),
+        ("1..3,1..3,1..3", "cell:2x2:1010"),
+    ],
+)
+def test_mask_dimension_mismatch_exits_2(tmp_path, capsys, box, gamma):
+    args = ["verify", "--box", box, "--gamma", gamma, "--out", str(tmp_path)]
+    assert run_cli(args) == 2
+    assert "dimensional" in capsys.readouterr().err
+    assert not (tmp_path / "verify.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "box, gamma", [("1..3", "full"), ("1..3", "bernoulli:0.5"), ("1..4", "cell:2:10")]
+)
+def test_masks_of_any_or_matching_dimension_run(tmp_path, box, gamma):
+    args = ["verify", "--box", box, "--gamma", gamma, "--out", str(tmp_path)]
+    assert run_cli(args) == 0
 
 
 def test_wegner_run(tmp_path):
@@ -340,3 +375,22 @@ def test_couple_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert run_cli(args + ["--out", str(tmp_path)]) == 3
     assert "reciprocal undefined" in capsys.readouterr().err
     assert not (tmp_path / "couple.csv").exists()
+
+
+def test_verify_solves_g_and_g_off_x_once_per_trial(tmp_path, monkeypatch):
+    # G_z[H] and G_z[A_X] feed the Schur, resolvent and kernel checks:
+    # 3 solves per trial there (with kernel_K's) plus the hedgehog checks'
+    from trimlab import coupling, fracmoment, spectral
+    import trimlab.cli as cli
+
+    calls = []
+    real = spectral.green
+
+    def counting(h, z):
+        calls.append(z)
+        return real(h, z)
+
+    for module in (cli, coupling, fracmoment, spectral):
+        monkeypatch.setattr(module, "green", counting)
+    assert run_cli(["verify", "--box", "1..4,1..4", "--out", str(tmp_path)]) == 0
+    assert len(calls) <= 5 * 11

@@ -1,6 +1,5 @@
-"""The import path loads numpy's LAPACK only; scipy loads inside the two
-experiments that need it (quadrature in `couple`, `null_space` in
-`anomalous`)."""
+"""The import path loads numpy's LAPACK only; scipy loads inside the one
+experiment that needs it (quadrature in `couple`)."""
 
 from __future__ import annotations
 
@@ -51,9 +50,8 @@ def test_scipy_loads_only_inside_couple_and_anomalous(tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["import"] == []
     assert report["numpy.random"]
-    # anomalous runs first: null_space loads scipy.linalg but no quadrature
+    # anomalous runs first and loads no scipy module at all
     assert report["anomalous_exit"] == 0
-    assert "scipy.linalg" in report["anomalous"]
-    assert "scipy.integrate" not in report["anomalous"]
+    assert report["anomalous"] == []
     assert report["couple_exit"] == 0
     assert "scipy.integrate" in report["couple"]

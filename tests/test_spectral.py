@@ -16,6 +16,7 @@ from trimlab.spectral import (
     eigendecompose,
     gap_and_mult,
     green,
+    off_x_green,
     point_projection,
     resolvent_identity_residual,
     schur_green,
@@ -41,6 +42,19 @@ def test_eigendecompose_reconstructs():
 def test_eigendecompose_rejects_asymmetric():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]]))
+
+
+def test_eigendecompose_stack_matches_one_at_a_time():
+    stack = np.stack([_random_ham(seed).matrix for seed in range(3)])
+    sd = eigendecompose(stack)
+    assert sd.eigenvalues.shape == (3, 16) and sd.n == 16
+    for h, vals, vecs in zip(stack, sd.eigenvalues, sd.eigenvectors):
+        one = eigendecompose(h)
+        np.testing.assert_array_equal(vals, one.eigenvalues)
+        np.testing.assert_array_equal(vecs, one.eigenvectors)
+    stack[1, 0, 1] += 1e-13
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        eigendecompose(stack)
 
 
 def test_green_two_routes_agree():
@@ -100,6 +114,20 @@ def test_resolvent_identity_cases(case):
         x_sites = [s for s in sites if s[0] <= 2]
         res = resolvent_identity_residual(ham, x_sites, 0.5 + 0.2j, case)
         assert res <= 1e-10
+
+
+def test_resolvent_identity_reuses_given_greens_bit_for_bit():
+    ham = _random_ham(4)
+    x_sites = [s for s in ham.site_list() if s[0] <= 2]
+    z = -0.3 + 0.6j
+    g, gx = green(ham, z).entries, off_x_green(ham, x_sites, z)
+    for case in ("in-out", "out-in", "out-out"):
+        assert resolvent_identity_residual(
+            ham, x_sites, z, case, g, gx
+        ) == resolvent_identity_residual(ham, x_sites, z, case)
+    everything = ham.site_list()
+    assert off_x_green(ham, everything, z).shape == (0, 0)
+    assert resolvent_identity_residual(ham, everything, z, "out-out", g) == 0.0
 
 
 def _shifted(ham, shift):
