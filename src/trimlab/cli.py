@@ -7,8 +7,9 @@ fields are printed with 17 significant digits in lowercase scientific
 notation so that reruns are byte-identical.
 
 The thread count (--threads, TRIMLAB_THREADS, default os.cpu_count()) is
-validated and recorded in the JSON config echo but has no effect: the
-Monte Carlo engine is serial, so outputs cannot depend on it.
+validated and recorded in the JSON config echo, and nothing else reads
+it: the Monte Carlo engine is serial and takes no thread count, so
+outputs cannot depend on it.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric error.
 """
@@ -211,6 +212,8 @@ def _resolved(config: dict, dense: bool = True):
             config[key] = float(config[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field {key!r} must be a number") from exc
+        if not math.isfinite(config[key]):
+            raise ConfigError(f"field {key!r} must be a finite number")
     for key in ("samples", "seed", "threads"):
         try:
             config[key] = int(config[key])
@@ -224,7 +227,7 @@ def _resolved(config: dict, dense: bool = True):
         raise ConfigError("epsilon values must be positive finite numbers")
     if len(set(config["epsilon"])) != len(config["epsilon"]):
         raise ConfigError("epsilon values must be distinct")
-    if not math.isfinite(config["p"]) or config["p"] < 0:
+    if config["p"] < 0:
         raise ConfigError("p must be a nonnegative finite number")
     times = config["times"]
     if not isinstance(times, list) or not all(
@@ -321,22 +324,19 @@ def _run_localize(config: dict):
 
 def _run_wegner(config: dict):
     ens, _ = _resolved(config)
-    rows = []
-    for eps in config["epsilon"]:
-        rep = wegner_count(
-            ens, config["energy"], eps, threads=config["threads"]
-        )
-        rows.append(
-            [
-                eps,
-                rep["p_excess"],
-                rep["mult"],
-                rep["gap"],
-                rep["mass_bound_checked"],
-                rep["mass_bound_holds"],
-                rep["samples"],
-            ]
-        )
+    reports = wegner_count(ens, config["energy"], config["epsilon"])
+    rows = [
+        [
+            eps,
+            rep["p_excess"],
+            rep["mult"],
+            rep["gap"],
+            rep["mass_bound_checked"],
+            rep["mass_bound_holds"],
+            rep["samples"],
+        ]
+        for eps, rep in zip(config["epsilon"], reports)
+    ]
     return [
         "epsilon",
         "p_excess",
@@ -433,7 +433,6 @@ def _run_couple(config: dict):
         config["s"],
         rho,
         c_mu,
-        config["threads"],
     )
     if rep["applicable"]:
         rows.append(["weak-bound", rep["lhs"], rep["bound"], rep["holds"]])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracmoment import DecayMetric, EnsembleSpec, _chi_sup, chi_kernel, mc_map
+from .fracmoment import DecayMetric, EnsembleSpec, _chi_sup, chi_kernel
 from .operators import HamiltonianMatrix, hedgehog_assemble
 from .spectral import green
 
@@ -68,7 +68,6 @@ def weak_disorder_bound_check(
     s: float,
     rho: DecayMetric,
     c_mu: float,
-    threads: int = 1,
 ) -> dict:
     """Check the weak-disorder chi bound and audit its proof chain.
 
@@ -108,11 +107,11 @@ def weak_disorder_bound_check(
     rhs_pendant = c_mu / (g_inv_s - c_mu * chi0)
     bound = c_mu * kappa**2 * enorm**2 * chi0**2 / (g_inv_s - c_mu * chi0)
     w_base = rho.weight_matrix(sites)
-
-    def one(i: int):
-        v = ens.potential(i)
-        if np.any(v == 0):
-            raise ValueError("zero potential value; reciprocal undefined")
+    potentials = ens.potential(np.arange(ens.samples))
+    if np.any(potentials == 0):
+        raise ValueError("zero potential value; reciprocal undefined")
+    base_sums, pend_sums, idents = [], [], []
+    for v in potentials:
         u = z - 1.0 / (ens.g * v)
         hh = hedgehog_assemble(h0, u)
         gh = green(hh.matrix, z).entries
@@ -120,17 +119,12 @@ def weak_disorder_bound_check(
         pend = gh[hh.pendant_slice(), hh.pendant_slice()]
         # base block must coincide with G_z[H(0) + gV] (exact identity)
         direct = green(h0.matrix + np.diag(ens.g * v), z).entries
-        ident = float(np.max(np.abs(base - direct)))
-        return (
-            np.sum(w_base * np.abs(base) ** s, axis=0),
-            np.sum(w_base * np.abs(pend) ** s, axis=0),
-            ident,
-        )
-
-    values, _ = mc_map(one, ens, threads)
-    lhs, se = _chi_sup(np.array([b for b, _, _ in values]))
-    chi_pend, _ = _chi_sup(np.array([p for _, p, _ in values]))
-    worst_ident = max(r for _, _, r in values)
+        idents.append(float(np.max(np.abs(base - direct))))
+        base_sums.append(np.sum(w_base * np.abs(base) ** s, axis=0))
+        pend_sums.append(np.sum(w_base * np.abs(pend) ** s, axis=0))
+    lhs, se = _chi_sup(np.array(base_sums))
+    chi_pend, _ = _chi_sup(np.array(pend_sums))
+    worst_ident = max(idents)
     star_rhs = kappa**2 * enorm**2 * chi0**2 * chi_pend
     return {
         "applicable": True,

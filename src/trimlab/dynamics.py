@@ -8,8 +8,8 @@ at every t and the Green rows G_z(x,.) = U (U[x] / (E - z)) at every z.
 The LU route (`spectral.green`) is kept as the test oracle for the
 Green rows.  The Laplace integral of |e^{itH}(x,y)|^2 is evaluated in
 closed form from the eigenpair differences, so the inequality check
-carries no time quadrature error.  The `threads` arguments are accepted
-for compatibility and ignored.
+carries no time quadrature error.  An ensemble is factored chunk by
+chunk from the operator stacks of `fracmoment`, one `eigh` per stack.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracmoment import mc_map
+from .fracmoment import _operator_stacks
 from .lattice import LatticeBox, Site, l1_distances
 from .operators import HamiltonianMatrix
 from .spectral import SpectralData, eigendecompose
@@ -62,13 +62,12 @@ def _distance_powers(box: LatticeBox, x: Site, p: float) -> np.ndarray:
 
 
 class _Factored:
-    """One realization's eigenpairs, seen from site index ix with
+    """One realization's eigenpairs E, U, seen from site index ix with
     distance weights w."""
 
-    def __init__(self, ham: HamiltonianMatrix, ix: int, w: np.ndarray):
-        sd = eigendecompose(ham)
-        self.e, self.u, self.w = sd.eigenvalues, sd.eigenvectors, w
-        self.ux = self.u[ix]
+    def __init__(self, e: np.ndarray, u: np.ndarray, ix: int, w: np.ndarray):
+        self.e, self.u, self.w = e, u, w
+        self.ux = u[ix]
 
     def _weighted_norm2(self, c: np.ndarray) -> float:
         """sum_y |(U c)_y|^2 w(y) for complex coefficients c, with U kept real."""
@@ -116,17 +115,21 @@ def dynamics_samples(
         raise ValueError("dynamics needs the operator on its whole box")
     ix, w = target.box.index(x), _distance_powers(target.box, x, p)
 
-    def row(ham: HamiltonianMatrix) -> list[float]:
-        f = _Factored(ham, ix, w)
+    def row(e: np.ndarray, u: np.ndarray) -> list[float]:
+        f = _Factored(e, u, ix, w)
         out = [f.moment(float(t)) for t in times]
         if laplace_eps is not None:
             out += [f.laplace_lhs(laplace_eps), f.green_moment(lam, laplace_eps)]
         return out + [f.green_moment(lam, e) for e in eps_sequence]
 
     if isinstance(target, HamiltonianMatrix):
-        return np.array([row(target)])
-    values, _ = mc_map(lambda i: row(target.realization(i)), target)
-    return np.array(values)
+        sd = eigendecompose(target)
+        return np.array([row(sd.eigenvalues, sd.eigenvectors)])
+    rows = []
+    for _, _, h, _ in _operator_stacks(target):
+        sd = eigendecompose(h)
+        rows += map(row, sd.eigenvalues, sd.eigenvectors)
+    return np.array(rows)
 
 
 def sample_mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +141,7 @@ def sample_mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.mean(samples, axis=0), np.std(samples, axis=0, ddof=1) / math.sqrt(n)
 
 
-def moment_Mp(target, x: Site, t: float, p: float, threads: int = 1) -> float:
+def moment_Mp(target, x: Site, t: float, p: float) -> float:
     """M_p(x,t) = sum_y |e^{itH}(x,y)|^2 ||x-y||^p, averaged for ensembles."""
     return float(np.mean(dynamics_samples(target, x, p, [t])))
 
@@ -155,7 +158,7 @@ class MomentCurve:
 
 
 def moment_curve(
-    target, x: Site, times: Sequence[float], p: float, threads: int = 1
+    target, x: Site, times: Sequence[float], p: float
 ) -> MomentCurve:
     means, _ = sample_mean_stderr(dynamics_samples(target, x, p, times))
     box = target.box
@@ -185,7 +188,7 @@ def laplace_summary(lhs: np.ndarray, rhs: np.ndarray) -> dict:
 
 
 def laplace_moment_check(
-    target, lam: float, eps: float, p: float, x: Site, threads: int = 1
+    target, lam: float, eps: float, p: float, x: Site
 ) -> dict:
     """Check eps-averaged spreading against the Green function bound."""
     pairs = dynamics_samples(target, x, p, lam=lam, laplace_eps=eps)
@@ -198,7 +201,6 @@ def pmoment_probe(
     eps_sequence: Sequence[float],
     p: float,
     x: Site,
-    threads: int = 1,
 ) -> dict:
     """S(eps) = sum_y eps^2 E|G_{lam+i eps}(x,y)|^2 ||x-y||^p per eps.
 

@@ -4,11 +4,12 @@ threshold kernel, and eigenvalue-counting (Wegner) statistics.
 
 All Monte Carlo loops are serial, draw disorder through counter-based
 streams and reduce in sample-index order, so estimates are reproducible
-bit for bit.  They run through `mc_map`, one LU inverse per realization
-and z, except the z sweep of `mc_chi_green_sweep`, which factors each
-realization once and reads every z off its eigenpairs; both take their
-operator stacks from the same generator.  The `threads` arguments are
-accepted for compatibility and ignored.
+bit for bit.  Every one takes its operators from one generator of
+chunked (S, n, n) stacks, `_operator_stacks`: `mc_map` inverts them by
+LU, one inverse per realization and z, and resamples a realization
+that collides with a real z; the z sweep of `mc_chi_green_sweep`, the
+Wegner statistics and `dynamics` factor each realization once and read
+every z, eps or t off its spectrum.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .operators import (
     adjacency_operator,
     assemble,
     laplacian_matrix,
+    resolve_v0,
     trimmed_restriction,
 )
 from .spectral import (
@@ -112,7 +114,8 @@ class EnsembleSpec:
     def stream(self) -> SampleStream:
         return SampleStream(self.dist, self.master_seed)
 
-    def potential(self, sample_index: int) -> np.ndarray:
+    def potential(self, sample_index) -> np.ndarray:
+        """V of one sample index; a sequence of indices gives one row each."""
         return sample_potential(self.stream(), self.mask, self.box, sample_index)
 
     def realization(self, sample_index: int) -> HamiltonianMatrix:
@@ -137,83 +140,66 @@ def chunk_size(n: int) -> int:
     return max(1, CHUNK_ENTRIES // (n * n))
 
 
-def mc_map(per_sample: Callable, ens: EnsembleSpec, threads: int = 1, z=None):
-    """Evaluate the ensemble in sample-index order; returns
+def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
+    """Evaluate the ensemble at z in sample-index order; returns
     (values, n_resampled).
 
-    Without z, values[i] = per_sample(i) for i = 0..samples-1, one
-    realization at a time.  With z, the samples go through in chunks
-    (chunk_size of the box): the potentials are drawn as one (S, n)
-    array, the operators built as one (S, n, n) stack and inverted by
-    `green` at once, and per_sample(gs) maps the chunk's Green stack to
-    one row per sample; values holds the rows of all chunks in order.
+    The samples go through in chunks (chunk_size of the box): the
+    potentials are drawn as one (S, n) array, the operators built as one
+    (S, n, n) stack and inverted by `green` at once, and per_chunk(gs)
+    maps the chunk's Green stack to one row per sample; values holds the
+    rows of all chunks in order.
 
     A sample whose operator has z on its spectrum (SpectralParameterOnSpectrum)
     is replaced by sample index i + k * samples, k = 1, 2, ...; at most 1%
-    of the samples may be resampled.  The engine is serial: `threads` is
-    accepted for compatibility and ignored, so results cannot depend on it.
+    of the samples may be resampled.
     """
-    n = ens.samples
-    budget = max(1, n // 100)
-    if z is None:
-        results = [_attempt(per_sample, i, n, budget) for i in range(n)]
-        values = [v for v, _ in results]
-        n_resampled = sum(k for _, k in results)
-    else:
-        rows, n_resampled = [], 0
-        for gs, k in _green_chunks(ens, complex(z), budget):
-            rows.append(per_sample(gs))
-            n_resampled += k
-        values = np.concatenate(rows)
-    if n_resampled > budget:
-        raise ResampleBudgetExceeded(
-            f"{n_resampled} resamples exceed the {budget} budget"
-        )
-    return values, n_resampled
-
-
-def _attempt(per_sample: Callable, i: int, n: int, budget: int):
-    for k in range(budget + 1):
-        try:
-            return per_sample(i + k * n), k
-        except SpectralParameterOnSpectrum:
-            continue
-    raise ResampleBudgetExceeded(f"sample {i} kept colliding with z")
+    budget = max(1, ens.samples // 100)
+    rows, n_resampled = [], 0
+    for gs, k in _green_chunks(ens, complex(z), budget):
+        rows.append(per_chunk(gs))
+        n_resampled += k
+    return np.concatenate(rows), n_resampled
 
 
 def _operator_stacks(ens: EnsembleSpec):
-    """(sample indices, stack, redraw) per chunk of the ensemble, in
-    sample order; no linear algebra.
+    """(sample indices, potentials, stack, redraw) per chunk of the
+    ensemble, in sample order; no linear algebra.
 
-    The stack is (S, n, n) and holds the operators of the chunk's sample
-    indices; redraw(rows, samples) overwrites the given rows with the
-    operators of other sample indices.  The diagonal is formed as
+    The potentials are (S, n) and the stack (S, n, n), for the chunk's
+    sample indices; redraw(rows, samples) overwrites the given rows of
+    both with those of other sample indices.  The diagonal is formed as
     `assemble` forms it, so every matrix equals ens.realization(i).matrix
     bit for bit.
     """
     box = ens.box
     stream = ens.stream()
     lap = laplacian_matrix(box)
-    v0 = ens.deterministic_part().v0
+    hops = np.nonzero(lap)
+    lap_hops, lap_diag = lap[hops], np.diag(lap).copy()
+    del lap  # only its nonzeros are needed, not n**2 floats beside each stack
+    v0 = resolve_v0(ens.v0, box)
     diag = np.arange(box.size)
     step = chunk_size(box.size)
     for start in range(0, ens.samples, step):
         idx = np.arange(start, min(start + step, ens.samples))
-        h = np.repeat(lap[None], len(idx), axis=0)
+        v = np.empty((len(idx), box.size))
+        h = np.zeros((len(idx), box.size, box.size))
+        h[:, hops[0], hops[1]] = lap_hops
 
-        def redraw(rows: np.ndarray, samples: np.ndarray, h=h) -> None:
-            v = sample_potential(stream, ens.mask, box, samples)
-            h[rows[:, None], diag, diag] = lap[diag, diag] + (v0 + ens.g * v)
+        def redraw(rows: np.ndarray, samples: np.ndarray, v=v, h=h) -> None:
+            v[rows] = sample_potential(stream, ens.mask, box, samples)
+            h[rows[:, None], diag, diag] = lap_diag + (v0 + ens.g * v[rows])
 
         redraw(np.arange(len(idx)), idx)
-        yield idx, h, redraw
+        yield idx, v, h, redraw
 
 
 def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
     """(Green stack, resamples) per chunk of the ensemble, in sample order,
     by LU; a sample colliding with a real z is redrawn as i + k * samples."""
     total, used = ens.samples, 0
-    for idx, h, redraw in _operator_stacks(ens):
+    for idx, _, h, redraw in _operator_stacks(ens):
         k = np.zeros(len(idx), dtype=int)
         while True:
             try:
@@ -254,7 +240,6 @@ def mc_fractional_moment(
     s: float,
     x: Site,
     y: Site,
-    threads: int = 1,
 ) -> dict:
     """Monte Carlo estimate of E |G_z[H(g)|_B](x, y)|^s."""
     if not 0 < s < 1:
@@ -264,7 +249,7 @@ def mc_fractional_moment(
     def entries(gs: np.ndarray) -> np.ndarray:
         return np.abs(gs[:, ix, iy]) ** s
 
-    values, n_resampled = mc_map(entries, ens, threads, z=z)
+    values, n_resampled = mc_map(entries, ens, z)
     mean, se = _mean_stderr(values)
     return {
         "estimate": mean,
@@ -305,7 +290,6 @@ def mc_chi_green(
     z: complex,
     s: float,
     rho: DecayMetric,
-    threads: int = 1,
 ) -> ChiReport:
     """chi_rho(E |G_z[H(g)|_B]|^s) over the box, with a CI at the sup row.
 
@@ -315,9 +299,7 @@ def mc_chi_green(
     if not 0 < s <= 1:
         raise ValueError("need 0 < s <= 1")
     w = rho.weight_matrix(tuple(ens.box.sites()))
-    sums, n_resampled = mc_map(
-        lambda gs: _column_sums(w, np.abs(gs) ** s), ens, threads, z=z
-    )
+    sums, n_resampled = mc_map(lambda gs: _column_sums(w, np.abs(gs) ** s), ens, z)
     return _chi_report(sums, ens, z, s, rho, n_resampled)
 
 
@@ -342,7 +324,7 @@ def mc_chi_green_sweep(
         raise ValueError("need 0 < s <= 1")
     w = rho.weight_matrix(tuple(ens.box.sites()))
     sums: list[list[np.ndarray]] = [[] for _ in zs]
-    for _, h, _ in _operator_stacks(ens):
+    for _, _, h, _ in _operator_stacks(ens):
         sd = eigendecompose(h)
         u, ut = sd.eigenvectors, sd.eigenvectors.swapaxes(-1, -2)
         for rows, z in zip(sums, zs):
@@ -371,7 +353,6 @@ def am_contraction_check(
     s: float,
     rho: DecayMetric,
     c_s: float,
-    threads: int = 1,
 ) -> dict:
     """Check chi_rho(E|G_z|^s) against C_s / (g^s - C_s chi(|A^off|^s)).
 
@@ -396,7 +377,7 @@ def am_contraction_check(
             "c_s": c_s,
         }
     rhs = c_s / (gs - threshold)
-    lhs = mc_chi_green(ens, z, s, rho, threads)
+    lhs = mc_chi_green(ens, z, s, rho)
     holds = lhs.value <= rhs + 3 * lhs.stderr
     return {
         "applicable": True,
@@ -619,58 +600,59 @@ def wegner_preconditions(
 def wegner_count(
     ens: EnsembleSpec,
     lam: float,
-    eps: float,
+    eps_values: Sequence[float],
     cluster_tol: float = 1e-9,
-    threads: int = 1,
-) -> dict:
-    """Excess eigenvalue counts N in (lam-eps, lam+eps) over the ensemble.
+) -> list[dict]:
+    """Excess eigenvalue counts N in (lam-eps, lam+eps) over the ensemble,
+    one report per eps of eps_values from one eigendecomposition per
+    realization.
 
     Requires the hypotheses of `wegner_preconditions`; refuses otherwise.
     Also audits the deterministic eigenvector-mass bound on every
-    qualifying eigenvector.
+    qualifying eigenvector; the audit does not depend on eps, so every
+    report carries the same one.
     """
-    pre = wegner_preconditions(ens, lam, [eps], cluster_tol)
+    eps_values = list(eps_values)
+    pre = wegner_preconditions(ens, lam, eps_values, cluster_tol)
     mult, gap, ker = pre["mult"], pre["gap"], pre["ker"]
     sites = tuple(ens.box.sites())
     n_gamma = sum(1 for s in sites if s in ens.mask)
-
-    def one(i: int):
-        ham = ens.realization(i)
-        sd = eigendecompose(ham)
-        inside = np.abs(sd.eigenvalues - lam) < eps
-        n_excess = int(np.sum(inside)) - mult
+    counts, checks = [], []
+    for _, v, h, _ in _operator_stacks(ens):
+        sd = eigendecompose(h)
+        dist = np.abs(sd.eigenvalues - lam)
+        counts.append(np.sum(dist[..., None] < np.array(eps_values), axis=-2) - mult)
         # eigenvector-mass audit over the gap/3 window
-        vmax = float(np.max(np.abs(ham.v))) if np.any(ham.v) else 0.0
-        checks = []
-        if vmax > 0:
+        for vi, di, ui in zip(v, dist, sd.eigenvectors):
+            vmax = float(np.max(np.abs(vi)))
+            if vmax == 0:
+                continue
             bound = gap / (3.0 * ens.g * vmax)
-            window = np.abs(sd.eigenvalues - lam) <= gap / 3
-            for j in np.nonzero(window)[0]:
-                phi = sd.eigenvectors[:, j]
+            for j in np.nonzero(di <= gap / 3)[0]:
+                phi = ui[:, j]
                 if ker.size and np.linalg.norm(ker.T @ phi) > 1e-8:
                     continue  # not orthogonal to Ker(H(0)|_B - lam)
                 mass = eigenvector_gamma_mass(phi, ens.mask, sites)
                 checks.append(bool(mass >= bound - 1e-12))
-        return n_excess, checks
-
-    values, _ = mc_map(one, ens, threads)
-    counts = np.array([n for n, _ in values])
-    all_checks = [c for _, cs in values for c in cs]
-    hist: dict[int, int] = {}
-    for n in counts:
-        hist[int(n)] = hist.get(int(n), 0) + 1
+    counts = np.concatenate(counts)
     s = 0.5  # reporting exponent for the comparison scaling
-    return {
-        "p_excess": float(np.mean(counts >= 1)),
-        "histogram": dict(sorted(hist.items())),
-        "mult": mult,
-        "gap": gap,
-        "eps": eps,
-        "bound_scale": eps**s * ens.g**s / gap ** (2 * s) * n_gamma**2,
-        "mass_bound_checked": len(all_checks),
-        "mass_bound_holds": all(all_checks) if all_checks else True,
-        "samples": ens.samples,
-    }
+    reports = []
+    for eps, col in zip(eps_values, counts.T):
+        values, freq = np.unique(col, return_counts=True)
+        reports.append(
+            {
+                "p_excess": float(np.mean(col >= 1)),
+                "histogram": {int(n): int(f) for n, f in zip(values, freq)},
+                "mult": mult,
+                "gap": gap,
+                "eps": eps,
+                "bound_scale": eps**s * ens.g**s / gap ** (2 * s) * n_gamma**2,
+                "mass_bound_checked": len(checks),
+                "mass_bound_holds": all(checks),
+                "samples": ens.samples,
+            }
+        )
+    return reports
 
 
 def wegner_uniform_bound_probe(
@@ -678,12 +660,13 @@ def wegner_uniform_bound_probe(
     lam_grid: Sequence[float],
     eps_grid: Sequence[float],
     s: float,
-    threads: int = 1,
 ) -> dict:
     """Table of E ||G_{lam+i eps}||^s over a (lambda, eps) grid.
 
     Requires the inner box boundary to lie in Gamma; boundedness of the
     table as eps decreases is the content of the first Wegner estimate.
+    One eigvalsh per realization serves the whole grid: for real
+    symmetric H, ||G_z|| = 1 / sigma_min(H - z) = 1 / min_j |E_j - z|.
     """
     sites = tuple(ens.box.sites())
     inner_boundary = [s_ for s_ in sites if ens.box.is_boundary_site(s_)]
@@ -692,19 +675,13 @@ def wegner_uniform_bound_probe(
         raise ValueError(
             f"inner boundary site {offenders[0]} is outside Gamma"
         )
+    stacks = _operator_stacks(ens)
+    e = np.concatenate([np.linalg.eigvalsh(h) for _, _, h, _ in stacks])
     rows = []
     for lam in lam_grid:
         for eps in eps_grid:
-            z = complex(lam, eps)
-
-            def one(i: int) -> float:
-                ham = ens.realization(i)
-                a = ham.matrix.astype(complex) - z * np.eye(ham.n)
-                smin = np.min(np.linalg.svd(a, compute_uv=False))
-                return (1.0 / smin) ** s
-
-            values, _ = mc_map(one, ens, threads)
-            mean, se = _mean_stderr(np.array(values))
+            smin = np.min(np.abs(e - complex(lam, eps)), axis=-1)
+            mean, se = _mean_stderr((1.0 / smin) ** s)
             rows.append(
                 {"lam": lam, "eps": eps, "estimate": mean, "stderr": se}
             )
@@ -717,7 +694,6 @@ def g_scaling_exponent(
     s: float,
     x: Site,
     g_values: Sequence[float],
-    threads: int = 1,
 ) -> dict:
     """Fit the slope of log E|G(x,x)|^s against log g (expected ~ -s)."""
     if x not in ens.mask:
@@ -726,7 +702,7 @@ def g_scaling_exponent(
 
     points = []
     for g in g_values:
-        res = mc_fractional_moment(replace(ens, g=float(g)), z, s, x, x, threads)
+        res = mc_fractional_moment(replace(ens, g=float(g)), z, s, x, x)
         points.append({"g": g, **res})
     logs_g = np.log([p["g"] for p in points])
     logs_e = np.log([p["estimate"] for p in points])

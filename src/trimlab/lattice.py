@@ -17,13 +17,6 @@ import numpy as np
 Site = tuple[int, ...]
 
 
-def graph_distance(x: Site, y: Site) -> int:
-    """l^1 distance between two sites of equal dimension."""
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return sum(abs(a - b) for a, b in zip(x, y))
-
-
 def l1_distances(xs: Sequence[Site], ys: Sequence[Site]) -> np.ndarray:
     """(len(xs), len(ys)) integer matrix of l^1 distances between sites.
 

@@ -262,14 +262,10 @@ def test_criterion_8_wegner_counting_trend():
         master_seed=8,
     )
     eps_grid = [0.4, 0.2, 0.1, 0.05, 0.04]
-    probs = []
-    mass_ok = True
-    checks = 0
-    for eps in eps_grid:
-        out = wegner_count(ens, 4.0, eps)
-        probs.append(out["p_excess"])
-        mass_ok = mass_ok and out["mass_bound_holds"]
-        checks += out["mass_bound_checked"]
+    reports = wegner_count(ens, 4.0, eps_grid)
+    probs = [out["p_excess"] for out in reports]
+    mass_ok = all(out["mass_bound_holds"] for out in reports)
+    checks = sum(out["mass_bound_checked"] for out in reports)
     monotone = all(b <= a for a, b in zip(probs, probs[1:]))
     ok = monotone and probs[0] > 0.0 and mass_ok
     report(

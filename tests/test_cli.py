@@ -301,6 +301,24 @@ def test_bad_dynamics_config_exits_2(tmp_path, capsys, config, flags):
     assert not (tmp_path / "dynamics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, epsilon",
+    [
+        ("g", "nan", "0.1,0.2"),
+        ("s", "nan", "0.1"),
+        ("eta", "inf", "0.1"),
+        ("energy", "inf", "0.1"),
+    ],
+    ids=["g-nan", "s-nan", "eta-inf", "energy-inf"],
+)
+def test_non_finite_number_exits_2(tmp_path, capsys, field, value, epsilon):
+    # a NaN g wrote NaN rows with exit 0 at one eps and failed with exit 3 at two
+    args = ["localize", "--box", "1..3,1..1", "--samples", "5", "--epsilon", epsilon]
+    assert run_cli(args + [f"--{field}", value, "--out", str(tmp_path)]) == 2
+    assert f"field '{field}' must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "localize.csv").exists()
+
+
 @pytest.mark.parametrize("experiment", ["dynamics", "localize"])
 def test_repeated_epsilon_exits_2(tmp_path, capsys, experiment):
     args = [experiment, "--box", "1..5,1..5", "--samples", "2", "--epsilon", "0.1,0.1"]

@@ -1,9 +1,13 @@
-"""The chunked, stacked Monte Carlo engine of `mc_map` against the scalar
-route it replaced: one realization at a time through pivoted LU; and the
-eigen sweep of `mc_chi_green_sweep` against the LU engine, z by z."""
+"""The chunked, stacked Monte Carlo engine against the scalar routes it
+replaced, one realization at a time: `mc_map` against pivoted LU, the
+eigen sweep of `mc_chi_green_sweep` against the LU engine z by z, and
+the Wegner statistics, the uniform resolvent probe and the dynamics rows
+against per-realization `eigh` and SVD."""
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,16 +17,21 @@ from hypothesis import strategies as st
 
 from trimlab import fracmoment
 from trimlab.disorder import BernoulliMixture, Uniform
+from trimlab.dynamics import _distance_powers, _Factored, dynamics_samples
 from trimlab.fracmoment import (
     DecayMetric,
     EnsembleSpec,
     ResampleBudgetExceeded,
+    eigenvector_gamma_mass,
     mc_chi_green,
     mc_chi_green_sweep,
     mc_map,
+    wegner_count,
+    wegner_preconditions,
+    wegner_uniform_bound_probe,
 )
 from trimlab.lattice import FullMask, Gamma1Mask, Gamma2Mask, make_box
-from trimlab.spectral import green
+from trimlab.spectral import SpectralParameterOnSpectrum, eigendecompose, green
 
 GEOMETRIES = [
     (make_box(1, (0,), (0,)), FullMask()),
@@ -37,8 +46,24 @@ def _stack(gs):
 
 
 def _scalar_greens(ens, z):
-    """Per-sample Green matrices the scalar way, with the same resampling."""
-    return mc_map(lambda i: green(ens.realization(i), z).entries, ens)
+    """Per-sample Green matrices the scalar way, with the same resampling:
+    a sample i colliding with z is redrawn as i + k * samples, k = 1, 2, ...,
+    and at most 1 % of the samples may be resampled."""
+    n = ens.samples
+    budget = max(1, n // 100)
+    greens, used = [], 0
+    for i in range(n):
+        k = 0
+        while True:
+            try:
+                greens.append(green(ens.realization(i + k * n), z).entries)
+                break
+            except SpectralParameterOnSpectrum:
+                k += 1
+                if used + k > budget:
+                    raise ResampleBudgetExceeded(f"sample {i} kept colliding with z")
+        used += k
+    return greens, used
 
 
 def _close(a, b) -> bool:
@@ -206,3 +231,178 @@ def test_localize_routes_several_eps_to_eigh_and_one_eps_to_lu():
             cli._run_localize(config)
         # 6 samples of 16 sites fit in one chunk: one stacked call
         assert calls == expected
+
+
+# The eigen consumers of the operator stacks against one realization at a
+# time: Wegner counts by `eigh`, the uniform resolvent probe by SVD, and the
+# dynamics rows by `_Factored` of `ens.realization(i)`.
+
+# (box, mask, lambda, eps_max): geometries where lambda satisfies the
+# hypotheses of `wegner_preconditions` for every eps <= eps_max (just
+# below gap/3: the gaps are sqrt(2), 1 and 0.318)
+WEGNER_GEOMETRIES = [
+    (make_box(2, (1, 1), (3, 1)), Gamma1Mask(2, 2), 4.0, 0.47),
+    (make_box(2, (1, 1), (1, 5)), Gamma1Mask(2, 2), 4.0, 0.33),
+    (make_box(2, (1, 1), (5, 3)), Gamma1Mask(2, 2), 4.0, 0.1),
+]
+
+
+def _wegner_loop(ens, lam, eps):
+    """p_excess, histogram and mass checks at one eps, one realization at a
+    time: the route `wegner_count` replaced."""
+    pre = wegner_preconditions(ens, lam, [eps])
+    mult, gap, ker = pre["mult"], pre["gap"], pre["ker"]
+    sites = tuple(ens.box.sites())
+    counts, checks = [], []
+    for i in range(ens.samples):
+        ham = ens.realization(i)
+        vals, vecs = np.linalg.eigh(ham.matrix)
+        counts.append(int(np.sum(np.abs(vals - lam) < eps)) - mult)
+        vmax = float(np.max(np.abs(ham.v)))
+        if vmax > 0:
+            bound = gap / (3.0 * ens.g * vmax)
+            for j in np.nonzero(np.abs(vals - lam) <= gap / 3)[0]:
+                phi = vecs[:, j]
+                if ker.size and np.linalg.norm(ker.T @ phi) > 1e-8:
+                    continue
+                mass = eigenvector_gamma_mass(phi, ens.mask, sites)
+                checks.append(bool(mass >= bound - 1e-12))
+    p_excess = float(np.mean(np.array(counts) >= 1))
+    return p_excess, dict(sorted(Counter(counts).items())), checks
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    geometry=st.sampled_from(WEGNER_GEOMETRIES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 40),
+    fractions=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4, unique=True),
+    g=st.floats(0.5, 20.0),
+)
+def test_wegner_count_matches_per_eps_loop(geometry, seed, samples, fractions, g):
+    box, mask, lam, eps_max = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
+    eps_values = [f * eps_max for f in fractions]
+    reports = wegner_count(ens, lam, eps_values)
+    for eps, rep in zip(eps_values, reports, strict=True):
+        p_excess, histogram, checks = _wegner_loop(ens, lam, eps)
+        assert (rep["eps"], rep["p_excess"]) == (eps, p_excess)
+        assert rep["histogram"] == histogram
+        assert rep["mass_bound_checked"] == len(checks)
+        assert rep["mass_bound_holds"] == all(checks)
+
+
+# geometries whose inner boundary lies in Gamma, as the probe requires
+PROBE_GEOMETRIES = [
+    (make_box(1, (0,), (0,)), FullMask()),
+    (make_box(1, (0,), (4,)), FullMask()),
+    (make_box(2, (0, 0), (4, 4)), Gamma1Mask(2, 2)),
+    (make_box(2, (0, 0), (8, 8)), Gamma1Mask(2, 2)),
+]
+
+
+def _svd_moment(ens, z, s):
+    """E ||G_z||^s and its standard error, one SVD of H - z per realization."""
+    eye = np.eye(ens.box.size)
+    vals = []
+    for i in range(ens.samples):
+        a = ens.realization(i).matrix - z * eye
+        vals.append((1.0 / np.min(np.linalg.svd(a, compute_uv=False))) ** s)
+    if len(vals) < 2:
+        return float(np.mean(vals)), math.inf
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    geometry=st.sampled_from(PROBE_GEOMETRIES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 8),
+    lams=st.lists(st.floats(-1.0, 9.0), min_size=1, max_size=2),
+    eps_grid=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3),
+    s=st.floats(0.1, 1.0),
+)
+def test_uniform_probe_matches_svd(geometry, seed, samples, lams, eps_grid, s):
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), 10.0, master_seed=seed, samples=samples)
+    rows = wegner_uniform_bound_probe(ens, lams, eps_grid, s)["rows"]
+    grid = [(lam, eps) for lam in lams for eps in eps_grid]
+    for row, (lam, eps) in zip(rows, grid, strict=True):
+        mean, se = _svd_moment(ens, complex(lam, eps), s)
+        assert (row["lam"], row["eps"]) == (lam, eps)
+        assert abs(row["estimate"] - mean) <= 1e-10 * mean
+        assert row["stderr"] == se or abs(row["stderr"] - se) <= 1e-10 * mean
+
+
+def test_uniform_probe_refuses_boundary_off_gamma():
+    box, mask = GEOMETRIES[3]
+    ens = EnsembleSpec(box, mask, Uniform(), 10.0, samples=2)
+    with pytest.raises(ValueError, match="boundary"):
+        wegner_uniform_bound_probe(ens, [1.0], [0.1], 0.5)
+
+
+def _dynamics_args(box, lam, laplace_eps, eps_sequence):
+    x = box.site(box.size // 2)
+    times = [0.0, 0.5, 3.0]
+    return x, times, lam, laplace_eps, sorted(eps_sequence, reverse=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    geometry=st.sampled_from(GEOMETRIES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 12),
+    v0=st.floats(-3.0, 3.0),
+    p=st.floats(0.0, 3.0),
+    lam=st.floats(-1.0, 9.0),
+    laplace_eps=st.floats(1e-3, 1.0),
+    eps_sequence=st.lists(st.floats(1e-3, 1.0), max_size=3, unique=True),
+)
+def test_dynamics_rows_match_per_realization(
+    geometry, seed, samples, v0, p, lam, laplace_eps, eps_sequence
+):
+    box, mask = geometry
+    ens = EnsembleSpec(
+        box, mask, Uniform(), 5.0, v0=v0, master_seed=seed, samples=samples
+    )
+    x, times, lam, laplace_eps, eps_sequence = _dynamics_args(
+        box, lam, laplace_eps, eps_sequence
+    )
+    rows = dynamics_samples(ens, x, p, times, lam, laplace_eps, eps_sequence)
+    ix, w = box.index(x), _distance_powers(box, x, p)
+    assert rows.shape == (samples, len(times) + 2 + len(eps_sequence))
+    for i, row in enumerate(rows):
+        sd = eigendecompose(ens.realization(i))
+        f = _Factored(sd.eigenvalues, sd.eigenvectors, ix, w)
+        expected = [f.moment(t) for t in times]
+        expected += [f.laplace_lhs(laplace_eps), f.green_moment(lam, laplace_eps)]
+        expected += [f.green_moment(lam, e) for e in eps_sequence]
+        np.testing.assert_array_equal(row, expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    wegner=st.sampled_from(WEGNER_GEOMETRIES),
+    geometry=st.sampled_from(GEOMETRIES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 30),
+    per_chunk=st.integers(1, 7),
+)
+def test_wegner_and_dynamics_do_not_depend_on_chunk_size(
+    wegner, geometry, seed, samples, per_chunk
+):
+    wbox, wmask, lam, eps_max = wegner
+    wens = EnsembleSpec(wbox, wmask, Uniform(), 5.0, master_seed=seed, samples=samples)
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=seed, samples=samples)
+    x, times, lam_d, laplace_eps, eps_sequence = _dynamics_args(
+        box, 4.0, 0.1, [0.1, 0.01]
+    )
+    eps_values = [eps_max, eps_max / 10]
+    counts = wegner_count(wens, lam, eps_values)
+    rows = dynamics_samples(ens, x, 2.0, times, lam_d, laplace_eps, eps_sequence)
+    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * wbox.size**2):
+        assert wegner_count(wens, lam, eps_values) == counts
+    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
+        small = dynamics_samples(ens, x, 2.0, times, lam_d, laplace_eps, eps_sequence)
+    np.testing.assert_array_equal(small, rows)

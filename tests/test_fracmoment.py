@@ -7,7 +7,6 @@ import pytest
 
 from trimlab.disorder import BernoulliMixture, Uniform
 from trimlab.fracmoment import (
-    ChiReport,
     DecayMetric,
     EnsembleSpec,
     ResampleBudgetExceeded,
@@ -19,12 +18,11 @@ from trimlab.fracmoment import (
     kernel_K,
     kernel_identity_residual,
     loc1_threshold,
-    mc_chi_green,
     mc_fractional_moment,
     wegner_count,
     wegner_uniform_bound_probe,
 )
-from trimlab.lattice import FullMask, Gamma1Mask, graph_distance, make_box
+from trimlab.lattice import FullMask, Gamma1Mask, make_box
 from trimlab.operators import assemble
 
 RHO = DecayMetric(0.1)
@@ -43,7 +41,7 @@ def _weight_matrix_loop(rho, sites):
     w = np.empty((n, n))
     for i, x in enumerate(sites):
         for j, y in enumerate(sites):
-            w[i, j] = math.exp(rho.eta * graph_distance(x, y))
+            w[i, j] = math.exp(rho.eta * sum(abs(a - b) for a, b in zip(x, y)))
     return w
 
 
@@ -144,22 +142,6 @@ def test_resample_budget_exceeded():
         mc_fractional_moment(ens, 3.0, 0.5, (0,), (0,))
 
 
-def test_mc_chi_green_thread_invariance():
-    ens = EnsembleSpec(
-        make_box(1, (0,), (6,)),
-        FullMask(),
-        Uniform(),
-        5.0,
-        samples=40,
-        master_seed=3,
-    )
-    a = mc_chi_green(ens, 1.0 + 0.5j, 0.5, RHO, threads=1)
-    b = mc_chi_green(ens, 1.0 + 0.5j, 0.5, RHO, threads=4)
-    assert a.value == b.value
-    assert a.stderr == b.stderr
-    assert isinstance(a, ChiReport)
-
-
 def test_am_contraction_applicability():
     box = make_box(1, (0,), (10,))
     weak = EnsembleSpec(box, FullMask(), Uniform(), 1.0, samples=10)
@@ -234,17 +216,16 @@ def _wegner_strip(g: float = 10.0, samples: int = 400, seed: int = 8):
 
 def test_wegner_count_strip():
     ens = _wegner_strip()
-    out = wegner_count(ens, 4.0, 0.4)
+    out, smaller = wegner_count(ens, 4.0, [0.4, 0.1])
     assert out["mult"] == 1
     assert out["gap"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert out["p_excess"] > 0.3
     assert out["mass_bound_holds"]
-    smaller = wegner_count(ens, 4.0, 0.1)
     assert smaller["p_excess"] <= out["p_excess"]
     with pytest.raises(ValueError):
-        wegner_count(ens, 4.0, 1.0)  # eps beyond gap/3
+        wegner_count(ens, 4.0, [1.0])  # eps beyond gap/3
     with pytest.raises(ValueError):
-        wegner_count(ens, 3.0, 0.01)  # not an eigenvalue
+        wegner_count(ens, 3.0, [0.01])  # not an eigenvalue
 
 
 def test_wegner_support_precondition_rejected():
@@ -254,7 +235,7 @@ def test_wegner_support_precondition_rejected():
     )
     lam = 2.0  # middle eigenvalue of the 3-site chain
     with pytest.raises(ValueError, match="support precondition"):
-        wegner_count(ens, lam, 0.1)
+        wegner_count(ens, lam, [0.1])
 
 
 def test_eigenvector_gamma_mass():

@@ -18,7 +18,6 @@ from trimlab.lattice import (
     ball,
     boundary,
     components_of_complement,
-    graph_distance,
     is_doubly_insulated,
     l1_distances,
     make_box,
@@ -28,6 +27,14 @@ from trimlab.lattice import (
 )
 
 sites_2d = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+
+
+def graph_distance(x, y) -> int:
+    """l^1 distance between two sites of equal dimension, one site pair at
+    a time: the oracle for `l1_distances`."""
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    return sum(abs(a - b) for a, b in zip(x, y))
 
 
 def test_graph_distance_basic():

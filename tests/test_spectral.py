@@ -8,7 +8,7 @@ import pytest
 
 from trimlab.disorder import SampleStream, Uniform, sample_potential
 from trimlab import spectral
-from trimlab.lattice import FullMask, Gamma1Mask, graph_distance, make_box
+from trimlab.lattice import FullMask, Gamma1Mask, make_box, neighbors
 from trimlab.operators import assemble, hedgehog_assemble, restrict
 from trimlab.spectral import (
     SpectralParameterOnSpectrum,
@@ -144,7 +144,7 @@ def _identity_residual_loop(ham, x_sites, z, case, shift):
     g = green(ham, z).entries
     gx = green(_shifted(restrict(ham, xc), shift), z).entries if xc else None
     pos_x = {s: i for i, s in enumerate(xc)}
-    pairs = [(up, u) for up in xs for u in xc if graph_distance(up, u) == 1]
+    pairs = [(up, u) for up in xs for u in xc if u in neighbors(up)]
     worst = 0.0
     if case == "in-out":
         for x in xs:
@@ -247,7 +247,7 @@ def _combes_thomas_loop(ham, z, x0):
     lo, hi = ham.box.lo, ham.box.hi
     dists, logs = [], []
     for y in sites:
-        dist = graph_distance(x0, y)
+        dist = sum(abs(a - b) for a, b in zip(x0, y))
         if dist < 2:
             continue
         if any(y[k] - lo[k] < 2 or hi[k] - y[k] < 2 for k in range(ham.box.dim)):
