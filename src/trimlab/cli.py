@@ -286,10 +286,11 @@ def _run_verify(config: dict):
                 f"kernel[{trial}]", kernel_identity_residual(ens, z, trial, g)
             )
         h0 = ens.deterministic_part()
+        g0 = green(h0, z).entries
         u_real = rng.normal(size=len(sites))
         u_cplx = u_real + 1j * rng.random(len(sites))
         for tag, u in (("real", u_real), ("complex", u_cplx)):
-            res = s2w_identity_check(h0, u, z)
+            res = s2w_identity_check(h0, u, z, g0)
             record(f"hedgehog-{tag}-base[{trial}]", res["residual0"])
             record(f"hedgehog-{tag}-pendant[{trial}]", res["residual1"])
     return ["check", "residual", "tolerance", "pass"], rows

@@ -39,17 +39,21 @@ def u_sharp(u: np.ndarray, z: complex) -> SharpPotential:
     return SharpPotential(z, u, 1.0 / diff)
 
 
-def s2w_identity_check(h0: HamiltonianMatrix, u: np.ndarray, z: complex) -> dict:
+def s2w_identity_check(
+    h0: HamiltonianMatrix, u: np.ndarray, z: complex, g0: np.ndarray | None = None
+) -> dict:
     """Residuals of both block identities for the doubled operator.
 
     The base block of the doubled resolvent equals G_z[H(0) + U_z^#];
-    the pendant block equals G_z[U - G_z[H(0)]].
+    the pendant block equals G_z[U - G_z[H(0)]].  g0 is G_z[H(0)] when
+    the caller has it already; otherwise it is solved here.
     """
     u = np.asarray(u)
     z = complex(z)
     hh = hedgehog_assemble(h0, u)
     gh = green(hh.matrix, z).entries
-    g0 = green(h0.matrix, z).entries
+    if g0 is None:
+        g0 = green(h0.matrix, z).entries
     sharp = u_sharp(u, z).values
     base = gh[hh.base_slice(), hh.base_slice()]
     pend = gh[hh.pendant_slice(), hh.pendant_slice()]

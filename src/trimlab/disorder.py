@@ -2,7 +2,10 @@
 
 Sampling is counter-based: every draw is a pure function of
 (distribution, master seed, site index, sample index), so ensemble
-averages are reproducible under any scheduling of the work.
+averages are reproducible under any scheduling of the work.  Each
+sample index keys one Philox4x64-10 stream.  Blocks of samples are drawn
+by the vectorised kernel `lattice.philox_uniforms`, bit-identical to
+numpy's `Philox` generator, which stays the reference (`draw_vector`).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 # numpy loads numpy.random lazily; load it with this module, not at the first draw
 import numpy.random  # noqa: F401
 
-from .lattice import LatticeBox, SublatticeMask, mask_vector
+from .lattice import LatticeBox, SublatticeMask, mask_vector, philox_uniforms
 
 QUAD_TOL = 1e-9
 
@@ -222,9 +225,14 @@ def spec_from_descriptor(text: str) -> DisorderSpec:
 # ---------------------------------------------------------------------------
 
 
+_MASK64 = (1 << 64) - 1
+_STREAM_MIX = 0x9E3779B97F4A7C15  # xored into both 64-bit halves of a stream key
+
+
 def _stream_key(master_seed: int, sample_index: int) -> int:
-    h = (master_seed & (1 << 64) - 1) << 64 | (sample_index & (1 << 64) - 1)
-    return h ^ 0x9E3779B97F4A7C15_9E3779B97F4A7C15
+    # int(): a numpy integer index would overflow against the 64-bit mask
+    h = (int(master_seed) & _MASK64) << 64 | (int(sample_index) & _MASK64)
+    return h ^ (_STREAM_MIX << 64 | _STREAM_MIX)
 
 
 @dataclass(frozen=True)
@@ -242,7 +250,10 @@ class SampleStream:
         return gen.random(n_sites * k).reshape(n_sites, k)
 
     def draw_vector(self, n_sites: int, sample_index: int) -> np.ndarray:
-        """Draws for site indices 0..n_sites-1 of one disorder realization."""
+        """Draws for site indices 0..n_sites-1 of one disorder realization.
+
+        Uses numpy's own Philox generator: the reference for draw_block.
+        """
         return self.spec.from_uniform(self._uniform_block(n_sites, sample_index))
 
     def draw(self, site_index: int, sample_index: int) -> float:
@@ -252,22 +263,19 @@ class SampleStream:
     def draw_block(self, n_sites: int, sample_indices: Sequence[int]) -> np.ndarray:
         """draw_vector for each sample index, as one (len(indices), n_sites) array.
 
-        One Philox generator is reset to each sample's key with counter 0,
-        which reproduces a freshly keyed generator bit for bit at a
-        fraction of the cost of constructing one.
+        All rows come from one call of the vectorised Philox4x64-10 kernel
+        `lattice.philox_uniforms`, keyed by `_stream_key` of each index; it
+        reproduces numpy's generator bit for bit, which draw_vector keeps.
         """
+        idx = np.asarray(sample_indices)
+        if idx.dtype.kind not in "iu":  # empty, or Python ints beyond 64 bits
+            idx = np.array([int(i) & _MASK64 for i in sample_indices], dtype=np.uint64)
+        # the low key word is the index's, the high one the seed's
+        key_lo = idx.astype(np.uint64) ^ np.uint64(_STREAM_MIX)
+        key_hi = _stream_key(self.master_seed, 0) >> 64
         k = self.spec.draws_per_sample
-        bitgen = np.random.Philox(key=0)
-        gen = np.random.Generator(bitgen)
-        fresh = bitgen.state
-        key = fresh["state"]["key"]
-        u = np.empty((len(sample_indices), n_sites * k))
-        for row, sample_index in enumerate(sample_indices):
-            h = _stream_key(self.master_seed, int(sample_index))
-            key[0], key[1] = h & (1 << 64) - 1, h >> 64
-            bitgen.state = fresh
-            gen.random(out=u[row])
-        return self.spec.from_uniform(u.reshape(len(sample_indices), n_sites, k))
+        u = philox_uniforms(key_lo, key_hi, n_sites * k)
+        return self.spec.from_uniform(u.reshape(len(idx), n_sites, k))
 
 
 def sample_potential(

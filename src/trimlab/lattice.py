@@ -1,7 +1,9 @@
 """Finite regions of Z^d: boxes, adjacency, boundaries and sublattice masks.
 
 Sites are plain integer tuples.  All set-valued results are sorted
-lexicographically so that every output is bitwise reproducible.
+lexicographically so that every output is bitwise reproducible.  The
+vectorised Philox kernel behind site percolation also draws the
+potentials of `disorder`, which imports this module.
 """
 
 from __future__ import annotations
@@ -144,6 +146,12 @@ class SublatticeMask:
     def __contains__(self, site: Site) -> bool:
         raise NotImplementedError
 
+    def indicator(self, box: LatticeBox) -> np.ndarray:
+        """Membership of the box sites, in index order."""
+        return np.fromiter(
+            (s in self for s in box.sites()), dtype=bool, count=box.size
+        )
+
     def descriptor(self) -> str:
         raise NotImplementedError
 
@@ -243,6 +251,74 @@ class PeriodicCellMask(SublatticeMask):
         return f"cell:{dims}:{bits}"
 
 
+# ---------------------------------------------------------------------------
+# Counter-based uniforms
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+#: (key, block) pairs per pass of philox_uniforms; bounds its temporaries
+PHILOX_PAIRS = 4096
+# Philox4x64-10 constants (Salmon et al., Random123): the round multipliers
+# M0, M1 and the Weyl key increments W0, W1; round r = 0..9 uses key + r * W.
+_PHILOX_M = np.array(
+    [0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64
+).reshape(2, 1, 1)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_BUMPS = np.array(
+    [[r * w & _MASK64 for w in _PHILOX_W] for r in range(10)], dtype=np.uint64
+).reshape(10, 2, 1, 1)
+_LO32, _SHIFT32, _SHIFT11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
+
+
+def philox_uniforms(key_lo: np.ndarray, key_hi, m: int) -> np.ndarray:
+    """(len(key_lo), m) uniforms on [0, 1), one row per 128-bit key.
+
+    Row i is, bit for bit, `Generator(Philox(key=k)).random(m)` of
+    numpy.random for k = key_hi[i] << 64 | key_lo[i]; key_hi may also be
+    one word for every row.  Philox4x64-10 is a counter-based cipher, so
+    all rows are computed at once: block c = 1, 2, ... of a key is the
+    cipher of the counter (c, 0, 0, 0), and each of its four words w gives
+    the double (w >> 11) * 2**-53, as numpy's generator reads them.  The
+    64x64 -> 128-bit products of a round are taken from 32-bit halves,
+    both multipliers in one stacked pass; at most PHILOX_PAIRS (key,
+    block) pairs go per pass.
+    """
+    key_lo = np.asarray(key_lo, dtype=np.uint64).reshape(-1, 1)
+    key_hi = np.asarray(key_hi, dtype=np.uint64).reshape(-1, 1)
+    key_hi = np.broadcast_to(key_hi, key_lo.shape)
+    n_keys, n_blocks = len(key_lo), -(-m // 4)
+    out = np.empty((n_keys, m))
+    cols = max(1, min(n_blocks, PHILOX_PAIRS))
+    rows = max(1, PHILOX_PAIRS // cols)
+    for r0 in range(0, n_keys, rows):
+        # the two key words of the slab's rows, broadcast along its blocks
+        key = np.stack((key_lo[r0 : r0 + rows], key_hi[r0 : r0 + rows]))
+        for b0 in range(0, n_blocks, cols):
+            b1 = min(b0 + cols, n_blocks)
+            # x holds counter words (0, 2), the multiplied ones; y words (1, 3)
+            x = np.zeros((2, 1, b1 - b0), dtype=np.uint64)
+            x[0] = np.arange(b0 + 1, b1 + 1, dtype=np.uint64)
+            y = np.zeros_like(x)
+            # one round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0,
+            # lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
+            for bump in _PHILOX_BUMPS:
+                xl, xh = x & _LO32, x >> _SHIFT32
+                t = xl * _M_LO
+                u = xh * _M_LO + (t >> _SHIFT32)
+                v = xl * _M_HI + (u & _LO32)
+                hi = xh * _M_HI + (u >> _SHIFT32) + (v >> _SHIFT32)
+                x, y = hi[::-1] ^ y ^ (key + bump), (x * _PHILOX_M)[::-1]
+            # block words in order (x0, y0, x1, y1)
+            words = np.moveaxis(np.stack((x, y), axis=-1), 0, 2)
+            words = words.reshape(x.shape[1], -1)
+            width = min(4 * b1, m) - 4 * b0
+            out[r0 : r0 + rows, 4 * b0 : 4 * b0 + width] = (
+                words[:, :width] >> _SHIFT11
+            ) * 2.0**-53
+    return out
+
+
 def _site_key(seed: int, site: Site) -> int:
     # stable 128-bit mix of (seed, coords) for the Philox key
     h = (seed & 0xFFFFFFFFFFFFFFFF) or 0x9E3779B97F4A7C15
@@ -264,10 +340,17 @@ class BernoulliMask(SublatticeMask):
             raise ValueError("p must lie in [0, 1]")
 
     def __contains__(self, site: Site) -> bool:
+        # one numpy generator per site: the reference for `indicator`
         u = np.random.Generator(
             np.random.Philox(key=_site_key(self.seed, site))
         ).random()
         return bool(u < self.p)
+
+    def indicator(self, box: LatticeBox) -> np.ndarray:
+        keys = [_site_key(self.seed, s) for s in box.sites()]
+        key_lo = np.array([h & _MASK64 for h in keys], dtype=np.uint64)
+        key_hi = np.array([h >> 64 for h in keys], dtype=np.uint64)
+        return philox_uniforms(key_lo, key_hi, 1)[:, 0] < self.p
 
     def descriptor(self) -> str:
         return f"bernoulli:{self.p}:{self.seed}"
@@ -276,7 +359,7 @@ class BernoulliMask(SublatticeMask):
 @functools.lru_cache(maxsize=64)
 def mask_vector(mask: SublatticeMask, box: LatticeBox) -> np.ndarray:
     """Read-only indicator of Gamma on the box sites, in index order."""
-    keep = np.fromiter((s in mask for s in box.sites()), dtype=bool, count=box.size)
+    keep = mask.indicator(box)
     keep.flags.writeable = False
     return keep
 

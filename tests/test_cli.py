@@ -397,7 +397,8 @@ def test_couple_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_verify_solves_g_and_g_off_x_once_per_trial(tmp_path, monkeypatch):
     # G_z[H] and G_z[A_X] feed the Schur, resolvent and kernel checks:
-    # 3 solves per trial there (with kernel_K's) plus the hedgehog checks'
+    # 3 solves per trial there (with kernel_K's); the hedgehog checks add
+    # G_z[H(0)] once and 3 solves for each of their two potentials
     from trimlab import coupling, fracmoment, spectral
     import trimlab.cli as cli
 
@@ -411,4 +412,4 @@ def test_verify_solves_g_and_g_off_x_once_per_trial(tmp_path, monkeypatch):
     for module in (cli, coupling, fracmoment, spectral):
         monkeypatch.setattr(module, "green", counting)
     assert run_cli(["verify", "--box", "1..4,1..4", "--out", str(tmp_path)]) == 0
-    assert len(calls) <= 5 * 11
+    assert len(calls) <= 5 * 10

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from trimlab.disorder import (
     spec_from_descriptor,
     window_mass,
 )
-from trimlab.lattice import Gamma1Mask, make_box
+from trimlab.lattice import PHILOX_PAIRS, Gamma1Mask, make_box, mask_vector
 
 
 def test_uniform_normalization_and_moment():
@@ -110,6 +112,75 @@ def test_draw_block_pins_the_philox_stream(spec, pin):
         sample_potential(stream, mask, box, idx),
         np.stack([sample_potential(stream, mask, box, i) for i in idx]),
     )
+
+
+_SPECS = [Uniform(-1.0, 2.0), BernoulliMixture(0.3, 0.2), TruncatedCauchy(2.0, 10.0)]
+
+
+def _stacked_draw_vector(stream, n_sites, idx):
+    return np.array([stream.draw_vector(n_sites, i) for i in idx]).reshape(
+        len(idx), n_sites
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SPECS),
+    st.one_of(
+        st.sampled_from([0, -1, 1409, 2**63, 2**64 - 1, 2**64 + 5, -(2**70)]),
+        st.integers(-(2**80), 2**80),
+    ),
+    st.integers(1, 11),
+    st.lists(st.tuples(st.integers(0, 49), st.integers(0, 3)), max_size=12),
+    st.sampled_from([1, 2, 5, PHILOX_PAIRS]),
+)
+def test_draw_block_matches_draw_vector(spec, seed, n_sites, draws, pairs):
+    # resample-style indices i + k * samples for 50 samples; small slab
+    # sizes make rows and blocks cross slab boundaries
+    stream = SampleStream(spec, seed)
+    idx = [i + k * 50 for i, k in draws]
+    expected = _stacked_draw_vector(stream, n_sites, idx)
+    with mock.patch("trimlab.lattice.PHILOX_PAIRS", pairs):
+        got = stream.draw_block(n_sites, np.array(idx, dtype=np.int64))
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "spec, n_sites, n_samples",
+    [
+        (Uniform(), 3, PHILOX_PAIRS + 7),  # 1 block per row: rows cross a slab
+        (BernoulliMixture(0.3, 0.2), 2 * PHILOX_PAIRS + 1, 2),  # one row spans two
+    ],
+)
+def test_draw_block_crosses_the_slab_limit(spec, n_sites, n_samples):
+    stream = SampleStream(spec, 2**63 + 11)
+    idx = np.arange(n_samples) * 3 + 1
+    np.testing.assert_array_equal(
+        stream.draw_block(n_sites, idx), _stacked_draw_vector(stream, n_sites, idx)
+    )
+
+
+def test_draw_block_constructs_no_numpy_philox():
+    # the per-sample Philox loop must not come back: draw_block keys the
+    # vectorised kernel only, while draw_vector stays on numpy's generator
+    stream = SampleStream(BernoulliMixture(0.3, 0.2), -5)
+    box, mask = make_box(2, (1, 1), (3, 3)), Gamma1Mask(2, 2)
+    # negative and beyond-64-bit indices wrap modulo 2**64, as in _stream_key
+    idx = [4, 0, 2**62, 4, -7, 2**64 + 3]
+    expected = _stacked_draw_vector(stream, 9, idx)
+    with mock.patch.object(
+        np.random, "Philox", side_effect=AssertionError("draw_block made a Philox")
+    ):
+        got = stream.draw_block(9, idx)
+        wrapped = stream.draw_block(9, np.array(idx[:5]))
+        block = sample_potential(stream, mask, box, idx)
+        empty = stream.draw_block(9, [])
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(wrapped, expected[:5])
+    on_gamma = mask_vector(mask, box)
+    np.testing.assert_array_equal(block[:, on_gamma], expected[:, on_gamma])
+    assert not block[:, ~on_gamma].any()
+    assert empty.shape == (0, 9)
 
 
 def test_window_mass_uniform_oracle():

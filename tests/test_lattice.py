@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from trimlab.lattice import (
     l1_distances,
     make_box,
     mask_from_descriptor,
+    mask_vector,
     neighbors,
+    philox_uniforms,
     relative_density,
 )
 
@@ -129,6 +132,55 @@ def test_bernoulli_mask_deterministic():
     picks_b = [s for s in window.sites() if s in b]
     assert picks_a == picks_b
     assert 10 < len(picks_a) < 90  # not degenerate at p = 1/2
+
+
+def _numpy_philox_rows(keys, m):
+    return np.array(
+        [np.random.Generator(np.random.Philox(key=k)).random(m) for k in keys]
+    ).reshape(len(keys), m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**128 - 1), min_size=0, max_size=6),
+    st.integers(0, 13),
+    st.sampled_from([1, 2, 3, 4096]),
+)
+def test_philox_uniforms_match_numpy_philox(keys, m, pairs):
+    # small slab sizes make rows and blocks cross slab boundaries
+    key_lo = np.array([k & (2**64 - 1) for k in keys], dtype=np.uint64)
+    key_hi = np.array([k >> 64 for k in keys], dtype=np.uint64)
+    with mock.patch("trimlab.lattice.PHILOX_PAIRS", pairs):
+        got = philox_uniforms(key_lo, key_hi, m)
+        np.testing.assert_array_equal(got, _numpy_philox_rows(keys, m))
+        if keys:  # one high word shared by every row
+            shared = [int(key_hi[0]) << 64 | int(lo) for lo in key_lo]
+            got = philox_uniforms(key_lo, key_hi[0], m)
+            np.testing.assert_array_equal(got, _numpy_philox_rows(shared, m))
+
+
+@pytest.mark.parametrize(
+    "p, seed, lo, hi",
+    [
+        (0.5, 3, (1, 1), (21, 21)),
+        (0.3, 0, (-4, -7), (5, 2)),
+        (0.7, -1, (-30,), (40,)),
+        (0.5, 2**64 + 9, (0, 0, 0), (4, 3, 5)),
+        (0.0, 7, (0, 0), (3, 3)),
+        (1.0, 7, (0, 0), (3, 3)),
+    ],
+)
+def test_bernoulli_indicator_matches_membership(p, seed, lo, hi):
+    mask, box = BernoulliMask(p, seed), make_box(len(lo), lo, hi)
+    expected = [s in mask for s in box.sites()]
+    with mock.patch.object(
+        np.random, "Philox", side_effect=AssertionError("per-site Philox")
+    ):
+        got = mask.indicator(box)
+        cached = mask_vector.__wrapped__(mask, box)  # bypass the lru cache
+    assert got.dtype == bool
+    assert got.tolist() == expected
+    assert cached.tolist() == expected
 
 
 def test_mask_descriptor_roundtrip():
