@@ -5,11 +5,16 @@ threshold kernel, and eigenvalue-counting (Wegner) statistics.
 All Monte Carlo loops are serial, draw disorder through counter-based
 streams and reduce in sample-index order, so estimates are reproducible
 bit for bit.  Every one takes its operators from one generator of
-chunked (S, n, n) stacks, `_operator_stacks`: `mc_map` inverts them by
-LU, one inverse per realization and z, and resamples a realization
-that collides with a real z; the z sweep of `mc_chi_green_sweep`, the
-Wegner statistics and `dynamics` factor each realization once and read
-every z, eps or t off its spectrum.
+chunked stacks, `_operator_stacks`.  `mc_map` inverts them by LU, one
+inverse per realization and z, and resamples a realization that
+collides with a real z.  At a non-real z on a box that Gamma meets
+without covering, it folds the deterministic complement once per z
+(`spectral.fold_complement`, which `kernel_K` reads too) and inverts
+only the |Gamma|-sized blocks; its consumers reduce the resulting
+`GreenBlocks` block by block.  When Gamma covers the box, the z sweep of
+`mc_chi_green_sweep` factors each realization once and reads every z
+off its spectrum, as the Wegner statistics and `dynamics` do for every
+eps or t.
 """
 
 from __future__ import annotations
@@ -22,17 +27,13 @@ import numpy as np
 
 from .disorder import DisorderSpec, SampleStream, sample_potential
 from .lattice import LatticeBox, Site, SublatticeMask, l1_distances, mask_vector
-from .operators import (
-    HamiltonianMatrix,
-    adjacency_operator,
-    assemble,
-    laplacian_matrix,
-    resolve_v0,
-    trimmed_restriction,
-)
+from .operators import HamiltonianMatrix, assemble, laplacian_matrix, resolve_v0
 from .spectral import (
+    GreenBlocks,
+    SpectralData,
     SpectralParameterOnSpectrum,
     eigendecompose,
+    fold_complement,
     gap_and_mult,
     green,
 )
@@ -140,70 +141,97 @@ def chunk_size(n: int) -> int:
     return max(1, CHUNK_ENTRIES // (n * n))
 
 
+def _fold_indices(ens: EnsembleSpec, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Box indices of Gamma and of the complement the engine folds at z.
+
+    The fold applies when z is non-real and Gamma meets the box without
+    covering it.  Otherwise (a real z may lie on the spectrum of
+    H(0)|_{Gamma^c}) every site counts as Gamma and the complement is
+    empty.
+    """
+    on_gamma = mask_vector(ens.mask, ens.box)
+    if z.imag == 0.0 or on_gamma.all() or not on_gamma.any():
+        return np.arange(ens.box.size), np.arange(0)
+    return np.flatnonzero(on_gamma), np.flatnonzero(~on_gamma)
+
+
 def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
     """Evaluate the ensemble at z in sample-index order; returns
     (values, n_resampled).
 
     The samples go through in chunks (chunk_size of the box): the
     potentials are drawn as one (S, n) array, the operators built as one
-    (S, n, n) stack and inverted by `green` at once, and per_chunk(gs)
-    maps the chunk's Green stack to one row per sample; values holds the
-    rows of all chunks in order.
+    stack and inverted by `green` at once, and per_chunk(blocks) maps the
+    chunk's `GreenBlocks` to one row per sample; values holds the rows of
+    all chunks in order.
 
-    A sample whose operator has z on its spectrum (SpectralParameterOnSpectrum)
-    is replaced by sample index i + k * samples, k = 1, 2, ...; at most 1%
-    of the samples may be resampled.
+    At a non-real z on a box that Gamma meets without covering, the
+    deterministic complement is folded once (`spectral.fold_complement`)
+    and only the (S, |Gamma|, |Gamma|) stack H_{Gamma Gamma} - S is
+    inverted.  Otherwise the whole (S, n, n) stack is, and a sample whose
+    operator has a real z on its spectrum (SpectralParameterOnSpectrum) is
+    replaced by sample index i + k * samples, k = 1, 2, ...; at most 1% of
+    the samples may be resampled.
     """
     budget = max(1, ens.samples // 100)
     rows, n_resampled = [], 0
-    for gs, k in _green_chunks(ens, complex(z), budget):
-        rows.append(per_chunk(gs))
+    for blocks, k in _green_chunks(ens, complex(z), budget):
+        rows.append(per_chunk(blocks))
         n_resampled += k
+        del blocks  # free this chunk's G before the next chunk is solved
     return np.concatenate(rows), n_resampled
 
 
-def _operator_stacks(ens: EnsembleSpec):
+def _operator_stacks(ens: EnsembleSpec, keep: np.ndarray | None = None):
     """(sample indices, potentials, stack, redraw) per chunk of the
     ensemble, in sample order; no linear algebra.
 
-    The potentials are (S, n) and the stack (S, n, n), for the chunk's
-    sample indices; redraw(rows, samples) overwrites the given rows of
-    both with those of other sample indices.  The diagonal is formed as
-    `assemble` forms it, so every matrix equals ens.realization(i).matrix
-    bit for bit.
+    The potentials are (S, n) and the stack (S, m, m), for the chunk's
+    sample indices, on the m box indices `keep` (default: every site);
+    redraw(rows, samples) overwrites the given rows of both with those of
+    other sample indices.  The diagonal is formed as `assemble` forms it,
+    so every matrix equals ens.realization(i).matrix[keep][:, keep] bit
+    for bit.
     """
     box = ens.box
     stream = ens.stream()
-    lap = laplacian_matrix(box)
+    keep = slice(None) if keep is None else keep
+    lap = laplacian_matrix(box)[keep][:, keep]
     hops = np.nonzero(lap)
     lap_hops, lap_diag = lap[hops], np.diag(lap).copy()
-    del lap  # only its nonzeros are needed, not n**2 floats beside each stack
-    v0 = resolve_v0(ens.v0, box)
-    diag = np.arange(box.size)
+    del lap  # only its nonzeros are needed, not m**2 floats beside each stack
+    v0 = resolve_v0(ens.v0, box)[keep]
+    m = len(v0)
+    diag = np.arange(m)
     step = chunk_size(box.size)
     for start in range(0, ens.samples, step):
         idx = np.arange(start, min(start + step, ens.samples))
         v = np.empty((len(idx), box.size))
-        h = np.zeros((len(idx), box.size, box.size))
+        h = np.zeros((len(idx), m, m))
         h[:, hops[0], hops[1]] = lap_hops
 
         def redraw(rows: np.ndarray, samples: np.ndarray, v=v, h=h) -> None:
             v[rows] = sample_potential(stream, ens.mask, box, samples)
-            h[rows[:, None], diag, diag] = lap_diag + (v0 + ens.g * v[rows])
+            h[rows[:, None], diag, diag] = lap_diag + (v0 + ens.g * v[rows][:, keep])
 
         redraw(np.arange(len(idx)), idx)
         yield idx, v, h, redraw
 
 
 def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
-    """(Green stack, resamples) per chunk of the ensemble, in sample order,
-    by LU; a sample colliding with a real z is redrawn as i + k * samples."""
+    """(`GreenBlocks`, resamples) per chunk of the ensemble, in sample
+    order, by LU; a sample colliding with a real z is redrawn as
+    i + k * samples."""
+    gamma, comp = _fold_indices(ens, z)
+    fold = None
+    if comp.size:
+        fold = fold_complement(ens.deterministic_part().matrix, gamma, comp, z)
     total, used = ens.samples, 0
-    for idx, _, h, redraw in _operator_stacks(ens):
+    for idx, _, h, redraw in _operator_stacks(ens, None if fold is None else gamma):
         k = np.zeros(len(idx), dtype=int)
         while True:
             try:
-                gs = green(h, z).entries
+                gs = green(h if fold is None else h - fold.s, z).entries
                 break
             except SpectralParameterOnSpectrum as exc:
                 rows = np.flatnonzero(exc.hits)
@@ -214,7 +242,8 @@ def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
                     )
                 redraw(rows, idx[rows] + k[rows] * total)
         used += int(k.sum())
-        yield gs, int(k.sum())
+        yield (GreenBlocks.whole(gs) if fold is None else fold.blocks(gs)), int(k.sum())
+        del gs  # free this chunk's G before the next chunk is solved
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -246,8 +275,8 @@ def mc_fractional_moment(
         raise ValueError("need 0 < s < 1")
     ix, iy = ens.box.index(x), ens.box.index(y)
 
-    def entries(gs: np.ndarray) -> np.ndarray:
-        return np.abs(gs[:, ix, iy]) ** s
+    def entries(g: GreenBlocks) -> np.ndarray:
+        return np.abs(g.entry(ix, iy)) ** s
 
     values, n_resampled = mc_map(entries, ens, z)
     mean, se = _mean_stderr(values)
@@ -264,6 +293,23 @@ def mc_fractional_moment(
 def _column_sums(w: np.ndarray, abs_s: np.ndarray) -> np.ndarray:
     """sum_y e^{rho(y,x)} |G(y,x)|^s per sample: (S, n), not S kernels."""
     return np.sum(w * abs_s, axis=1)
+
+
+def _block_column_sums(w: tuple, g: GreenBlocks, s: float) -> np.ndarray:
+    """`_column_sums` of `GreenBlocks`, with w the weight blocks on
+    (Gamma, Gamma), (Gamma^c, Gamma) and (Gamma^c, Gamma^c).  G and w are
+    symmetric, so the weighted |G_{Gamma^c Gamma}|^s gives the Gamma
+    columns their sums over Gamma^c (its column sums) and the Gamma^c
+    columns theirs over Gamma (its row sums)."""
+    w_gg, w_cg, w_cc = w
+    sums = np.empty((len(g.gg), len(g.gamma) + len(g.comp)))
+    sums[:, g.gamma] = _column_sums(w_gg, np.abs(g.gg) ** s)
+    if g.comp.size:
+        off = w_cg * np.abs(g.cg) ** s
+        sums[:, g.gamma] += np.sum(off, axis=1)
+        sums[:, g.comp] = np.sum(off, axis=2)
+        sums[:, g.comp] += _column_sums(w_cc, np.abs(g.cc) ** s)
+    return sums
 
 
 def _chi_report(
@@ -293,33 +339,48 @@ def mc_chi_green(
 ) -> ChiReport:
     """chi_rho(E |G_z[H(g)|_B]|^s) over the box, with a CI at the sup row.
 
-    One LU inverse per realization (`green`); a realization colliding
-    with a real z is resampled.
+    One LU inverse per realization through `mc_map`, of the folded
+    |Gamma| block where the fold applies and of the whole operator
+    otherwise; a realization colliding with a real z is resampled.  The
+    column sums are reduced block by block, never from a full G.
     """
     if not 0 < s <= 1:
         raise ValueError("need 0 < s <= 1")
+    gamma, comp = _fold_indices(ens, complex(z))
     w = rho.weight_matrix(tuple(ens.box.sites()))
-    sums, n_resampled = mc_map(lambda gs: _column_sums(w, np.abs(gs) ** s), ens, z)
+    w = (w[np.ix_(gamma, gamma)], w[np.ix_(comp, gamma)], w[np.ix_(comp, comp)])
+    sums, n_resampled = mc_map(lambda g: _block_column_sums(w, g, s), ens, z)
     return _chi_report(sums, ens, z, s, rho, n_resampled)
 
 
 def mc_chi_green_sweep(
     ens: EnsembleSpec, zs: Sequence[complex], s: float, rho: DecayMetric
 ) -> list[ChiReport]:
-    """`mc_chi_green` at every z of zs from one pass over the ensemble.
+    """`mc_chi_green` at every z of zs; every z needs Im z > 0.
 
-    Each realization is factored once, H = U diag(E) U^T, and
-    G_z = U diag(1 / (E - z)) U^T is read off its eigenpairs at every z
-    with two real products (real and imaginary part).  Every z needs
-    Im z > 0, so no realization can collide and none is resampled; a
-    real z stays on `mc_chi_green`.  A single z goes to `mc_chi_green`,
-    where one LU inverse is cheaper than one eigendecomposition.
+    With Gamma covering the box and two or more z, each realization is
+    factored once and every z read off its eigenpairs (`_eigen_sweep`).
+    Otherwise `mc_chi_green` runs z after z, holding one z's fold at a
+    time: a |Gamma|-sized solve per realization and z, or one LU inverse
+    at a single z, costs less than an eigendecomposition of the box.
     """
     zs = [complex(z) for z in zs]
     if not all(z.imag > 0 for z in zs):
         raise ValueError("the eigen route needs Im z > 0 at every z")
-    if len(zs) == 1:
-        return [mc_chi_green(ens, zs[0], s, rho)]
+    if len(zs) >= 2 and mask_vector(ens.mask, ens.box).all():
+        return _eigen_sweep(ens, zs, s, rho)
+    return [mc_chi_green(ens, z, s, rho) for z in zs]
+
+
+def _eigen_sweep(
+    ens: EnsembleSpec, zs: Sequence[complex], s: float, rho: DecayMetric
+) -> list[ChiReport]:
+    """`mc_chi_green` at every z of zs (Im z > 0), any mask, from one
+    eigendecomposition per realization, H = U diag(E) U^T: at every z,
+    G_z = U diag(1 / (E - z)) U^T by two real products (real and imaginary
+    part).  Nothing collides or is resampled.  The LU engine is its
+    test oracle.
+    """
     if not 0 < s <= 1:
         raise ValueError("need 0 < s <= 1")
     w = rho.weight_matrix(tuple(ens.box.sites()))
@@ -361,9 +422,9 @@ def am_contraction_check(
     and the only form its own applicability condition keeps positive.
     Requires full potential support (every box site random).
     """
-    sites = tuple(ens.box.sites())
-    if any(site not in ens.mask for site in sites):
+    if not mask_vector(ens.mask, ens.box).all():
         raise ValueError("contraction check requires Gamma = Full on the box")
+    sites = tuple(ens.box.sites())
     a = ens.deterministic_part().matrix
     a_off = a - np.diag(np.diag(a))
     chi_off = chi_kernel(a_off, sites, rho, s).value
@@ -450,6 +511,44 @@ def chi_resolvent_inequalities(
 # ---------------------------------------------------------------------------
 
 
+def _trimmed_split(mask: SublatticeMask, box: LatticeBox, v0):
+    """H(0) on the box, the box indices of Gamma and of Gamma^c, and the
+    eigenpairs of H(0)|_{Gamma^c} (None for an empty Gamma^c)."""
+    h0 = assemble(box, mask, v0, 0.0, None).matrix
+    on_gamma = mask_vector(mask, box)
+    gamma, comp = np.flatnonzero(on_gamma), np.flatnonzero(~on_gamma)
+    sd = eigendecompose(h0[np.ix_(comp, comp)]) if comp.size else None
+    return h0, gamma, comp, sd
+
+
+def _kernel(
+    box: LatticeBox,
+    h0: np.ndarray,
+    gamma: np.ndarray,
+    comp: np.ndarray,
+    sd: SpectralData | None,
+    z: complex,
+) -> dict:
+    """`kernel_K` from the parts `_trimmed_split` returns."""
+    if not gamma.size:
+        raise ValueError("Gamma does not meet the box")
+    z = complex(z)
+    if z.imag == 0 and sd is not None and np.min(abs(sd.eigenvalues - z.real)) <= 1e-10:
+        raise SpectralParameterOnSpectrum(
+            f"z = {z} lies on the spectrum of the trimmed restriction"
+        )
+    m = -h0[np.ix_(gamma, gamma)].astype(complex)
+    if comp.size:
+        m += fold_complement(h0, gamma, comp, z, sd).s
+    d = np.diag(m).copy()
+    return {
+        "K": m - np.diag(d),
+        "D": d,
+        "sites": tuple(box.site(int(i)) for i in gamma),
+        "trimmed_spectrum": np.array([]) if sd is None else sd.eigenvalues,
+    }
+
+
 def kernel_K(
     mask: SublatticeMask,
     box: LatticeBox,
@@ -459,40 +558,13 @@ def kernel_K(
     """Kernel K and diagonal D of the Schur complement on Gamma.
 
     D + K is the diagonal/off-diagonal split of
-    P_G Delta P_G* - V0|_G + T_G G_z[H_G] T_G*, so that
-    P_G G_z[H] P_G* = G_z[gV|_G - D - K] exactly in finite volume.
+    P_G Delta P_G* - V0|_G + T_G G_z[H_G] T_G* = S - H(0)|_G, so that
+    P_G G_z[H] P_G* = G_z[gV|_G - D - K] exactly in finite volume.  S is
+    the Monte Carlo engine's fold (`spectral.fold_complement`), with
+    G_z[H_G] read off the eigenpairs of the trimmed restriction H_G that
+    also give the trimmed spectrum.
     """
-    h0 = assemble(box, mask, v0, 0.0, None)
-    gamma_sites = tuple(s for s in box.sites() if s in mask)
-    if not gamma_sites:
-        raise ValueError("Gamma does not meet the box")
-    idx = [box.index(s) for s in gamma_sites]
-    delta = -laplacian_matrix(box)  # diagonal -2d, +1 on internal edges
-    m = delta[np.ix_(idx, idx)].astype(complex)
-    m -= np.diag(h0.v0[idx])
-    comp_sites = tuple(s for s in box.sites() if s not in mask)
-    if comp_sites:
-        h_gamma = trimmed_restriction(h0)
-        vals = np.linalg.eigvalsh(h_gamma.matrix)
-        zc = complex(z)
-        if zc.imag == 0 and np.min(np.abs(vals - zc.real)) <= 1e-10:
-            raise SpectralParameterOnSpectrum(
-                f"z = {z} lies on the spectrum of the trimmed restriction"
-            )
-        t = adjacency_operator(gamma_sites, box)
-        g_gamma = green(h_gamma, z).entries
-        m += t.matrix @ g_gamma @ t.matrix.T
-        spectrum = vals
-    else:
-        spectrum = np.array([])
-    d = np.diag(m).copy()
-    k = m - np.diag(d)
-    return {
-        "K": k,
-        "D": d,
-        "sites": gamma_sites,
-        "trimmed_spectrum": spectrum,
-    }
+    return _kernel(box, *_trimmed_split(mask, box, v0), z)
 
 
 def kernel_identity_residual(
@@ -504,7 +576,7 @@ def kernel_identity_residual(
     """
     kd = kernel_K(ens.mask, ens.box, ens.v0, z)
     ham = ens.realization(sample_index)
-    idx = [ens.box.index(s) for s in kd["sites"]]
+    idx = np.flatnonzero(mask_vector(ens.mask, ens.box))
     g_full = green(ham, z).entries if g is None else g
     lhs = g_full[np.ix_(idx, idx)]
     gv = ens.g * ham.v[idx]
@@ -527,19 +599,18 @@ def loc1_threshold(
 
     Returns chi_rho(|K|^s) at z = lam and g0 = (C_s chi)^{1/s}; reported
     inapplicable when lam sits within `margin` of the trimmed spectrum.
+    One eigendecomposition of H_Gamma serves the margin and the kernel.
     """
-    comp_sites = tuple(s_ for s_ in box.sites() if s_ not in mask)
-    if comp_sites:
-        h0 = assemble(box, mask, v0, 0.0, None)
-        vals = np.linalg.eigvalsh(trimmed_restriction(h0).matrix)
-        dist = float(np.min(np.abs(vals - lam)))
+    h0, gamma, comp, sd = _trimmed_split(mask, box, v0)
+    if sd is not None:
+        dist = float(np.min(np.abs(sd.eigenvalues - lam)))
         if dist <= margin:
             return {
                 "applicable": False,
                 "reason": f"lambda within {dist:.3g} of sigma(H_Gamma)",
                 "trimmed_spectrum_distance": dist,
             }
-    kd = kernel_K(mask, box, v0, lam)
+    kd = _kernel(box, h0, gamma, comp, sd, lam)
     chi = chi_kernel(kd["K"], kd["sites"], rho, s).value
     return {
         "applicable": True,
@@ -668,12 +739,13 @@ def wegner_uniform_bound_probe(
     One eigvalsh per realization serves the whole grid: for real
     symmetric H, ||G_z|| = 1 / sigma_min(H - z) = 1 / min_j |E_j - z|.
     """
-    sites = tuple(ens.box.sites())
-    inner_boundary = [s_ for s_ in sites if ens.box.is_boundary_site(s_)]
-    offenders = [s_ for s_ in inner_boundary if s_ not in ens.mask]
-    if offenders:
+    box = ens.box
+    coords = np.indices(box.shape).reshape(box.dim, -1).T
+    on_boundary = np.any((coords == 0) | (coords == np.array(box.shape) - 1), axis=1)
+    offenders = np.flatnonzero(on_boundary & ~mask_vector(ens.mask, box))
+    if offenders.size:
         raise ValueError(
-            f"inner boundary site {offenders[0]} is outside Gamma"
+            f"inner boundary site {box.site(int(offenders[0]))} is outside Gamma"
         )
     stacks = _operator_stacks(ens)
     e = np.concatenate([np.linalg.eigvalsh(h) for _, _, h, _ in stacks])

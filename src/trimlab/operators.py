@@ -116,7 +116,10 @@ def restrict(ham: HamiltonianMatrix, sites: Sequence[Site]) -> HamiltonianMatrix
 
 def trimmed_restriction(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     """H_Gamma = P_{Gamma^c} H P_{Gamma^c}* on the disorder-free sites."""
-    comp = [s for s in ham.site_list() if s not in ham.mask]
+    sites = ham.site_list()
+    box_idx = slice(None) if ham.sites is None else [ham.box.index(s) for s in sites]
+    off_gamma = ~mask_vector(ham.mask, ham.box)[box_idx]
+    comp = [sites[i] for i in np.flatnonzero(off_gamma)]
     if not comp:
         raise ValueError("empty complement: Gamma covers the whole region")
     return restrict(ham, comp)

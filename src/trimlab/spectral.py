@@ -1,18 +1,25 @@
 """Dense spectral machinery: eigendecomposition, Green functions, Schur
-complements, resolvent-identity residuals, projections and decay fits.
+complements and the fold of a deterministic block, resolvent-identity
+residuals, projections and decay fits.
 
 Green functions are computed by pivoted complex LU (LAPACK gesv through
 `numpy.linalg`), independent of the eigendecomposition (`numpy.linalg.eigh`,
 LAPACK syevd), so the LU route and the eigen route stay oracles for each
-other.  The eigen route serves `dynamics` and the multi-z sweep of
-`localize` (`fracmoment.mc_chi_green_sweep`), which read G_z at every z
-off one eigendecomposition per realization; LU remains their test oracle
-and the route for a single z or a real z.  A single matrix and a stack of
-matrices go through the same gesv or syevd; `tests/test_engine.py` checks
-the stacked Monte Carlo engine's own logic (draws, assembly, chunking,
-resampling) against single-matrix `green` calls, and the eigen sweep
-against the LU engine.  All dense algebra uses numpy's LAPACK, so a
-process loads one BLAS and one thread pool.
+other.  The LU route serves the Monte Carlo chi engine
+(`fracmoment.mc_map`), which at a non-real z solves only the |Gamma|
+block of each realization: `fold_complement` solves the deterministic
+complement once per z, and `green` the folded block H_{Gamma Gamma} - S
+of every realization.  `schur_green` keeps its own solve-based Schur
+complement, an independent reference that `verify` checks against the
+whole-operator LU.  The eigen route serves `dynamics` and, when Gamma
+covers the box, the multi-z sweep of `localize`; both read G_z at every
+z off one eigendecomposition per realization.  A single matrix and a
+stack of matrices go through the same gesv or syevd;
+`tests/test_engine.py` checks the stacked engine's own logic (draws,
+assembly, folding, chunking, resampling) against single-matrix `green`
+calls of the whole operator, and the eigen sweep against the folded LU
+engine.  All dense algebra uses numpy's LAPACK, so a process loads one
+BLAS and one thread pool.
 """
 
 from __future__ import annotations
@@ -82,7 +89,6 @@ def green(h, z: complex) -> GreenMatrix:
     """
     m = _matrix(h)
     z = complex(z)
-    n = m.shape[-1]
     if z.imag == 0.0 and np.isrealobj(m):
         vals = np.linalg.eigvalsh(m)
         scale = np.maximum(np.max(np.abs(vals), axis=-1), 1.0)
@@ -91,8 +97,97 @@ def green(h, z: complex) -> GreenMatrix:
             raise SpectralParameterOnSpectrum(
                 f"z = {z} lies on the spectrum (within 1e-12 * ||H||)", hits
             )
-    a = m.astype(complex) - z * np.eye(n)
+    a = m.astype(complex)
+    d = np.arange(m.shape[-1])
+    a[..., d, d] -= z  # in place: no n x n identity or z * identity
     return GreenMatrix(z, np.linalg.inv(a))
+
+
+@dataclass(frozen=True)
+class GreenBlocks:
+    """A stack of G_z (S samples) by blocks of Gamma and its complement.
+
+    gamma and comp hold the box indices of Gamma and Gamma^c, ascending;
+    gg = G_{Gamma Gamma}, cg = G_{Gamma^c Gamma}, cc = G_{Gamma^c Gamma^c},
+    each with the samples on the first axis.  G is symmetric, so
+    G_{Gamma Gamma^c} is cg transposed.
+    """
+
+    gg: np.ndarray
+    cg: np.ndarray
+    cc: np.ndarray
+    gamma: np.ndarray
+    comp: np.ndarray
+
+    @classmethod
+    def whole(cls, gs: np.ndarray) -> GreenBlocks:
+        """A whole (S, n, n) stack: every site in Gamma, comp empty."""
+        s, n = len(gs), gs.shape[-1]
+        cg, cc = np.empty((s, 0, n), dtype=complex), np.empty((s, 0, 0), dtype=complex)
+        return cls(gs, cg, cc, np.arange(n), np.arange(0))
+
+    def entry(self, x: int, y: int) -> np.ndarray:
+        """G(x, y) of every sample, for box indices x, y."""
+        (bx, px), (by, py) = self._position(x), self._position(y)
+        if bx and by:
+            return self.gg[:, px, py]
+        if by:
+            return self.cg[:, px, py]
+        if bx:
+            return self.cg[:, py, px]
+        return self.cc[:, px, py]
+
+    def _position(self, x: int) -> tuple[bool, int]:
+        """(x in Gamma, position of x in its block's index array)."""
+        on_gamma = x in self.gamma
+        return on_gamma, int(np.searchsorted(self.gamma if on_gamma else self.comp, x))
+
+
+@dataclass(frozen=True)
+class ComplementFold:
+    """A deterministic block Gamma^c of H folded out at one z.
+
+    With R = G_z[H_{Gamma^c}], B = R H_{Gamma^c Gamma} and
+    S = H_{Gamma Gamma^c} B, the Schur complement gives, for any
+    H_{Gamma Gamma}, G_{Gamma Gamma} = G_z[H_{Gamma Gamma} - S],
+    G_{Gamma^c Gamma} = -B G_{Gamma Gamma} and
+    G_{Gamma^c Gamma^c} = R + B G_{Gamma Gamma} B^T.
+    """
+
+    gamma: np.ndarray
+    comp: np.ndarray
+    r: np.ndarray
+    b: np.ndarray
+    s: np.ndarray
+
+    def blocks(self, gg: np.ndarray) -> GreenBlocks:
+        """Every block of G_z from a stack of G_{Gamma Gamma}."""
+        cg = self.b @ gg
+        np.negative(cg, out=cg)
+        cc = cg @ self.b.T
+        np.subtract(self.r, cc, out=cc)
+        return GreenBlocks(gg, cg, cc, self.gamma, self.comp)
+
+
+def fold_complement(
+    h: np.ndarray,
+    gamma: np.ndarray,
+    comp: np.ndarray,
+    z: complex,
+    sd: SpectralData | None = None,
+) -> ComplementFold:
+    """Fold the block comp of the matrix h out of its block gamma at z.
+
+    R = G_z[h_{comp comp}] is solved by `green`, or read off sd, the
+    eigenpairs of h_{comp comp}, when they are given.
+    """
+    if sd is None:
+        r = green(h[np.ix_(comp, comp)], z).entries
+    else:
+        u = sd.eigenvectors
+        r = (u * (1.0 / (sd.eigenvalues - z))) @ u.T
+    b = r @ h[np.ix_(comp, gamma)]
+    return ComplementFold(gamma, comp, r, b, h[np.ix_(gamma, comp)] @ b)
 
 
 def _index_split(ham: HamiltonianMatrix, x_sites: Sequence[Site]):

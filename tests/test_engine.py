@@ -1,12 +1,14 @@
 """The chunked, stacked Monte Carlo engine against the scalar routes it
-replaced, one realization at a time: `mc_map` against pivoted LU, the
-eigen sweep of `mc_chi_green_sweep` against the LU engine z by z, and
-the Wegner statistics, the uniform resolvent probe and the dynamics rows
-against per-realization `eigh` and SVD."""
+replaced, one realization at a time: `mc_map`, with and without the folded
+complement, against pivoted LU of the whole operator, the eigen sweep
+against the folded LU engine z by z, and the Wegner statistics, the
+uniform resolvent probe and the dynamics rows against per-realization
+`eigh` and SVD."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimlab import fracmoment
+from trimlab import fracmoment, spectral
 from trimlab.disorder import BernoulliMixture, Uniform
 from trimlab.dynamics import _distance_powers, _Factored, dynamics_samples
 from trimlab.fracmoment import (
@@ -30,7 +32,15 @@ from trimlab.fracmoment import (
     wegner_preconditions,
     wegner_uniform_bound_probe,
 )
-from trimlab.lattice import FullMask, Gamma1Mask, Gamma2Mask, make_box
+from trimlab.lattice import (
+    BernoulliMask,
+    FullMask,
+    Gamma1Mask,
+    Gamma2Mask,
+    PeriodicCellMask,
+    make_box,
+    mask_vector,
+)
 from trimlab.spectral import SpectralParameterOnSpectrum, eigendecompose, green
 
 GEOMETRIES = [
@@ -40,8 +50,24 @@ GEOMETRIES = [
     (make_box(2, (0, 0), (4, 4)), Gamma2Mask(3)),
 ]
 
+# GEOMETRIES plus a Bernoulli and a cell mask: the ones Gamma meets
+# without covering are folded at non-real z
+FOLD_GEOMETRIES = GEOMETRIES + [
+    (make_box(2, (0, 0), (5, 4)), BernoulliMask(0.5, 3)),
+    (make_box(2, (1, 1), (4, 4)), PeriodicCellMask((2, 2), (True, False, False, True))),
+]
+# Gamma meets these boxes without covering them
+TRIMMED_GEOMETRIES = FOLD_GEOMETRIES[2:]
 
-def _stack(gs):
+
+def _stack(g):
+    """The (S, n, n) Green stack of a chunk, reassembled from its blocks."""
+    n = len(g.gamma) + len(g.comp)
+    gs = np.empty((len(g.gg), n, n), dtype=complex)
+    gs[:, g.gamma[:, None], g.gamma] = g.gg
+    gs[:, g.comp[:, None], g.gamma] = g.cg
+    gs[:, g.gamma[:, None], g.comp] = g.cg.swapaxes(1, 2)
+    gs[:, g.comp[:, None], g.comp] = g.cc
     return gs
 
 
@@ -101,6 +127,62 @@ def test_results_do_not_depend_on_chunk_size(geometry, seed, samples, im, per_ch
     box, mask = geometry
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=seed, samples=samples)
     z = complex(4.0, im)
+    rho = DecayMetric(0.1)
+    gs, _ = mc_map(_stack, ens, z=z)
+    chi = mc_chi_green(ens, z, 0.5, rho)
+    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
+        assert fracmoment.chunk_size(box.size) == per_chunk
+        gs_small, _ = mc_map(_stack, ens, z=z)
+        chi_small = mc_chi_green(ens, z, 0.5, rho)
+    np.testing.assert_array_equal(gs_small, gs)
+    assert (chi_small.value, chi_small.stderr) == (chi.value, chi.stderr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=st.sampled_from(FOLD_GEOMETRIES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 12),
+    re=st.floats(-1.0, 9.0),
+    im=st.floats(0.05, 2.0),
+    upper=st.booleans(),
+    g=st.floats(0.5, 20.0),
+    xy=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_folded_engine_matches_per_realization_green(
+    geometry, seed, samples, re, im, upper, g, xy
+):
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
+    z = complex(re, im if upper else -im)
+    on_gamma = mask_vector(mask, box)
+    folded = int(np.count_nonzero(~on_gamma)) if on_gamma.any() else 0
+    x, y = (int(f * (box.size - 1)) for f in xy)
+    comp_sizes, _ = mc_map(lambda b: np.full(len(b.gg), len(b.comp)), ens, z=z)
+    assert np.all(comp_sizes == folded)
+    gs, n_resampled = mc_map(_stack, ens, z=z)
+    assert gs.shape == (samples, box.size, box.size) and n_resampled == 0
+    for i in range(samples):
+        assert _close(gs[i], green(ens.realization(i), z).entries)
+    entries, _ = mc_map(lambda b: b.entry(x, y), ens, z=z)
+    np.testing.assert_array_equal(entries, gs[:, x, y])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    geometry=st.sampled_from(TRIMMED_GEOMETRIES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 40),
+    im=st.floats(0.05, 1.0),
+    upper=st.booleans(),
+    per_chunk=st.integers(1, 7),
+)
+def test_folded_results_do_not_depend_on_chunk_size(
+    geometry, seed, samples, im, upper, per_chunk
+):
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=seed, samples=samples)
+    z = complex(4.0, im if upper else -im)
     rho = DecayMetric(0.1)
     gs, _ = mc_map(_stack, ens, z=z)
     chi = mc_chi_green(ens, z, 0.5, rho)
@@ -201,6 +283,56 @@ def test_sweep_does_not_depend_on_chunk_size(geometry, seed, samples, ims, per_c
     assert [(r.value, r.stderr) for r in small] == [(r.value, r.stderr) for r in full]
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    geometry=st.sampled_from(TRIMMED_GEOMETRIES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 12),
+    re=st.floats(-1.0, 9.0),
+    ims=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
+    s=st.floats(0.1, 1.0),
+    g=st.floats(0.5, 20.0),
+)
+def test_eigen_sweep_on_trimmed_masks_matches_folded_lu(
+    geometry, seed, samples, re, ims, s, g
+):
+    # the router sends trimmed masks to the folded LU engine; the eigen
+    # sweep, called directly, stays its independent oracle
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
+    zs = [complex(re, im) for im in ims]
+    rho = DecayMetric(0.1)
+    sweep = fracmoment._eigen_sweep(ens, zs, s, rho)
+    assert _sweep_matches(sweep, [mc_chi_green(ens, z, s, rho) for z in zs])
+
+
+def _numpy_peak(fn) -> int:
+    """Peak traced bytes (numpy reports its buffers to tracemalloc) of
+    one call of fn, after a warm-up call."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mask", [Gamma1Mask(2, 2), BernoulliMask(0.5, 3)])
+def test_folded_route_peak_does_not_exceed_eigen_route(mask):
+    box = make_box(2, (1, 1), (12, 12))
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=4, samples=10)
+    zs, rho = [4.0 + 0.1j, 4.0 + 0.01j], DecayMetric(0.1)
+    folded = _numpy_peak(lambda: mc_chi_green_sweep(ens, zs, 0.5, rho))
+    eigen = _numpy_peak(lambda: fracmoment._eigen_sweep(ens, zs, 0.5, rho))
+    assert folded <= eigen
+
+
 @pytest.mark.parametrize("zs", [[4.0, 4.0 + 0.1j], [4.0 + 0.1j, 3.0 - 0.1j], [4.0]])
 def test_sweep_refuses_z_off_the_upper_half_plane(zs):
     box, mask = GEOMETRIES[2]
@@ -224,12 +356,25 @@ def test_localize_routes_several_eps_to_eigh_and_one_eps_to_lu():
 
         return mock.patch.object(module, name, wrapper)
 
-    for eps, expected in (("0.1,0.01", {"eigendecompose": 1}), ("0.1", {"green": 1})):
+    # 6 samples of 16 sites fit in one chunk: one stacked call per z.  The
+    # trimmed mask (the default gamma1:2,2) adds one solve of the folded
+    # complement per z.
+    cases = (
+        ("gamma1:2,2", "0.1,0.01", {"green": 4}),
+        ("full", "0.1,0.01", {"eigendecompose": 1}),
+        ("gamma1:2,2", "0.1", {"green": 2}),
+        ("full", "0.1", {"green": 1}),
+    )
+    for gamma, eps, expected in cases:
         calls.clear()
-        config = cli._load_config(cli._build_parser().parse_args(base + ["--epsilon", eps]))
-        with counting(fracmoment, "green"), counting(fracmoment, "eigendecompose"):
+        argv = base + ["--gamma", gamma, "--epsilon", eps]
+        config = cli._load_config(cli._build_parser().parse_args(argv))
+        with (
+            counting(fracmoment, "green"),
+            counting(spectral, "green"),
+            counting(fracmoment, "eigendecompose"),
+        ):
             cli._run_localize(config)
-        # 6 samples of 16 sites fit in one chunk: one stacked call
         assert calls == expected
 
 

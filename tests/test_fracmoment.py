@@ -22,8 +22,21 @@ from trimlab.fracmoment import (
     wegner_count,
     wegner_uniform_bound_probe,
 )
-from trimlab.lattice import FullMask, Gamma1Mask, make_box
-from trimlab.operators import assemble
+from trimlab.lattice import (
+    BernoulliMask,
+    FullMask,
+    Gamma1Mask,
+    PeriodicCellMask,
+    make_box,
+)
+from trimlab.operators import (
+    adjacency_operator,
+    assemble,
+    laplacian_matrix,
+    restrict,
+    trimmed_restriction,
+)
+from trimlab.spectral import SpectralParameterOnSpectrum, green
 
 RHO = DecayMetric(0.1)
 
@@ -268,3 +281,102 @@ def test_wegner_uniform_probe():
     )
     with pytest.raises(ValueError, match="boundary"):
         wegner_uniform_bound_probe(bad, [1.0], [0.1], 0.5)
+
+
+# Gamma read as arrays (`mask_vector`) against the per-site `s in mask`
+# membership tests the functions below used to make.
+
+ARRAY_MASKS = [
+    BernoulliMask(0.5, 3),
+    BernoulliMask(1.0, 5),  # covers every box
+    PeriodicCellMask((2, 2), (True, False, False, True)),
+    Gamma1Mask(2, 2),
+]
+ARRAY_BOX = make_box(2, (1, 1), (6, 5))
+
+
+def _kernel_K_loop(mask, box, v0, z):
+    """(K, D, sites, trimmed spectrum) as `kernel_K` computed them site by
+    site: Delta|_G - V0|_G + T G_z[H_G] T^T with T from `adjacency_operator`."""
+    h0 = assemble(box, mask, v0, 0.0, None)
+    gamma_sites = tuple(s for s in box.sites() if s in mask)
+    idx = [box.index(s) for s in gamma_sites]
+    m = -laplacian_matrix(box)[np.ix_(idx, idx)].astype(complex)
+    m -= np.diag(h0.v0[idx])
+    comp_sites = [s for s in box.sites() if s not in mask]
+    spectrum = np.array([])
+    if comp_sites:
+        h_gamma = restrict(h0, comp_sites)
+        spectrum = np.linalg.eigvalsh(h_gamma.matrix)
+        if complex(z).imag == 0 and np.min(np.abs(spectrum - complex(z).real)) <= 1e-10:
+            raise SpectralParameterOnSpectrum("on the trimmed spectrum")
+        t = adjacency_operator(gamma_sites, box).matrix
+        m += t @ green(h_gamma, z).entries @ t.T
+    d = np.diag(m).copy()
+    return m - np.diag(d), d, gamma_sites, spectrum
+
+
+def _near(a, b, rel=1e-12) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    if a.shape != b.shape:
+        return False
+    return float(np.max(np.abs(a - b), initial=0.0)) <= rel * scale
+
+
+@pytest.mark.parametrize("mask", ARRAY_MASKS)
+@pytest.mark.parametrize("z", [0.5 + 0.3j, 2.0 - 0.7j, -1.0, 0.0])
+def test_kernel_and_threshold_read_gamma_as_arrays(mask, z):
+    box, v0 = ARRAY_BOX, 0.25
+    try:
+        k, d, sites, spectrum = _kernel_K_loop(mask, box, v0, z)
+    except SpectralParameterOnSpectrum:
+        with pytest.raises(SpectralParameterOnSpectrum):
+            kernel_K(mask, box, v0, z)
+        return
+    kd = kernel_K(mask, box, v0, z)
+    assert kd["sites"] == sites
+    assert _near(kd["K"], k) and _near(kd["D"], d)
+    assert _near(kd["trimmed_spectrum"], spectrum)
+    if complex(z).imag == 0:
+        lam = complex(z).real
+        out = loc1_threshold(mask, box, v0, lam, 0.5, RHO, 2.8)
+        far = spectrum.size == 0 or np.min(np.abs(spectrum - lam)) > 1e-6
+        assert out["applicable"] == far
+        if far:
+            chi = chi_kernel(k, sites, RHO, 0.5).value
+            assert abs(out["chi_K"] - chi) <= 1e-12 * chi
+
+
+@pytest.mark.parametrize("mask", ARRAY_MASKS)
+def test_restriction_and_gamma_checks_read_gamma_as_arrays(mask):
+    box = ARRAY_BOX
+    ham = assemble(box, mask, None, 0.0, None)
+    sub = restrict(ham, [s for s in box.sites() if s[0] <= 3])
+    for h in (ham, sub):
+        comp = [s for s in h.site_list() if s not in mask]
+        if not comp:
+            with pytest.raises(ValueError, match="empty complement"):
+                trimmed_restriction(h)
+            continue
+        expected = restrict(h, comp)
+        got = trimmed_restriction(h)
+        assert got.sites == expected.sites
+        np.testing.assert_array_equal(got.matrix, expected.matrix)
+    ens = EnsembleSpec(box, mask, Uniform(), 50.0, samples=2)
+    if any(s not in mask for s in box.sites()):
+        with pytest.raises(ValueError, match="Gamma = Full"):
+            am_contraction_check(ens, 15.0, 0.5, RHO, 2.5)
+    else:
+        full = EnsembleSpec(box, FullMask(), Uniform(), 50.0, samples=2)
+        expected = am_contraction_check(full, 15.0, 0.5, RHO, 2.5)
+        assert am_contraction_check(ens, 15.0, 0.5, RHO, 2.5) == expected
+    offenders = [
+        s for s in box.sites() if box.is_boundary_site(s) and s not in mask
+    ]
+    if offenders:
+        with pytest.raises(ValueError) as exc:
+            wegner_uniform_bound_probe(ens, [1.0], [0.1], 0.5)
+        assert str(exc.value) == f"inner boundary site {offenders[0]} is outside Gamma"
+    else:
+        assert len(wegner_uniform_bound_probe(ens, [1.0], [0.1], 0.5)["rows"]) == 1

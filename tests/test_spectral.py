@@ -289,3 +289,31 @@ def test_combes_thomas_insufficient_range():
     ham = assemble(make_box(1, (0,), (4,)), FullMask(), None, 0.0, None)
     with pytest.raises(ValueError, match="insufficient range"):
         combes_thomas_rate(ham, -1.0, (2,))
+
+
+def _green_with_identity(m: np.ndarray, z: complex) -> np.ndarray:
+    # the expression `green` used before it subtracted z in place
+    return np.linalg.inv(m.astype(complex) - complex(z) * np.eye(m.shape[-1]))
+
+
+@pytest.mark.parametrize(
+    "z",
+    [0.3, -0.7, 0.0, -0.0, 1 + 0.5j, 1 - 0.5j, -1 + 0.5j, -1 - 0.5j,
+     complex(-0.0, 0.2), complex(0.5, -0.0)],
+)
+def test_green_in_place_shift_is_bitwise_identical(z):
+    ham = _random_ham(3, n=5)
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=9) + 1j * rng.random(9)
+    matrices = [
+        ham.matrix,
+        np.stack([ham.matrix, 0.5 * ham.matrix, ham.matrix + 1.0]),
+        -ham.matrix,  # off-diagonal -0.0 entries
+        hedgehog_assemble(_random_ham(4, n=3, g=0.0), u).matrix,  # complex
+        np.array([[-0.0, 1.0], [1.0, -0.0]]),
+    ]
+    for m in matrices:
+        expected = _green_with_identity(m, z)
+        got = green(m, z).entries
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
