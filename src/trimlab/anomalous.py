@@ -22,8 +22,10 @@ from .lattice import (
     LatticeBox,
     Site,
     SublatticeMask,
-    ball,
+    boundary,
+    components,
     l1_distances,
+    mask_vector,
     neighbors,
 )
 from .operators import HamiltonianMatrix, assemble, restrict
@@ -75,9 +77,7 @@ def compact_eigenfunctions(
     if full_mult == 0:
         raise ValueError(f"lambda = {lam} is not an eigenvalue of the operator")
     eig_basis = sd.eigenvectors[:, sel]
-    gamma_rows = np.fromiter(
-        (s in mask for s in sites), dtype=bool, count=len(sites)
-    )
+    gamma_rows = mask_vector(mask, h0.box)[h0.box_index]
     if not np.any(gamma_rows):
         coeff = np.eye(full_mult)
     else:
@@ -161,25 +161,21 @@ def _gamma2_null_basis(k: int):
     mask = Gamma2Mask(k)
     l1 = 2 * k
     for l2 in range(2, 2 * k + 1, 2):
-        sites = [(i, j) for i in range(l1) for j in range(l2)]
-        comp = [s for s in sites if s not in mask]
-        if not comp:
-            continue
-        index = {s: i for i, s in enumerate(comp)}
-        rows = []
-        for y in sites:
-            if y not in mask:
-                continue
-            row = np.zeros(len(comp))
-            for axis, step in ((0, 1), (0, -1), (1, 1), (1, -1)):
-                nb = list(y)
-                nb[axis] += step
-                nb = (nb[0] % l1, nb[1] % l2)
-                if nb in index:
-                    row[index[nb]] += 1.0
-            rows.append(row)
-        basis = _null_space(np.array(rows))
+        torus = LatticeBox((0, 0), (l1 - 1, l2 - 1))
+        on = mask_vector(mask, torus).reshape(l1, l2)
+        # one row per mask site y, one column per complement site (its rank
+        # in index order); (1, 0) is always in the complement
+        col = np.cumsum(~on).reshape(l1, l2) - 1
+        rows = np.zeros((np.count_nonzero(on), np.count_nonzero(~on)))
+        for axis in (0, 1):
+            for step in (1, -1):
+                # the torus neighbour y + step e_axis of every mask site y
+                off = ~np.roll(on, -step, axis)[on]
+                cols = np.roll(col, -step, axis)[on][off]
+                np.add.at(rows, (np.flatnonzero(off), cols), 1.0)
+        basis = _null_space(rows)
         if basis.shape[1] > 0:
+            comp = [torus.site(int(i)) for i in np.flatnonzero(~on)]
             return l1, l2, comp, basis
     raise RuntimeError(f"no periodic solution found for skew mask k = {k}")
 
@@ -211,28 +207,6 @@ def gamma2_eigenfunction(k: int, index: int = 0) -> PeriodicEigenfunction:
 # ---------------------------------------------------------------------------
 
 
-def _is_connected(sites: Sequence[Site]) -> bool:
-    pool = set(sites)
-    if not pool:
-        return False
-    seen = {next(iter(sorted(pool)))}
-    stack = list(seen)
-    while stack:
-        x = stack.pop()
-        for y in neighbors(x):
-            if y in pool and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(pool)
-
-
-def _bounding_box(sites: Sequence[Site]) -> LatticeBox:
-    dim = len(next(iter(sites)))
-    lo = tuple(min(s[i] for s in sites) for i in range(dim))
-    hi = tuple(max(s[i] for s in sites) for i in range(dim))
-    return LatticeBox(lo, hi)
-
-
 def assumption_scan(
     mask: SublatticeMask,
     x: Site,
@@ -256,19 +230,15 @@ def assumption_scan(
         cand = tuple(sorted(set(cand)))
         if x not in cand:
             raise ValueError(f"candidate does not contain the base site {x}")
-        if not _is_connected(cand):
+        if len(components(cand)) != 1:
             raise ValueError(f"candidate starting at {cand[0]} is disconnected")
-        box = _bounding_box(cand)
+        coords = np.array(cand)
+        box = LatticeBox(tuple(coords.min(0).tolist()), tuple(coords.max(0).tolist()))
         h0 = restrict(assemble(box, mask, v0, 0.0, None), cand)
-        pool = set(cand)
         dists = l1_distances([x], cand)[0]
         r_out = int(dists.max())
-        r_in = 0
-        while all(
-            s in pool
-            for s in _ball_shell(x, r_in + 1)
-        ):
-            r_in += 1
+        # the sites nearest x off B lie on its outer boundary
+        r_in = int(l1_distances([x], boundary(cand).outer).min()) - 1
         report: dict = {
             "sites": cand,
             "n_sites": len(cand),
@@ -289,7 +259,7 @@ def assumption_scan(
         except ValueError:
             gap = 0.0
         proj = point_projection(sd, lam, cluster_tol).p
-        ix = cand.index(x)
+        ix = h0.rows([x])[0]
         threshold_dist = r_in**small_c
         far = np.abs(proj[ix, dists >= threshold_dist])
         kernel_max = float(far.max(initial=0.0))
@@ -319,8 +289,3 @@ def assumption_scan(
         }
         reports.append(report)
     return reports
-
-
-def _ball_shell(x: Site, radius: int) -> list[Site]:
-    sites = ball(x, radius)
-    return [s for s, k in zip(sites, l1_distances([x], sites)[0]) if k == radius]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracmoment import DecayMetric, EnsembleSpec, _chi_sup, chi_kernel
+from .lattice import mask_vector
 from .operators import HamiltonianMatrix, hedgehog_assemble
 from .spectral import green
 
@@ -90,13 +91,12 @@ def weak_disorder_bound_check(
         raise ValueError("need 0 < s < 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    sites = tuple(ens.box.sites())
-    if any(site not in ens.mask for site in sites):
+    if not mask_vector(ens.mask, ens.box).all():
         raise ValueError("the coupling check requires disorder on every site")
     z = complex(lam, eps)
     h0 = ens.deterministic_part()
     g0 = green(h0, z).entries
-    chi0 = chi_kernel(g0, sites, rho, s).value
+    chi0 = chi_kernel(g0, ens.box.coords, rho, s).value
     g_inv_s = ens.g ** (-s)
     if g_inv_s <= c_mu * chi0:
         return {
@@ -110,7 +110,7 @@ def weak_disorder_bound_check(
     enorm = math.exp(rho.norm)
     rhs_pendant = c_mu / (g_inv_s - c_mu * chi0)
     bound = c_mu * kappa**2 * enorm**2 * chi0**2 / (g_inv_s - c_mu * chi0)
-    w_base = rho.weight_matrix(sites)
+    w_base = rho.weight_matrix(ens.box.coords)
     potentials = ens.potential(np.arange(ens.samples))
     if np.any(potentials == 0):
         raise ValueError("zero potential value; reciprocal undefined")

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracmoment import _operator_stacks
+from .fracmoment import _operator_stacks, sample_mean_stderr
 from .lattice import LatticeBox, Site, l1_distances
 from .operators import HamiltonianMatrix
 from .spectral import SpectralData, eigendecompose
@@ -57,8 +57,7 @@ def evolve(sd: SpectralData, psi0: np.ndarray, t: float) -> np.ndarray:
 
 def _distance_powers(box: LatticeBox, x: Site, p: float) -> np.ndarray:
     """||x - y||^p over the box sites y in index order (0^0 = 1)."""
-    coords = np.indices(box.shape).reshape(box.dim, -1).T + np.array(box.lo)
-    return l1_distances(coords, [x])[:, 0].astype(float) ** p
+    return l1_distances(box.coords, [x])[:, 0].astype(float) ** p
 
 
 class _Factored:
@@ -130,15 +129,6 @@ def dynamics_samples(
         sd = eigendecompose(h)
         rows += map(row, sd.eigenvalues, sd.eigenvectors)
     return np.array(rows)
-
-
-def sample_mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means of dynamics_samples rows and their standard errors
-    (0 for a single row)."""
-    n = len(samples)
-    if n < 2:
-        return np.mean(samples, axis=0), np.zeros(samples.shape[1])
-    return np.mean(samples, axis=0), np.std(samples, axis=0, ddof=1) / math.sqrt(n)
 
 
 def moment_Mp(target, x: Site, t: float, p: float) -> float:

@@ -12,7 +12,7 @@ import functools
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,6 +76,9 @@ class LatticeBox:
             raise ValueError("dimension must be >= 1")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError(f"empty box: lo={self.lo} hi={self.hi}")
+        # coords and indices hold int64; sites and their distances must fit
+        if any(abs(c) >= 2**62 for c in self.lo + self.hi):
+            raise ValueError("box coordinates must lie strictly within +-2**62")
 
     @property
     def dim(self) -> int:
@@ -98,25 +101,34 @@ class LatticeBox:
         """Row-major (lexicographic) index of a contained site."""
         if site not in self:
             raise KeyError(f"site {site} not in box [{self.lo}, {self.hi}]")
-        idx = 0
-        for s, a, n in zip(site, self.lo, self.shape):
-            idx = idx * n + (s - a)
-        return idx
+        return int(self.indices([site])[0])
+
+    def indices(self, sites: Sequence[Site] | np.ndarray) -> np.ndarray:
+        """Row-major indices of sites (tuples or an (m, dim) array), -1 for
+        a site outside the box."""
+        c = np.asarray(sites, dtype=np.int64).reshape(-1, self.dim)
+        if len(c) != len(sites):
+            raise ValueError(f"sites are not {self.dim}-dimensional")
+        c = c - self.lo
+        idx = np.ravel_multi_index(tuple(c.T), self.shape, mode="clip")
+        return np.where(np.all((c >= 0) & (c < self.shape), axis=1), idx, -1)
+
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        """Read-only (size, dim) coordinates of the sites, in index order."""
+        c = np.indices(self.shape).reshape(self.dim, -1).T + np.array(self.lo)
+        c.flags.writeable = False
+        return c
 
     def site(self, idx: int) -> Site:
         """Inverse of index()."""
         if not 0 <= idx < self.size:
             raise KeyError(f"index {idx} out of range 0..{self.size - 1}")
-        coords = []
-        for n in reversed(self.shape):
-            coords.append(idx % n)
-            idx //= n
-        return tuple(a + c for a, c in zip(self.lo, reversed(coords)))
+        return tuple(self.coords[idx].tolist())
 
     def sites(self) -> Iterator[Site]:
         """All sites in index (lexicographic) order."""
-        for offs in product(*(range(n) for n in self.shape)):
-            yield tuple(a + o for a, o in zip(self.lo, offs))
+        return map(tuple, self.coords.tolist())
 
     def is_boundary_site(self, site: Site) -> bool:
         return any(
@@ -417,17 +429,13 @@ def boundary(sites: Sequence[Site] | set) -> BoundaryData:
     return BoundaryData(tuple(edges), inner, outer)
 
 
-def components_of_complement(
-    mask: SublatticeMask, window: LatticeBox
-) -> list[tuple[Site, ...]]:
-    """Connected components of Gamma^c inside the window, each sorted.
-
-    Components are ordered by their smallest site.
-    """
-    complement = {s for s in window.sites() if s not in mask}
+def components(sites: Iterable[Site]) -> list[tuple[Site, ...]]:
+    """Nearest-neighbour connected components of a finite site set, each
+    sorted, ordered by their smallest site."""
+    pool = set(sites)
     seen: set[Site] = set()
     comps = []
-    for start in sorted(complement):
+    for start in sorted(pool):
         if start in seen:
             continue
         comp = []
@@ -437,12 +445,19 @@ def components_of_complement(
             x = queue.popleft()
             comp.append(x)
             for y in neighbors(x):
-                if y in complement and y not in seen:
+                if y in pool and y not in seen:
                     seen.add(y)
                     queue.append(y)
         comps.append(tuple(sorted(comp)))
-    comps.sort()
     return comps
+
+
+def components_of_complement(
+    mask: SublatticeMask, window: LatticeBox
+) -> list[tuple[Site, ...]]:
+    """Connected components of Gamma^c inside the window (`components`)."""
+    off = window.coords[~mask_vector(mask, window)]
+    return components(map(tuple, off.tolist()))
 
 
 @dataclass(frozen=True)

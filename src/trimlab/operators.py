@@ -7,6 +7,7 @@ entries leaving the region are dropped.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +39,25 @@ class HamiltonianMatrix:
         if self.sites is not None:
             return self.sites
         return tuple(self.box.sites())
+
+    @functools.cached_property
+    def box_index(self) -> np.ndarray:
+        """Box index of the site of each row."""
+        if self.sites is None:
+            return np.arange(self.box.size)
+        return self.box.indices(self.sites)
+
+    def rows(self, sites: Sequence[Site]) -> np.ndarray:
+        """Row of each given site; ValueError for a site outside the region."""
+        # row by box index, -1 for none; the last slot serves box index -1,
+        # a site outside the box
+        row_of = np.full(self.box.size + 1, -1)
+        row_of[self.box_index] = np.arange(self.n)
+        rows = row_of[self.box.indices(sites)]
+        if np.any(rows < 0):
+            site = sites[int(np.argmax(rows < 0))]
+            raise ValueError(f"site {site} not in the operator's region")
+        return rows
 
 
 def resolve_v0(v0, box: LatticeBox) -> np.ndarray:
@@ -100,8 +120,7 @@ def restrict(ham: HamiltonianMatrix, sites: Sequence[Site]) -> HamiltonianMatrix
     """Coordinate-projection restriction to a subset of the operator's sites
     (which may itself be a restriction)."""
     sites = tuple(sorted(sites))
-    pos = {s: i for i, s in enumerate(ham.site_list())}
-    idx = [pos[s] for s in sites]
+    idx = ham.rows(sites)
     sub = ham.matrix[np.ix_(idx, idx)]
     return HamiltonianMatrix(
         ham.box,
@@ -116,13 +135,11 @@ def restrict(ham: HamiltonianMatrix, sites: Sequence[Site]) -> HamiltonianMatrix
 
 def trimmed_restriction(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     """H_Gamma = P_{Gamma^c} H P_{Gamma^c}* on the disorder-free sites."""
-    sites = ham.site_list()
-    box_idx = slice(None) if ham.sites is None else [ham.box.index(s) for s in sites]
-    off_gamma = ~mask_vector(ham.mask, ham.box)[box_idx]
-    comp = [sites[i] for i in np.flatnonzero(off_gamma)]
-    if not comp:
+    off_gamma = ~mask_vector(ham.mask, ham.box)[ham.box_index]
+    if not off_gamma.any():
         raise ValueError("empty complement: Gamma covers the whole region")
-    return restrict(ham, comp)
+    sites = ham.site_list()
+    return restrict(ham, [sites[i] for i in np.flatnonzero(off_gamma)])
 
 
 @dataclass(frozen=True)

@@ -191,17 +191,14 @@ def fold_complement(
 
 
 def _index_split(ham: HamiltonianMatrix, x_sites: Sequence[Site]):
-    sites = ham.site_list()
-    pos = {s: i for i, s in enumerate(sites)}
+    """X (sorted), its rows, X^c (in row order) and its rows."""
     xs = sorted(set(x_sites))
-    for s in xs:
-        if s not in pos:
-            raise ValueError(f"site {s} not in the operator's region")
-    inside = set(xs)
-    ix = [pos[s] for s in xs]
-    xc = [s for s in sites if s not in inside]
-    ixc = [pos[s] for s in xc]
-    return xs, ix, xc, ixc
+    ix = ham.rows(xs)
+    in_x = np.zeros(ham.n, dtype=bool)
+    in_x[ix] = True
+    ixc = np.flatnonzero(~in_x)
+    sites = ham.site_list()
+    return xs, ix, [sites[i] for i in ixc], ixc
 
 
 def schur_green(ham: HamiltonianMatrix, x_sites: Sequence[Site], z: complex):
@@ -211,7 +208,7 @@ def schur_green(ham: HamiltonianMatrix, x_sites: Sequence[Site], z: complex):
     xs, ix, xc, ixc = _index_split(ham, x_sites)
     a = m.astype(complex) - z * np.eye(m.shape[0])
     axx = a[np.ix_(ix, ix)]
-    if not ixc:
+    if not ixc.size:
         return xs, np.linalg.inv(axx)
     axc = a[np.ix_(ix, ixc)]
     acx = a[np.ix_(ixc, ix)]
@@ -318,13 +315,10 @@ def combes_thomas_rate(ham: HamiltonianMatrix, z: complex, x0: Site) -> dict:
     excluded; boundary effects contaminate the asymptotic rate there.
     """
     g = green(ham, z).entries
-    sites = ham.site_list()
-    if x0 not in sites:
-        raise ValueError(f"site {x0} not in the operator's region")
     box = ham.box
-    coords = np.array(sites)
+    coords = box.coords[ham.box_index]
     dist = l1_distances([x0], coords)[0]
-    val = np.abs(g[sites.index(x0)])
+    val = np.abs(g[ham.rows([x0])[0]])
     keep = (
         (dist >= 2)
         & np.all(coords - np.array(box.lo) >= 2, axis=1)

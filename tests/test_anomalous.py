@@ -11,7 +11,13 @@ from trimlab.anomalous import (
     gamma1_eigenfunction,
     gamma2_eigenfunction,
 )
-from trimlab.lattice import FullMask, Gamma1Mask, Gamma2Mask, make_box
+from trimlab.lattice import (
+    FullMask,
+    Gamma1Mask,
+    Gamma2Mask,
+    ball,
+    make_box,
+)
 from trimlab.operators import assemble
 
 
@@ -133,6 +139,34 @@ def test_assumption_scan_rejects_disconnected():
             big_c=2.0,
             small_c=0.5,
         )
+
+
+def _radii_loop(x, cand):
+    # the shell-by-shell scan of the inner radius that assumption_scan
+    # replaced: R grows while the whole l1 sphere of radius R + 1 lies in B
+    def dist(s):
+        return sum(abs(a - b) for a, b in zip(x, s))
+
+    pool, r_in = set(cand), 0
+    while all(s in pool for s in ball(x, r_in + 1) if dist(s) == r_in + 1):
+        r_in += 1
+    return r_in, max(dist(s) for s in cand)
+
+
+@pytest.mark.parametrize(
+    "x, cand",
+    [
+        ((0, 0), ball((0, 0), 4)),
+        ((1, 0), ball((0, 0), 4)),
+        ((3, 3), list(make_box(2, (1, 1), (7, 5)).sites())),
+        ((2, 2), [s for s in ball((0, 0), 5) if s != (3, 0)]),
+        ((0, 0), list(make_box(2, (-3, -3), (3, 0)).sites()) + [(0, 1), (0, 2)]),
+        ((0, 0, 0), ball((0, 0, 0), 2)),
+    ],
+)
+def test_assumption_scan_radii_match_shell_scan(x, cand):
+    rep = assumption_scan(FullMask(), x, 4.0, [cand], big_c=2.0, small_c=0.5)[0]
+    assert (rep["R"], rep["R_out"]) == _radii_loop(x, cand)
 
 
 def test_trimmed_spectrum_matches_anomalous_energy():

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from trimlab.cli import _parse_box, emit, main
+from trimlab.cli import _fmt, _parse_box, emit, main
 
 
 def run_cli(args):
@@ -69,6 +73,11 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gg": 2.0}))
     assert run_cli(["localize", "--config", str(cfg)]) == 2
+
+
+def test_box_beyond_int64_coordinates_exits_2(tmp_path):
+    box = "10000000000000000000..10000000000000000004,0..4"
+    assert run_cli(["lattice-info", "--box", box, "--out", str(tmp_path)]) == 2
 
 
 def test_malformed_gamma_exits_2(tmp_path):
@@ -234,6 +243,19 @@ def test_emit_quotes_fields_with_commas(tmp_path):
     )
 
 
+def test_one_sample_stderr_is_inf_in_dynamics_and_localize(tmp_path):
+    # one realization has no standard error: every experiment prints inf
+    common = ["--box", "1..3,1..3", "--samples", "1", "--epsilon", "0.1,0.01"]
+    for experiment in ("dynamics", "localize"):
+        assert run_cli([experiment, *common, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / f"{experiment}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # dynamics' Laplace row (t = -1) carries its verdict, not an error
+        errors = [row["stderr"] for row in rows if row.get("t", "") != _fmt(-1.0)]
+        assert len(errors) == (6 if experiment == "dynamics" else 2)
+        assert set(errors) == {"inf"}
+
+
 def test_dynamics_run_matches_library(tmp_path):
     from trimlab.disorder import spec_from_descriptor
     from trimlab.dynamics import laplace_moment_check, moment_Mp, pmoment_probe
@@ -396,9 +418,10 @@ def test_couple_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_solves_g_and_g_off_x_once_per_trial(tmp_path, monkeypatch):
-    # G_z[H] and G_z[A_X] feed the Schur, resolvent and kernel checks:
-    # 3 solves per trial there (with kernel_K's); the hedgehog checks add
-    # G_z[H(0)] once and 3 solves for each of their two potentials
+    # G_z[H] and G_z[A_X] feed the Schur, resolvent and kernel checks, and
+    # the kernel identity solves G_z[gV|_G - D - K] (kernel_K reads its fold
+    # off an eigendecomposition): 3 solves per trial there; the hedgehog
+    # checks add G_z[H(0)] once and 3 solves for each of their two potentials
     from trimlab import coupling, fracmoment, spectral
     import trimlab.cli as cli
 
@@ -413,3 +436,48 @@ def test_verify_solves_g_and_g_off_x_once_per_trial(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "green", counting)
     assert run_cli(["verify", "--box", "1..4,1..4", "--out", str(tmp_path)]) == 0
     assert len(calls) <= 5 * 10
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ZeroDivisionError("z equals the potential"),
+        RuntimeError("3 resamples exceed the 1 budget"),
+        OSError("disk full"),
+        ValueError("singular matrix"),
+    ],
+)
+def test_numeric_and_io_family_exits_3(tmp_path, monkeypatch, capsys, error):
+    import trimlab.cli as cli
+
+    def failing(config):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "verify", failing)
+    assert run_cli(["verify", "--out", str(tmp_path)]) == 3
+    assert f"{type(error).__name__}: {error}" in capsys.readouterr().err
+
+
+def test_unexpected_exception_keeps_traceback_and_exits_1(tmp_path):
+    # only the numeric and I/O family exits 3; any other exception is a bug
+    import trimlab.cli as cli
+
+    script = (
+        "import sys, trimlab.cli as cli\n"
+        "def broken(config):\n"
+        "    raise TypeError('a bug, not a numeric failure')\n"
+        "cli._RUNNERS['verify'] = broken\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--out", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "TypeError: a bug" in proc.stderr
+    assert not (tmp_path / "verify.csv").exists()

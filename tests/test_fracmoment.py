@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from trimlab.anomalous import SUPPORT_TOL, _null_space, compact_eigenfunctions
+from trimlab.coupling import weak_disorder_bound_check
 from trimlab.disorder import BernoulliMixture, Uniform
 from trimlab.fracmoment import (
     DecayMetric,
@@ -20,6 +22,7 @@ from trimlab.fracmoment import (
     loc1_threshold,
     mc_fractional_moment,
     wegner_count,
+    wegner_preconditions,
     wegner_uniform_bound_probe,
 )
 from trimlab.lattice import (
@@ -353,6 +356,17 @@ def test_restriction_and_gamma_checks_read_gamma_as_arrays(mask):
     box = ARRAY_BOX
     ham = assemble(box, mask, None, 0.0, None)
     sub = restrict(ham, [s for s in box.sites() if s[0] <= 3])
+    corner = restrict(sub, [s for s in sub.site_list() if s[1] <= 3])
+    for h in (ham, sub, corner):
+        # compact_eigenfunctions: the Gamma rows of the eigenbasis, on the
+        # box and on restrictions, against per-site membership
+        vals, vecs = np.linalg.eigh(h.matrix)
+        gamma_rows = [s in mask for s in h.site_list()]
+        for lam in vals:
+            eig_basis = vecs[:, np.abs(vals - lam) <= 1e-9]
+            coeff = _null_space(eig_basis[gamma_rows], rcond=SUPPORT_TOL)
+            got = compact_eigenfunctions(h, mask, lam)
+            np.testing.assert_array_equal(got.basis, eig_basis @ coeff)
     for h in (ham, sub):
         comp = [s for s in h.site_list() if s not in mask]
         if not comp:
@@ -367,10 +381,27 @@ def test_restriction_and_gamma_checks_read_gamma_as_arrays(mask):
     if any(s not in mask for s in box.sites()):
         with pytest.raises(ValueError, match="Gamma = Full"):
             am_contraction_check(ens, 15.0, 0.5, RHO, 2.5)
+        with pytest.raises(ValueError, match="disorder on every site"):
+            weak_disorder_bound_check(ens, 1.0, 0.1, 0.5, RHO, 1.0)
     else:
         full = EnsembleSpec(box, FullMask(), Uniform(), 50.0, samples=2)
         expected = am_contraction_check(full, 15.0, 0.5, RHO, 2.5)
         assert am_contraction_check(ens, 15.0, 0.5, RHO, 2.5) == expected
+        expected = weak_disorder_bound_check(full, 1.0, 0.1, 0.5, RHO, 1e-3)
+        assert expected["applicable"]
+        assert weak_disorder_bound_check(ens, 1.0, 0.1, 0.5, RHO, 1e-3) == expected
+    # wegner_preconditions: Gamma mass of every lambda-eigenvector
+    h0 = ens.deterministic_part()
+    vals, vecs = np.linalg.eigh(h0.matrix)
+    for lam in vals:
+        ker = vecs[:, np.abs(vals - lam) <= 1e-9]
+        masses = [eigenvector_gamma_mass(phi, mask, h0.site_list()) for phi in ker.T]
+        bad = [m for m in masses if m > 1e-8]
+        if bad:
+            with pytest.raises(ValueError, match=f"has Gamma mass {bad[0]:.3g}"):
+                wegner_preconditions(ens, lam, [])
+        else:
+            assert wegner_preconditions(ens, lam, [])["mult"] == ker.shape[1]
     offenders = [
         s for s in box.sites() if box.is_boundary_site(s) and s not in mask
     ]

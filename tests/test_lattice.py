@@ -18,6 +18,7 @@ from trimlab.lattice import (
     PeriodicCellMask,
     ball,
     boundary,
+    components,
     components_of_complement,
     is_doubly_insulated,
     l1_distances,
@@ -73,6 +74,14 @@ def test_box_basics():
         make_box(2, (3, 3), (1, 1))
 
 
+def test_box_coordinates_must_fit_int64():
+    make_box(2, (-(2**62) + 1, 0), (2**62 - 1, 0))
+    bad = [((0, 0), (2**62, 0)), ((-(2**62), 0), (0, 0)), ((10**19,), (10**19,))]
+    for lo, hi in bad:
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            make_box(len(lo), lo, hi)
+
+
 @given(st.integers(0, 11))
 def test_box_index_roundtrip(idx):
     box = make_box(2, (1, 1), (3, 4))
@@ -84,6 +93,27 @@ def test_box_index_order_is_lexicographic():
     sites = list(box.sites())
     assert sites == sorted(sites)
     assert [box.index(s) for s in sites] == list(range(9))
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [((-3,), (4,)), ((1, -2), (3, 4)), ((0, 0, 0), (2, 1, 3))]
+)
+def test_box_coords_and_indices_match_site_order(lo, hi):
+    box = make_box(len(lo), lo, hi)
+    sites = list(box.sites())
+    assert box.coords.tolist() == [list(s) for s in sites]
+    assert not box.coords.flags.writeable
+    assert box.indices(sites).tolist() == [box.index(s) for s in sites]
+    assert box.indices(box.coords[::-1]).tolist() == list(range(box.size))[::-1]
+    outside = [
+        tuple(a - 1 for a in lo),
+        tuple(b + 1 for b in hi),
+        (*lo[:-1], hi[-1] + 1),
+    ]
+    assert box.indices(outside).tolist() == [-1, -1, -1]
+    assert box.indices([]).tolist() == []
+    with pytest.raises(ValueError):
+        box.indices([(*lo, 0), (*hi, 0)])
 
 
 def test_gamma1_membership():
@@ -259,6 +289,53 @@ def test_l1_distances_empty_and_mismatch():
     assert l1_distances([(0, 0)], []).shape == (1, 0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         l1_distances([(0, 0)], [(0,)])
+
+
+def _components_loop(mask, window):
+    # the per-site membership scan and breadth-first search that
+    # components_of_complement replaced
+    complement = {s for s in window.sites() if s not in mask}
+    seen, comps = set(), []
+    for start in sorted(complement):
+        if start in seen:
+            continue
+        comp, queue = [], [start]
+        seen.add(start)
+        while queue:
+            x = queue.pop(0)
+            comp.append(x)
+            for y in neighbors(x):
+                if y in complement and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        comps.append(tuple(sorted(comp)))
+    return sorted(comps)
+
+
+@pytest.mark.parametrize(
+    "descriptor, lo, hi",
+    [
+        ("gamma1:2,2", (1, 1), (7, 7)),
+        ("gamma2:3", (-1, 0), (8, 7)),
+        ("cell:3x3:001001111", (-1, 0), (8, 7)),
+        ("cell:2:10", (-5,), (6,)),
+        ("bernoulli:0.5:3", (-1, 0), (8, 7)),
+        ("bernoulli:0.4:1", (0, 0, 0), (3, 3, 2)),
+        ("bernoulli:1.0:2", (0, 0), (3, 3)),
+        ("full", (0,), (9,)),
+    ],
+)
+def test_components_of_complement_matches_loop(descriptor, lo, hi):
+    mask, window = mask_from_descriptor(descriptor), make_box(len(lo), lo, hi)
+    assert components_of_complement(mask, window) == _components_loop(mask, window)
+
+
+def test_components_of_site_sets():
+    assert components([]) == []
+    assert components([(0, 1), (0, 0), (5, 5), (1, 1)]) == [
+        ((0, 0), (0, 1), (1, 1)),
+        ((5, 5),),
+    ]
 
 
 def _insulation_loop(mask, window):

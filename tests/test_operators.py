@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,26 @@ def test_restrict_of_a_restriction():
     np.testing.assert_array_equal(twice.matrix, once.matrix)
     np.testing.assert_array_equal(twice.v, once.v)
     assert twice.sites == once.sites
+
+
+def test_row_lookup_of_whole_box_and_restrictions():
+    box = make_box(2, (0, 0), (3, 2))
+    ham = assemble(box, FullMask())
+    sub = restrict(ham, [(3, 2), (0, 0), (2, 1), (1, 1)])
+    inner = restrict(sub, [(2, 1), (3, 2)])
+    assert ham.rows([(3, 2), (0, 1)]).tolist() == [box.index((3, 2)), 1]
+    assert sub.rows([(3, 2), (0, 0), (1, 1)]).tolist() == [3, 0, 1]
+    assert inner.rows([(3, 2)]).tolist() == [1]
+    assert sub.box_index.tolist() == [box.index(s) for s in sub.site_list()]
+    assert ham.rows([]).tolist() == []
+    for h, site in ((ham, (4, 0)), (ham, (0, -1)), (sub, (0, 1)), (inner, (0, 0))):
+        message = re.escape(f"site {site} not in the operator's region")
+        with pytest.raises(ValueError, match=message):
+            h.rows([h.site_list()[0], site])  # names the outside site
+        with pytest.raises(ValueError, match=message):
+            restrict(h, [site])
+    with pytest.raises(ValueError, match="2-dimensional"):
+        ham.rows([(0, 0, 0), (1, 1, 1)])
 
 
 def test_hedgehog_structure():
