@@ -55,7 +55,7 @@ from .lattice import (
     mask_vector,
     relative_density,
 )
-from .operators import DENSE_LIMIT, assemble, resolve_v0, trimmed_restriction
+from .operators import DENSE_LIMIT, resolve_v0
 from .spectral import (
     green,
     off_x_green,
@@ -246,14 +246,12 @@ def _run_verify(config: dict):
     def record(check, residual):
         rows.append([check, residual, IDENTITY_TOL, residual <= IDENTITY_TOL])
 
-    box, mask = ens.box, ens.mask
+    box, h0 = ens.box, ens.split.h0
     # X: the first half of the box sites, the first n_x rows of H
     n_x = max(1, box.size // 2)
     x_sites = list(box.sites())[:n_x]
-    trimmed = not mask_vector(mask, box).all()
     for trial in range(5):
-        v = ens.potential(trial)
-        ham = assemble(box, mask, ens.v0, ens.g, v)
+        ham = ens.realization(trial)
         z = complex(rng.normal(), 0.3 + rng.random())
         _, schur = schur_green(ham, x_sites, z)
         g = green(ham, z).entries
@@ -264,11 +262,8 @@ def _run_verify(config: dict):
                 f"resolvent-{case}[{trial}]",
                 resolvent_identity_residual(ham, x_sites, z, case, g, gx),
             )
-        if trimmed:
-            record(
-                f"kernel[{trial}]", kernel_identity_residual(ens, z, trial, g)
-            )
-        h0 = ens.deterministic_part()
+        if ens.split.comp.size:
+            record(f"kernel[{trial}]", kernel_identity_residual(ens, z, trial, g))
         g0 = green(h0, z).entries
         u_real = rng.normal(size=box.size)
         u_cplx = u_real + 1j * rng.random(box.size)
@@ -334,24 +329,15 @@ def _run_wegner(config: dict):
 
 def _run_anomalous(config: dict):
     ens, _ = _resolved(config)
-    mask = ens.mask
-    rows = []
-    h0 = ens.deterministic_part()
+    mask, split = ens.mask, ens.split
     try:
-        rep = compact_eigenfunctions(h0, mask, config["energy"])
-        rows.append(
-            [
-                "compact",
-                config["energy"],
-                rep.full_mult,
-                rep.supported_dim,
-                rep.assumption3,
-            ]
-        )
+        rep = compact_eigenfunctions(split.h0, mask, config["energy"])
+        found = [rep.full_mult, rep.supported_dim, rep.assumption3]
     except ValueError:
-        rows.append(["compact", config["energy"], 0, 0, False])
-    if not mask_vector(mask, ens.box).all():
-        spectrum = np.linalg.eigvalsh(trimmed_restriction(h0).matrix)
+        found = [0, 0, False]
+    rows = [["compact", config["energy"], *found]]
+    if split.comp.size:
+        spectrum = split.sd.eigenvalues
         for lam in sorted(set(np.round(spectrum, 10))):
             mult = int(np.sum(np.abs(spectrum - lam) < 1e-9))
             rows.append(["trimmed-spectrum", float(lam), mult, 0, True])
@@ -395,7 +381,7 @@ def _run_couple(config: dict):
     ens, rho = _resolved(config)
     rng = np.random.default_rng(config["seed"])
     rows = []
-    h0 = ens.deterministic_part()
+    h0 = ens.split.h0
     z = complex(config["energy"], max(config["epsilon"][0], 1e-6))
     for tag, u in (
         ("real", rng.normal(size=ens.box.size)),

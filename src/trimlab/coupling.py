@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracmoment import DecayMetric, EnsembleSpec, _chi_sup, chi_kernel
-from .lattice import mask_vector
 from .operators import HamiltonianMatrix, hedgehog_assemble
 from .spectral import green
 
@@ -91,10 +90,10 @@ def weak_disorder_bound_check(
         raise ValueError("need 0 < s < 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not mask_vector(ens.mask, ens.box).all():
+    if ens.split.comp.size:
         raise ValueError("the coupling check requires disorder on every site")
     z = complex(lam, eps)
-    h0 = ens.deterministic_part()
+    h0 = ens.split.h0
     g0 = green(h0, z).entries
     chi0 = chi_kernel(g0, ens.box.coords, rho, s).value
     g_inv_s = ens.g ** (-s)

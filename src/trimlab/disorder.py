@@ -3,9 +3,11 @@
 Sampling is counter-based: every draw is a pure function of
 (distribution, master seed, site index, sample index), so ensemble
 averages are reproducible under any scheduling of the work.  Each
-sample index keys one Philox4x64-10 stream.  Blocks of samples are drawn
-by the vectorised kernel `lattice.philox_uniforms`, bit-identical to
-numpy's `Philox` generator, which stays the reference (`draw_vector`).
+sample index keys one Philox4x64-10 stream.  Every potential, of one
+sample or of a block, is drawn by the vectorised kernel
+`lattice.philox_uniforms`, bit-identical to numpy's `Philox` generator,
+which stays the reference the tests compare against (`draw_vector`,
+`draw`).
 """
 
 from __future__ import annotations
@@ -242,19 +244,15 @@ class SampleStream:
     spec: DisorderSpec
     master_seed: int
 
-    def _uniform_block(self, n_sites: int, sample_index: int) -> np.ndarray:
-        gen = np.random.Generator(
-            np.random.Philox(key=_stream_key(self.master_seed, sample_index))
-        )
-        k = self.spec.draws_per_sample
-        return gen.random(n_sites * k).reshape(n_sites, k)
-
     def draw_vector(self, n_sites: int, sample_index: int) -> np.ndarray:
         """Draws for site indices 0..n_sites-1 of one disorder realization.
 
         Uses numpy's own Philox generator: the reference for draw_block.
         """
-        return self.spec.from_uniform(self._uniform_block(n_sites, sample_index))
+        key = _stream_key(self.master_seed, sample_index)
+        k = self.spec.draws_per_sample
+        u = np.random.Generator(np.random.Philox(key=key)).random(n_sites * k)
+        return self.spec.from_uniform(u.reshape(n_sites, k))
 
     def draw(self, site_index: int, sample_index: int) -> float:
         """Single draw; identical to draw_vector(...)[site_index]."""
@@ -286,14 +284,12 @@ def sample_potential(
 ) -> np.ndarray:
     """Potential vector on the box: mu-distributed on Gamma, zero off it.
 
-    A sequence of sample indices gives one row per index.
+    A sequence of sample indices gives one row per index; both shapes
+    draw through `SampleStream.draw_block`.
     """
-    if np.ndim(sample_index):
-        v = stream.draw_block(box.size, sample_index)
-    else:
-        v = stream.draw_vector(box.size, sample_index)
-    v[..., ~mask_vector(mask, box)] = 0.0
-    return v
+    v = stream.draw_block(box.size, np.ravel(sample_index))
+    v[:, ~mask_vector(mask, box)] = 0.0
+    return v.reshape(*np.shape(sample_index), box.size)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +305,7 @@ def regularity_check(spec: DisorderSpec, n: int, seed: int) -> dict:
     """
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
-    v = SampleStream(spec, seed).draw_vector(n, 0)
+    v = SampleStream(spec, seed).draw_block(n, [0])[0]
     alpha = spec.declared_alpha
     lo = min(a for a, _ in spec.support)
     hi = max(b for _, b in spec.support)

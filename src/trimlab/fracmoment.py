@@ -15,12 +15,19 @@ only the |Gamma|-sized blocks; its consumers reduce the resulting
 `mc_chi_green_sweep` factors each realization once and reads every z
 off its spectrum, as the Wegner statistics and `dynamics` do for every
 eps or t.
+
+H(0) is built once per ensemble: `EnsembleSpec.split` caches a
+`TrimmedSplit` (H(0), the Gamma/Gamma^c indices and sites, the eigenpairs
+of H(0)|_{Gamma^c}) for the kernel K, the identity checks and the
+deterministic side of every other check.  The engine folds a transient
+H(0) instead, since holding one for the run raises its peak RSS.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,6 +136,11 @@ class EnsembleSpec:
     def deterministic_part(self) -> HamiltonianMatrix:
         return assemble(self.box, self.mask, self.v0, 0.0, None)
 
+    @functools.cached_property
+    def split(self) -> TrimmedSplit:
+        """H(0) and its split along Gamma, built on first use and kept."""
+        return trimmed_split(self.box, self.mask, self.v0)
+
 
 class ResampleBudgetExceeded(RuntimeError):
     pass
@@ -227,6 +239,7 @@ def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
     gamma, comp = _fold_indices(ens, z)
     fold = None
     if comp.size:
+        # not ens.split: holding H(0) for the run, or R off split.sd, raises peak RSS
         fold = fold_complement(ens.deterministic_part().matrix, gamma, comp, z)
     total, used = ens.samples, 0
     for idx, _, h, redraw in _operator_stacks(ens, None if fold is None else gamma):
@@ -426,9 +439,9 @@ def am_contraction_check(
     and the only form its own applicability condition keeps positive.
     Requires full potential support (every box site random).
     """
-    if not mask_vector(ens.mask, ens.box).all():
+    if ens.split.comp.size:
         raise ValueError("contraction check requires Gamma = Full on the box")
-    a = ens.deterministic_part().matrix
+    a = ens.split.h0.matrix
     a_off = a - np.diag(np.diag(a))
     chi_off = chi_kernel(a_off, ens.box.coords, rho, s).value
     gs = ens.g**s
@@ -503,60 +516,68 @@ def chi_resolvent_inequalities(
 # ---------------------------------------------------------------------------
 
 
-def _trimmed_split(mask: SublatticeMask, box: LatticeBox, v0):
-    """H(0) on the box, the box indices of Gamma and of Gamma^c, and the
-    eigenpairs of H(0)|_{Gamma^c} (None for an empty Gamma^c)."""
-    h0 = assemble(box, mask, v0, 0.0, None).matrix
+@dataclass(frozen=True)
+class TrimmedSplit:
+    """What no sample changes: H(0) with read-only arrays, the box indices
+    of Gamma and Gamma^c, the Gamma sites in index order and, computed on
+    first use, the eigenpairs `sd` of the trimmed restriction."""
+
+    h0: HamiltonianMatrix
+    gamma: np.ndarray
+    comp: np.ndarray
+    sites: tuple[Site, ...]
+
+    @functools.cached_property
+    def sd(self) -> SpectralData | None:
+        """Read-only eigenpairs of H(0)|_{Gamma^c} (None for an empty Gamma^c)."""
+        if not self.comp.size:
+            return None
+        sd = eigendecompose(self.h0.matrix[np.ix_(self.comp, self.comp)])
+        sd.eigenvalues.flags.writeable = sd.eigenvectors.flags.writeable = False
+        return sd
+
+    def kernel(self, z: complex) -> dict:
+        """`kernel_K` at z, from this split."""
+        if not self.gamma.size:
+            raise ValueError("Gamma does not meet the box")
+        z, h0, gamma, sd = complex(z), self.h0.matrix, self.gamma, self.sd
+        m = -h0[np.ix_(gamma, gamma)].astype(complex)
+        if sd is not None:
+            if z.imag == 0 and np.min(abs(sd.eigenvalues - z.real)) <= 1e-10:
+                raise SpectralParameterOnSpectrum(
+                    f"z = {z} lies on the spectrum of the trimmed restriction"
+                )
+            m += fold_complement(h0, gamma, self.comp, z, sd).s
+        d = np.diag(m).copy()
+        return {
+            "K": m - np.diag(d),
+            "D": d,
+            "sites": self.sites,
+            "trimmed_spectrum": np.array([]) if sd is None else sd.eigenvalues,
+        }
+
+
+def trimmed_split(box: LatticeBox, mask: SublatticeMask, v0) -> TrimmedSplit:
+    """H(0) on the box, split along Gamma (see `TrimmedSplit`)."""
+    h0 = assemble(box, mask, v0, 0.0, None)
     on_gamma = mask_vector(mask, box)
     gamma, comp = np.flatnonzero(on_gamma), np.flatnonzero(~on_gamma)
-    sd = eigendecompose(h0[np.ix_(comp, comp)]) if comp.size else None
-    return h0, gamma, comp, sd
+    for a in (h0.matrix, h0.v0, h0.v, gamma, comp):
+        a.flags.writeable = False
+    return TrimmedSplit(h0, gamma, comp, tuple(map(tuple, box.coords[gamma].tolist())))
 
 
-def _kernel(
-    box: LatticeBox,
-    h0: np.ndarray,
-    gamma: np.ndarray,
-    comp: np.ndarray,
-    sd: SpectralData | None,
-    z: complex,
-) -> dict:
-    """`kernel_K` from the parts `_trimmed_split` returns."""
-    if not gamma.size:
-        raise ValueError("Gamma does not meet the box")
-    z = complex(z)
-    if z.imag == 0 and sd is not None and np.min(abs(sd.eigenvalues - z.real)) <= 1e-10:
-        raise SpectralParameterOnSpectrum(
-            f"z = {z} lies on the spectrum of the trimmed restriction"
-        )
-    m = -h0[np.ix_(gamma, gamma)].astype(complex)
-    if comp.size:
-        m += fold_complement(h0, gamma, comp, z, sd).s
-    d = np.diag(m).copy()
-    return {
-        "K": m - np.diag(d),
-        "D": d,
-        "sites": tuple(box.site(int(i)) for i in gamma),
-        "trimmed_spectrum": np.array([]) if sd is None else sd.eigenvalues,
-    }
+def kernel_K(mask: SublatticeMask, box: LatticeBox, v0, z: complex) -> dict:
+    """Diagonal D and off-diagonal K of S - H(0)|_Gamma at z, where
+    S = H_{Gamma Gamma^c} G_z[H_Gamma] H_{Gamma^c Gamma} (`fold_complement`,
+    off the eigenpairs of the trimmed restriction H_Gamma = H(0)|_{Gamma^c}),
+    so that P_Gamma G_z[H] P_Gamma* = G_z[gV|_Gamma - D - K] exactly.
 
-
-def kernel_K(
-    mask: SublatticeMask,
-    box: LatticeBox,
-    v0,
-    z: complex,
-) -> dict:
-    """Kernel K and diagonal D of the Schur complement on Gamma.
-
-    D + K is the diagonal/off-diagonal split of
-    P_G Delta P_G* - V0|_G + T_G G_z[H_G] T_G* = S - H(0)|_G, so that
-    P_G G_z[H] P_G* = G_z[gV|_G - D - K] exactly in finite volume.  S is
-    the Monte Carlo engine's fold (`spectral.fold_complement`), with
-    G_z[H_G] read off the eigenpairs of the trimmed restriction H_G that
-    also give the trimmed spectrum.
+    Returns K, D, the Gamma sites and the trimmed spectrum, from a fresh
+    `trimmed_split`; a real z within 1e-10 of that spectrum raises
+    SpectralParameterOnSpectrum.
     """
-    return _kernel(box, *_trimmed_split(mask, box, v0), z)
+    return trimmed_split(box, mask, v0).kernel(z)
 
 
 def kernel_identity_residual(
@@ -564,16 +585,16 @@ def kernel_identity_residual(
 ) -> float:
     """Max-norm residual of P_G G_z[H] P_G* - G_z[gV|_G - D - K].
 
-    g = G_z[H] of the realization may be passed in when already computed.
+    D + K come from `ens.split`.  g = G_z[H] of the realization may be
+    passed in when already computed; otherwise G_z[H(0) + gV] is solved.
     """
-    kd = kernel_K(ens.mask, ens.box, ens.v0, z)
-    ham = ens.realization(sample_index)
-    idx = np.flatnonzero(mask_vector(ens.mask, ens.box))
-    g_full = green(ham, z).entries if g is None else g
-    lhs = g_full[np.ix_(idx, idx)]
-    gv = ens.g * ham.v[idx]
-    op = np.diag(gv.astype(complex)) - np.diag(kd["D"]) - kd["K"]
-    rhs = green(op, z).entries
+    split = ens.split
+    kd = split.kernel(z)
+    gv = ens.g * ens.potential(sample_index)
+    if g is None:
+        g = green(split.h0.matrix + np.diag(gv), z).entries
+    lhs = g[np.ix_(split.gamma, split.gamma)]
+    rhs = green(np.diag(gv[split.gamma] - kd["D"]) - kd["K"], z).entries
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -593,16 +614,16 @@ def loc1_threshold(
     inapplicable when lam sits within `margin` of the trimmed spectrum.
     One eigendecomposition of H_Gamma serves the margin and the kernel.
     """
-    h0, gamma, comp, sd = _trimmed_split(mask, box, v0)
-    if sd is not None:
-        dist = float(np.min(np.abs(sd.eigenvalues - lam)))
+    split = trimmed_split(box, mask, v0)
+    if split.sd is not None:
+        dist = float(np.min(np.abs(split.sd.eigenvalues - lam)))
         if dist <= margin:
             return {
                 "applicable": False,
                 "reason": f"lambda within {dist:.3g} of sigma(H_Gamma)",
                 "trimmed_spectrum_distance": dist,
             }
-    kd = _kernel(box, h0, gamma, comp, sd, lam)
+    kd = split.kernel(lam)
     chi = chi_kernel(kd["K"], kd["sites"], rho, s).value
     return {
         "applicable": True,
@@ -640,8 +661,7 @@ def wegner_preconditions(
     names the first that fails.  Returns the multiplicity, the gap and
     an orthonormal basis of the lam-eigenspace.
     """
-    h0 = ens.deterministic_part()
-    sd = eigendecompose(h0)
+    sd = eigendecompose(ens.split.h0)
     gm = gap_and_mult(sd, lam, cluster_tol)
     mult, gap = gm["mult"], gm["gap"]
     if mult == 0:
@@ -650,7 +670,7 @@ def wegner_preconditions(
         if eps > gap / 3:
             raise ValueError(f"eps = {eps} exceeds gap/3 = {gap / 3:.6g}")
     ker = sd.eigenvectors[:, np.abs(sd.eigenvalues - lam) <= cluster_tol]
-    mass = np.linalg.norm(ker[mask_vector(ens.mask, ens.box)], axis=0)
+    mass = np.linalg.norm(ker[ens.split.gamma], axis=0)
     if np.any(mass > 1e-8):
         raise ValueError(
             "support precondition fails: a lambda-eigenvector of "
@@ -677,8 +697,7 @@ def wegner_count(
     eps_values = list(eps_values)
     pre = wegner_preconditions(ens, lam, eps_values, cluster_tol)
     mult, gap, ker = pre["mult"], pre["gap"], pre["ker"]
-    on_gamma = mask_vector(ens.mask, ens.box)
-    n_gamma = int(np.count_nonzero(on_gamma))
+    gamma = ens.split.gamma
     counts, checks = [], []
     for _, v, h, _ in _operator_stacks(ens):
         sd = eigendecompose(h)
@@ -694,7 +713,7 @@ def wegner_count(
                 phi = ui[:, j]
                 if ker.size and np.linalg.norm(ker.T @ phi) > 1e-8:
                     continue  # not orthogonal to Ker(H(0)|_B - lam)
-                mass = float(np.linalg.norm(phi[on_gamma]))
+                mass = float(np.linalg.norm(phi[gamma]))
                 checks.append(bool(mass >= bound - 1e-12))
     counts = np.concatenate(counts)
     s = 0.5  # reporting exponent for the comparison scaling
@@ -708,7 +727,7 @@ def wegner_count(
                 "mult": mult,
                 "gap": gap,
                 "eps": eps,
-                "bound_scale": eps**s * ens.g**s / gap ** (2 * s) * n_gamma**2,
+                "bound_scale": eps**s * ens.g**s / gap ** (2 * s) * gamma.size**2,
                 "mass_bound_checked": len(checks),
                 "mass_bound_holds": all(checks),
                 "samples": ens.samples,
@@ -760,8 +779,6 @@ def g_scaling_exponent(
     """Fit the slope of log E|G(x,x)|^s against log g (expected ~ -s)."""
     if x not in ens.mask:
         raise ValueError("the scaling site must carry disorder (x in Gamma)")
-    from dataclasses import replace
-
     points = []
     for g in g_values:
         res = mc_fractional_moment(replace(ens, g=float(g)), z, s, x, x)

@@ -9,6 +9,7 @@ potentials of `disorder`, which imports this module.
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -90,7 +91,7 @@ class LatticeBox:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def __contains__(self, site: Site) -> bool:
         return len(site) == self.dim and all(

@@ -61,13 +61,13 @@ class HamiltonianMatrix:
 
 
 def resolve_v0(v0, box: LatticeBox) -> np.ndarray:
-    """Background potential per box site from None, a number, one number
-    per site, or a callable on sites."""
+    """Background potential per box site, as a new array, from None, a
+    number, one number per site, or a callable on sites."""
     if v0 is None:
         return np.zeros(box.size)
     if callable(v0):
         return np.array([float(v0(s)) for s in box.sites()])
-    arr = np.asarray(v0, dtype=float)
+    arr = np.array(v0, dtype=float)
     if arr.ndim == 0:
         return np.full(box.size, float(arr))
     if arr.shape != (box.size,):

@@ -5,8 +5,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trimlab.cli import _fmt, _parse_box, emit, main
@@ -78,6 +80,18 @@ def test_unknown_config_key_rejected(tmp_path):
 def test_box_beyond_int64_coordinates_exits_2(tmp_path):
     box = "10000000000000000000..10000000000000000004,0..4"
     assert run_cli(["lattice-info", "--box", box, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "box", ["0..65535,0..65535,0..65535,0..65535", "0..2097152,0..2097152,0..2097152"]
+)
+def test_box_size_past_int64_exits_2_at_the_dense_limit(tmp_path, capsys, box):
+    # 2**64 and (2**21 + 1)**3 sites: a size taken modulo 2**64 read 0 and
+    # a negative number, passed the dense limit and failed after dispatch
+    args = ["verify", "--box", box, "--gamma", "full", "--out", str(tmp_path)]
+    assert run_cli(args) == 2
+    assert "over the dense limit" in capsys.readouterr().err
+    assert not (tmp_path / "verify.csv").exists()
 
 
 def test_malformed_gamma_exits_2(tmp_path):
@@ -436,6 +450,51 @@ def test_verify_solves_g_and_g_off_x_once_per_trial(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "green", counting)
     assert run_cli(["verify", "--box", "1..4,1..4", "--out", str(tmp_path)]) == 0
     assert len(calls) <= 5 * 10
+
+
+def test_verify_builds_the_deterministic_half_once(monkeypatch):
+    # the identities workload: one H(0) and one eigendecomposition of its
+    # trimmed restriction serve all five trials, beside the five realizations
+    import trimlab.cli as cli
+    from trimlab.operators import assemble
+    from trimlab.spectral import eigendecompose
+
+    calls = Counter()
+    for real in (assemble, eigendecompose):
+
+        def counting(*args, _real=real, **kwargs):
+            calls[_real.__name__] += 1
+            return _real(*args, **kwargs)
+
+        # every trimlab module that binds the function calls the counter
+        name = real.__name__
+        for module in [m for k, m in sys.modules.items() if k.startswith("trimlab")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    argv = ["verify", "--box", "1..10,1..10", "--threads", "1", "--out", "unused"]
+    cli._run_verify(cli._load_config(cli._build_parser().parse_args(argv)))
+    assert calls["assemble"] <= 6
+    assert calls["eigendecompose"] == 1
+
+
+@pytest.mark.parametrize("gamma", ["gamma1:2,2", "gamma2:3", "bernoulli:0.5:3"])
+def test_anomalous_trimmed_spectrum_matches_eigvalsh_of_the_restriction(gamma):
+    # the rows as `_run_anomalous` made them before it read the split's
+    # eigenpairs: eigvalsh of trimmed_restriction(H(0))
+    import trimlab.cli as cli
+    from trimlab.operators import trimmed_restriction
+
+    argv = ["anomalous", "--gamma", gamma, "--out", "unused"]
+    config = cli._load_config(cli._build_parser().parse_args(argv))
+    _, rows = cli._run_anomalous(dict(config))
+    got = [row for row in rows if row[0] == "trimmed-spectrum"]
+    ens, _ = cli._resolved(dict(config))
+    spectrum = np.linalg.eigvalsh(trimmed_restriction(ens.deterministic_part()).matrix)
+    expected = [
+        ["trimmed-spectrum", float(lam), int(np.sum(np.abs(spectrum - lam) < 1e-9))]
+        for lam in sorted(set(np.round(spectrum, 10)))
+    ]
+    assert got and got == [row + [0, True] for row in expected]
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,18 @@ def test_draw_block_pins_the_philox_stream(spec, pin):
 _SPECS = [Uniform(-1.0, 2.0), BernoulliMixture(0.3, 0.2), TruncatedCauchy(2.0, 10.0)]
 
 
+@pytest.mark.parametrize("spec", _SPECS)
+@pytest.mark.parametrize("sample", [0, 2**40 + 5, 2**70])
+def test_scalar_sample_potential_is_the_masked_draw_vector(spec, sample):
+    # one sample draws through the kernel too; numpy's generator is the oracle
+    stream = SampleStream(spec, 1409)
+    box, mask = make_box(2, (1, 1), (4, 3)), Gamma1Mask(2, 2)
+    expected = stream.draw_vector(box.size, sample)
+    expected[~mask_vector(mask, box)] = 0.0
+    got = sample_potential(stream, mask, box, sample)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def _stacked_draw_vector(stream, n_sites, idx):
     return np.array([stream.draw_vector(n_sites, i) for i in idx]).reshape(
         len(idx), n_sites

@@ -352,6 +352,28 @@ def test_kernel_and_threshold_read_gamma_as_arrays(mask, z):
 
 
 @pytest.mark.parametrize("mask", ARRAY_MASKS)
+def test_split_is_cached_read_only_and_serves_kernel_K(mask):
+    box, v0 = ARRAY_BOX, np.linspace(0.0, 1.0, ARRAY_BOX.size)
+    ens = EnsembleSpec(box, mask, Uniform(), 3.0, v0=v0, samples=2)
+    split = ens.split
+    assert ens.split is split
+    np.testing.assert_array_equal(split.h0.matrix, ens.deterministic_part().matrix)
+    arrays = [split.h0.matrix, split.h0.v0, split.h0.v, split.gamma, split.comp]
+    if split.sd is not None:
+        arrays += [split.sd.eigenvalues, split.sd.eigenvectors]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert v0.flags.writeable  # the caller's v0 is left as it was
+    assert split.sites == tuple(s for s in box.sites() if s in mask)
+    for z in (0.5 + 0.3j, -1.0):
+        kd, ref = ens.split.kernel(z), kernel_K(mask, box, v0, z)
+        assert kd["sites"] == ref["sites"]
+        for key in ("K", "D", "trimmed_spectrum"):
+            assert kd[key].tobytes() == ref[key].tobytes()
+
+
+@pytest.mark.parametrize("mask", ARRAY_MASKS)
 def test_restriction_and_gamma_checks_read_gamma_as_arrays(mask):
     box = ARRAY_BOX
     ham = assemble(box, mask, None, 0.0, None)

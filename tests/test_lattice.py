@@ -74,6 +74,12 @@ def test_box_basics():
         make_box(2, (3, 3), (1, 1))
 
 
+def test_box_size_is_exact_past_int64():
+    # a product in int64 wrapped to 0 and to a negative size
+    assert make_box(4, (0,) * 4, (65535,) * 4).size == 2**64
+    assert make_box(3, (0,) * 3, (2**21,) * 3).size == (2**21 + 1) ** 3
+
+
 def test_box_coordinates_must_fit_int64():
     make_box(2, (-(2**62) + 1, 0), (2**62 - 1, 0))
     bad = [((0, 0), (2**62, 0)), ((-(2**62), 0), (0, 0)), ((10**19,), (10**19,))]
