@@ -221,6 +221,10 @@ def _resolved(config: dict, dense: bool = True):
         for t in times
     ):
         raise ConfigError("times must be a list of finite numbers")
+    try:
+        rho = DecayMetric(config["eta"])
+    except ValueError as exc:
+        raise ConfigError(f"field 'eta': {exc}") from exc
     ens = EnsembleSpec(
         box,
         mask,
@@ -230,7 +234,7 @@ def _resolved(config: dict, dense: bool = True):
         master_seed=config["seed"],
         samples=config["samples"],
     )
-    return ens, DecayMetric(config["eta"])
+    return ens, rho
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +386,14 @@ def _run_couple(config: dict):
     rng = np.random.default_rng(config["seed"])
     rows = []
     h0 = ens.split.h0
-    z = complex(config["energy"], max(config["epsilon"][0], 1e-6))
+    eps = config["epsilon"][0]
+    z = complex(config["energy"], max(eps, 1e-6))
+    g0 = green(h0, z).entries
     for tag, u in (
         ("real", rng.normal(size=ens.box.size)),
         ("complex", rng.normal(size=ens.box.size) + 1j * rng.random(ens.box.size)),
     ):
-        res = s2w_identity_check(h0, u, z)
+        res = s2w_identity_check(h0, u, z, g0)
         for part, residual in (("base", res["residual0"]), ("pendant", res["residual1"])):
             rows.append(
                 [f"s2w-{tag}-{part}", residual, IDENTITY_TOL, residual <= IDENTITY_TOL]
@@ -398,10 +404,11 @@ def _run_couple(config: dict):
     rep = weak_disorder_bound_check(
         ens,
         config["energy"],
-        config["epsilon"][0],
+        eps,
         config["s"],
         rho,
         c_mu,
+        g0 if z.imag == eps else None,  # the weak bound is taken at eps itself
     )
     if rep["applicable"]:
         rows.append(["weak-bound", rep["lhs"], rep["bound"], rep["holds"]])
@@ -523,13 +530,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_localize(ens: EnsembleSpec, config: dict) -> None:
+    """chi_rho(E|G|^s) is estimated for 0 < s <= 1 only."""
+    if not 0 < config["s"] <= 1:
+        raise ConfigError("field 's' must satisfy 0 < s <= 1 for localize")
+
+
+def _check_dynamics(ens: EnsembleSpec, config: dict) -> None:
+    """eps^2 / (eps^2 + omega^2) of the Laplace check is 0/0 if eps^2
+    underflows, and eps**2 raises OverflowError if it overflows."""
+    bad = [e for e in config["epsilon"] if not 0 < e * e < math.inf]
+    if bad:
+        raise ConfigError(f"field 'epsilon': {bad[0]!r} squared leaves the float range")
+
+
 def _check_couple(ens: EnsembleSpec, config: dict) -> None:
     """Preconditions of the weak-disorder bound that `couple` checks."""
     # one sample has no standard error, so the weak bound cannot be judged
     if config["samples"] < 2:
         raise ConfigError("couple needs samples >= 2")
     if not 0 < config["s"] < 1:
-        raise ConfigError("couple needs 0 < s < 1")
+        raise ConfigError("field 's' must satisfy 0 < s < 1 for couple")
     if not mask_vector(ens.mask, ens.box).all():
         raise ConfigError(
             "couple needs disorder on every site: gamma must cover the box"
@@ -544,6 +565,15 @@ def _check_wegner(ens: EnsembleSpec, config: dict) -> None:
         raise ConfigError(f"wegner: {exc}") from exc
 
 
+#: per-experiment checks that main runs before dispatch
+_CHECKS = {
+    "localize": _check_localize,
+    "dynamics": _check_dynamics,
+    "couple": _check_couple,
+    "wegner": _check_wegner,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -551,10 +581,11 @@ def main(argv=None) -> int:
         # validate before dispatch
         checked = dict(config)
         ens, _ = _resolved(checked, dense=args.experiment != "lattice-info")
-        if args.experiment == "couple":
-            _check_couple(ens, checked)
-        if args.experiment == "wegner":
-            _check_wegner(ens, checked)
+        if args.experiment in _CHECKS:
+            _CHECKS[args.experiment](ens, checked)
+        if args.experiment in ("verify", "couple"):
+            # their runners call default_rng: load numpy.random here, not in the run
+            import numpy.random  # noqa: F401
     except ConfigError as exc:
         print(f"trimlab: config error: {exc}", file=sys.stderr)
         return 2

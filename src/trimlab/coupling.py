@@ -72,6 +72,7 @@ def weak_disorder_bound_check(
     s: float,
     rho: DecayMetric,
     c_mu: float,
+    g0: np.ndarray | None = None,
 ) -> dict:
     """Check the weak-disorder chi bound and audit its proof chain.
 
@@ -84,7 +85,9 @@ def weak_disorder_bound_check(
     C_mu / (g^{-s} - C_mu chi), and the boundary-expansion step tying
     the base block to the pendant block.  kappa is taken as 2d as in
     the lattice statement; the doubled graph's boundary degree is 1, so
-    the audited inequalities are conservative.
+    the audited inequalities are conservative.  g0 is G_z[H(0)] at
+    z = lam + i eps when the caller has it already; otherwise it is
+    solved here.
     """
     if not 0 < s < 1:
         raise ValueError("need 0 < s < 1")
@@ -94,7 +97,8 @@ def weak_disorder_bound_check(
         raise ValueError("the coupling check requires disorder on every site")
     z = complex(lam, eps)
     h0 = ens.split.h0
-    g0 = green(h0, z).entries
+    if g0 is None:
+        g0 = green(h0, z).entries
     chi0 = chi_kernel(g0, ens.box.coords, rho, s).value
     g_inv_s = ens.g ** (-s)
     if g_inv_s <= c_mu * chi0:

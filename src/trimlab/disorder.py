@@ -5,9 +5,11 @@ Sampling is counter-based: every draw is a pure function of
 averages are reproducible under any scheduling of the work.  Each
 sample index keys one Philox4x64-10 stream.  Every potential, of one
 sample or of a block, is drawn by the vectorised kernel
-`lattice.philox_uniforms`, bit-identical to numpy's `Philox` generator,
-which stays the reference the tests compare against (`draw_vector`,
-`draw`).
+`lattice.philox_uniforms`, bit-identical to numpy's `Philox` generator.
+That generator is the reference the tests compare against
+(`draw_vector` and `draw` in tests/oracles.py); here only
+`estimate_decoupling_constants` uses numpy.random, which numpy loads on
+first use.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-# numpy loads numpy.random lazily; load it with this module, not at the first draw
-import numpy.random  # noqa: F401
 
 from .lattice import LatticeBox, SublatticeMask, mask_vector, philox_uniforms
 
@@ -244,26 +244,14 @@ class SampleStream:
     spec: DisorderSpec
     master_seed: int
 
-    def draw_vector(self, n_sites: int, sample_index: int) -> np.ndarray:
-        """Draws for site indices 0..n_sites-1 of one disorder realization.
-
-        Uses numpy's own Philox generator: the reference for draw_block.
-        """
-        key = _stream_key(self.master_seed, sample_index)
-        k = self.spec.draws_per_sample
-        u = np.random.Generator(np.random.Philox(key=key)).random(n_sites * k)
-        return self.spec.from_uniform(u.reshape(n_sites, k))
-
-    def draw(self, site_index: int, sample_index: int) -> float:
-        """Single draw; identical to draw_vector(...)[site_index]."""
-        return float(self.draw_vector(site_index + 1, sample_index)[site_index])
-
     def draw_block(self, n_sites: int, sample_indices: Sequence[int]) -> np.ndarray:
-        """draw_vector for each sample index, as one (len(indices), n_sites) array.
+        """Draws for site indices 0..n_sites-1 of each sample index's
+        realization, as one (len(indices), n_sites) array.
 
         All rows come from one call of the vectorised Philox4x64-10 kernel
         `lattice.philox_uniforms`, keyed by `_stream_key` of each index; it
-        reproduces numpy's generator bit for bit, which draw_vector keeps.
+        reproduces numpy's `Philox` generator bit for bit, the reference
+        `draw_vector` of tests/oracles.py.
         """
         idx = np.asarray(sample_indices)
         if idx.dtype.kind not in "iu":  # empty, or Python ints beyond 64 bits

@@ -1,12 +1,13 @@
-"""Unitary dynamics from the eigendecomposition: evolution kernels,
-spreading moments M_p(x,t), and the Laplace-transform lower bound that
-ties time-averaged spreading to Green function moments.
+"""Unitary dynamics from the eigendecomposition: spreading moments
+M_p(x,t), and the Laplace-transform lower bound that ties time-averaged
+spreading to Green function moments.
 
 Each realization is factored once, H = U diag(E) U^T, and everything is
 read off its eigenpairs: the amplitudes e^{itH}(x,.) = U (e^{itE} U[x])
 at every t and the Green rows G_z(x,.) = U (U[x] / (E - z)) at every z.
 The LU route (`spectral.green`) is kept as the test oracle for the
-Green rows.  The Laplace integral of |e^{itH}(x,y)|^2 is evaluated in
+Green rows, and the full kernel e^{itH} (tests/oracles.py) for the
+amplitudes.  The Laplace integral of |e^{itH}(x,y)|^2 is evaluated in
 closed form from the eigenpair differences, so the inequality check
 carries no time quadrature error.  An ensemble is factored chunk by
 chunk from the operator stacks of `fracmoment`, one `eigh` per stack.
@@ -23,36 +24,7 @@ import numpy as np
 from .fracmoment import _operator_stacks, sample_mean_stderr
 from .lattice import LatticeBox, Site, l1_distances
 from .operators import HamiltonianMatrix
-from .spectral import SpectralData, eigendecompose
-
-
-@dataclass(frozen=True)
-class EvolutionKernel:
-    """e^{itH} through the spectral theorem of a fixed realization."""
-
-    spectral: SpectralData
-
-    def matrix(self, t: float) -> np.ndarray:
-        sd = self.spectral
-        phases = np.exp(1j * t * sd.eigenvalues)
-        return (sd.eigenvectors * phases) @ sd.eigenvectors.T
-
-    def evaluate(self, ix: int, iy: int, t: float) -> complex:
-        sd = self.spectral
-        return complex(
-            np.sum(
-                np.exp(1j * t * sd.eigenvalues)
-                * sd.eigenvectors[ix]
-                * sd.eigenvectors[iy]
-            )
-        )
-
-
-def evolve(sd: SpectralData, psi0: np.ndarray, t: float) -> np.ndarray:
-    """e^{itH} psi0 by eigen-expansion; exactly norm-preserving."""
-    psi0 = np.asarray(psi0)
-    coeff = sd.eigenvectors.T @ psi0
-    return sd.eigenvectors @ (np.exp(1j * t * sd.eigenvalues) * coeff)
+from .spectral import eigendecompose
 
 
 def _distance_powers(box: LatticeBox, x: Site, p: float) -> np.ndarray:

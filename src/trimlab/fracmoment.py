@@ -639,15 +639,6 @@ def loc1_threshold(
 # ---------------------------------------------------------------------------
 
 
-def eigenvector_gamma_mass(
-    phi: np.ndarray, mask: SublatticeMask, sites: Sequence[Site]
-) -> float:
-    """l^2 mass of a vector on the Gamma sites of its region."""
-    phi = np.asarray(phi)
-    sel = np.fromiter((s in mask for s in sites), dtype=bool, count=len(sites))
-    return float(np.linalg.norm(phi[sel]))
-
-
 def wegner_preconditions(
     ens: EnsembleSpec,
     lam: float,

@@ -363,6 +363,67 @@ def test_repeated_epsilon_exits_2(tmp_path, capsys, experiment):
     assert not (tmp_path / f"{experiment}.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, flags, message",
+    [
+        ("localize", ["--eta", "-1"], "field 'eta'"),
+        ("couple", ["--eta", "-1"], "field 'eta'"),
+        ("dynamics", ["--eta", "-1"], "field 'eta'"),
+        ("localize", ["--s", "0"], "field 's'"),
+        ("localize", ["--s", "1.5"], "field 's'"),
+        ("couple", ["--s", "1"], "field 's'"),
+        ("dynamics", ["--epsilon", "1e-320"], "field 'epsilon'"),
+        ("dynamics", ["--epsilon", "0.1,1e-200"], "field 'epsilon'"),
+        ("dynamics", ["--epsilon", "1e200"], "field 'epsilon'"),
+    ],
+    ids=[
+        "localize-eta", "couple-eta", "dynamics-eta", "localize-s0", "localize-s1.5",
+        "couple-s1", "dynamics-eps-1e-320", "dynamics-eps-1e-200", "dynamics-eps-1e200",
+    ],
+)
+def test_out_of_range_field_exits_2_before_dispatch(
+    tmp_path, monkeypatch, capsys, experiment, flags, message
+):
+    # a negative eta escaped as a traceback (exit 1), s outside (0, 1] exited
+    # 3 from localize's engine, an eps whose square underflows wrote a NaN
+    # Laplace row with exit 0, and one whose square overflows exited 3
+    import trimlab.cli as cli
+
+    def dispatched(*args):
+        raise AssertionError("dispatched")
+
+    monkeypatch.setattr(cli, "run", dispatched)
+    args = [experiment, "--box", "0..2", "--gamma", "full", "--samples", "2"]
+    assert run_cli(args + flags + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_dynamics_accepts_an_eps_whose_square_is_subnormal(tmp_path):
+    args = ["dynamics", "--box", "0..2", "--gamma", "full", "--epsilon", "1e-160"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0
+    rows = list(csv.reader((tmp_path / "dynamics.csv").open()))
+    assert "nan" not in {value for row in rows for value in row}
+
+
+def test_couple_solves_g_of_h0_once(tmp_path, monkeypatch):
+    # both hedgehog checks and the weak bound read one G_z[H(0)]: per hedgehog
+    # check the base and pendant right-hand sides, plus that one solve
+    from trimlab import coupling, fracmoment, spectral
+    import trimlab.cli as cli
+
+    sizes = []
+    real = spectral.green
+
+    def counting(h, z):
+        sizes.append(np.shape(getattr(h, "matrix", h))[-1])
+        return real(h, z)
+
+    for module in (cli, coupling, fracmoment, spectral):
+        monkeypatch.setattr(module, "green", counting)
+    assert run_cli(["couple", "--gamma", "full", "--out", str(tmp_path)]) == 0
+    assert sizes.count(25) == 5
+
+
 def test_couple_one_sample_exits_2(tmp_path, capsys):
     # a one-sample weak-bound check has no standard error to judge it by
     args = ["couple", "--box", "1..4", "--gamma", "full", "--g", "0.01"]

@@ -96,6 +96,23 @@ def test_weak_disorder_bound_inapplicable_at_large_g():
     assert "chi0" in out
 
 
+def test_weak_disorder_bound_reads_a_passed_g0(monkeypatch):
+    # a passed G_z[H(0)] replaces the solve and leaves the report bit for bit
+    from trimlab import coupling
+
+    c_mu = estimate_decoupling_constants(Uniform(), 0.5, 200, 0)["C_s"]
+    ens = EnsembleSpec(make_box(1, (0,), (8,)), FullMask(), Uniform(), 0.01, samples=4)
+    args = (ens, -1.0, 1e-4, 0.5, DecayMetric(0.1), c_mu)
+    expected = weak_disorder_bound_check(*args)
+    g0 = coupling.green(ens.split.h0, complex(-1.0, 1e-4)).entries
+    calls = []
+    real = coupling.green
+    monkeypatch.setattr(coupling, "green", lambda h, z: calls.append(z) or real(h, z))
+    assert weak_disorder_bound_check(*args, g0) == expected
+    # the hedgehog operator and G_z[H(0) + gV] of each sample, nothing more
+    assert expected["applicable"] and len(calls) == 2 * ens.samples
+
+
 def test_weak_disorder_bound_requires_full_disorder():
     ens = EnsembleSpec(
         make_box(2, (1, 1), (3, 3)), Gamma1Mask(2, 2), Uniform(), 0.01, samples=5

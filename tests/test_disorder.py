@@ -22,6 +22,8 @@ from trimlab.disorder import (
 )
 from trimlab.lattice import PHILOX_PAIRS, Gamma1Mask, make_box, mask_vector
 
+from oracles import draw, draw_vector
+
 
 def test_uniform_normalization_and_moment():
     u = Uniform()
@@ -56,21 +58,21 @@ def test_descriptor_roundtrip():
 
 def test_stream_is_pure_and_prefix_consistent():
     stream = SampleStream(Uniform(), 123)
-    a = stream.draw_vector(10, 4)
-    b = stream.draw_vector(10, 4)
+    a = draw_vector(stream, 10, 4)
+    b = draw_vector(stream, 10, 4)
     np.testing.assert_array_equal(a, b)
     # single-site draws are prefix slices of the vector draw
     for i in range(10):
-        assert stream.draw(i, 4) == a[i]
+        assert draw(stream, i, 4) == a[i]
     # different samples decorrelate
-    c = stream.draw_vector(10, 5)
+    c = draw_vector(stream, 10, 5)
     assert not np.array_equal(a, c)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32), st.integers(0, 1000))
 def test_stream_values_in_support(seed, sample):
-    v = SampleStream(Uniform(), seed).draw_vector(5, sample)
+    v = draw_vector(SampleStream(Uniform(), seed), 5, sample)
     assert np.all((v >= 0.0) & (v <= 1.0))
 
 
@@ -100,11 +102,11 @@ _PINNED_DRAWS = {
 )
 def test_draw_block_pins_the_philox_stream(spec, pin):
     stream = SampleStream(spec, 1409)
-    got = [float(v).hex() for v in stream.draw_vector(3, 2**40 + 5)]
+    got = [float(v).hex() for v in draw_vector(stream, 3, 2**40 + 5)]
     assert got == _PINNED_DRAWS[pin]
     # scattered, repeated and out-of-order indices, n > 1
     idx = [7, 0, 3, 2**40 + 5, 100_003, 3]
-    expected = np.stack([stream.draw_vector(9, i) for i in idx])
+    expected = np.stack([draw_vector(stream, 9, i) for i in idx])
     np.testing.assert_array_equal(stream.draw_block(9, idx), expected)
     np.testing.assert_array_equal(stream.draw_block(9, np.array(idx)), expected)
     box, mask = make_box(2, (1, 1), (3, 3)), Gamma1Mask(2, 2)
@@ -123,14 +125,14 @@ def test_scalar_sample_potential_is_the_masked_draw_vector(spec, sample):
     # one sample draws through the kernel too; numpy's generator is the oracle
     stream = SampleStream(spec, 1409)
     box, mask = make_box(2, (1, 1), (4, 3)), Gamma1Mask(2, 2)
-    expected = stream.draw_vector(box.size, sample)
+    expected = draw_vector(stream, box.size, sample)
     expected[~mask_vector(mask, box)] = 0.0
     got = sample_potential(stream, mask, box, sample)
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def _stacked_draw_vector(stream, n_sites, idx):
-    return np.array([stream.draw_vector(n_sites, i) for i in idx]).reshape(
+    return np.array([draw_vector(stream, n_sites, i) for i in idx]).reshape(
         len(idx), n_sites
     )
 
@@ -174,7 +176,8 @@ def test_draw_block_crosses_the_slab_limit(spec, n_sites, n_samples):
 
 def test_draw_block_constructs_no_numpy_philox():
     # the per-sample Philox loop must not come back: draw_block keys the
-    # vectorised kernel only, while draw_vector stays on numpy's generator
+    # vectorised kernel only, while the oracle draw_vector stays on numpy's
+    # generator
     stream = SampleStream(BernoulliMixture(0.3, 0.2), -5)
     box, mask = make_box(2, (1, 1), (3, 3)), Gamma1Mask(2, 2)
     # negative and beyond-64-bit indices wrap modulo 2**64, as in _stream_key

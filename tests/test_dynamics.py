@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from trimlab.disorder import Uniform
 from trimlab.dynamics import (
-    EvolutionKernel,
-    evolve,
     laplace_moment_check,
     moment_Mp,
     moment_curve,
@@ -18,6 +16,8 @@ from trimlab.fracmoment import EnsembleSpec
 from trimlab.lattice import FullMask, Gamma1Mask, make_box
 from trimlab.operators import assemble
 from trimlab.spectral import eigendecompose, green
+
+from oracles import EvolutionKernel, evolve
 
 
 def _free_chain(n: int = 21):

@@ -24,7 +24,6 @@ from trimlab.fracmoment import (
     DecayMetric,
     EnsembleSpec,
     ResampleBudgetExceeded,
-    eigenvector_gamma_mass,
     mc_chi_green,
     mc_chi_green_sweep,
     mc_map,
@@ -42,6 +41,8 @@ from trimlab.lattice import (
     mask_vector,
 )
 from trimlab.spectral import SpectralParameterOnSpectrum, eigendecompose, green
+
+from oracles import eigenvector_gamma_mass
 
 GEOMETRIES = [
     (make_box(1, (0,), (0,)), FullMask()),

@@ -15,7 +15,6 @@ from trimlab.fracmoment import (
     am_contraction_check,
     chi_kernel,
     chi_resolvent_inequalities,
-    eigenvector_gamma_mass,
     g_scaling_exponent,
     kernel_K,
     kernel_identity_residual,
@@ -40,6 +39,8 @@ from trimlab.operators import (
     trimmed_restriction,
 )
 from trimlab.spectral import SpectralParameterOnSpectrum, green
+
+from oracles import eigenvector_gamma_mass
 
 RHO = DecayMetric(0.1)
 
