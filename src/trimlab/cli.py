@@ -307,6 +307,12 @@ def _run_localize(config: dict):
 
 def _run_wegner(config: dict):
     ens, _ = _resolved(config)
+    try:
+        # the counting bound's hypotheses, decided from H(0) before sampling;
+        # wegner_count reads the same cached eigenpairs of H(0)
+        wegner_preconditions(ens, config["energy"], config["epsilon"])
+    except ValueError as exc:
+        raise ConfigError(f"wegner: {exc}") from exc
     reports = wegner_count(ens, config["energy"], config["epsilon"])
     rows = [
         [
@@ -557,20 +563,11 @@ def _check_couple(ens: EnsembleSpec, config: dict) -> None:
         )
 
 
-def _check_wegner(ens: EnsembleSpec, config: dict) -> None:
-    """Hypotheses of the counting bound, decided from H(0) before sampling."""
-    try:
-        wegner_preconditions(ens, config["energy"], config["epsilon"])
-    except ValueError as exc:
-        raise ConfigError(f"wegner: {exc}") from exc
-
-
 #: per-experiment checks that main runs before dispatch
 _CHECKS = {
     "localize": _check_localize,
     "dynamics": _check_dynamics,
     "couple": _check_couple,
-    "wegner": _check_wegner,
 }
 
 
@@ -592,6 +589,10 @@ def main(argv=None) -> int:
     try:
         record = run(args.experiment, config)
         csv_path, _ = emit(record, config["out"])
+    except ConfigError as exc:
+        # a hypothesis a runner decides before it samples (wegner's)
+        print(f"trimlab: config error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         # numeric or I/O failure after validation; anything else is a bug
         # and keeps its traceback

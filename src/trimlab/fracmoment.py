@@ -11,14 +11,17 @@ collides with a real z.  At a non-real z on a box that Gamma meets
 without covering, it folds the deterministic complement once per z
 (`spectral.fold_complement`, which `kernel_K` reads too) and inverts
 only the |Gamma|-sized blocks; its consumers reduce the resulting
-`GreenBlocks` block by block.  When Gamma covers the box, the z sweep of
-`mc_chi_green_sweep` factors each realization once and reads every z
-off its spectrum, as the Wegner statistics and `dynamics` do for every
-eps or t.
+`GreenBlocks` block by block.  `_fold_indices` lists Gamma^c component
+by component, so the fold solves and stores each component on its own
+(the Laplacian couples no two components, so H(0) on Gamma^c is block
+diagonal and the fold stays exact).  When Gamma covers the box, the z
+sweep of `mc_chi_green_sweep` factors each realization once and reads
+every z off its spectrum, as the Wegner statistics and `dynamics` do
+for every eps or t.
 
 H(0) is built once per ensemble: `EnsembleSpec.split` caches a
 `TrimmedSplit` (H(0), the Gamma/Gamma^c indices and sites, the eigenpairs
-of H(0)|_{Gamma^c}) for the kernel K, the identity checks and the
+of H(0)|_{Gamma^c} and of H(0)) for the kernel K, the identity checks and the
 deterministic side of every other check.  The engine folds a transient
 H(0) instead, since holding one for the run raises its peak RSS.
 """
@@ -33,7 +36,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .disorder import DisorderSpec, SampleStream, sample_potential
-from .lattice import LatticeBox, Site, SublatticeMask, l1_distances, mask_vector
+from .lattice import (
+    LatticeBox,
+    Site,
+    SublatticeMask,
+    components_of_complement,
+    l1_distances,
+    mask_vector,
+)
 from .operators import HamiltonianMatrix, assemble, laplacian_matrix, resolve_v0
 from .spectral import (
     GreenBlocks,
@@ -156,7 +166,10 @@ def chunk_size(n: int) -> int:
 
 
 def _fold_indices(ens: EnsembleSpec, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Box indices of Gamma and of the complement the engine folds at z.
+    """Box indices of Gamma and of the complement the engine folds at z,
+    the complement ordered component by component
+    (`components_of_complement`), so that the fold solves each component
+    on its own.
 
     The fold applies when z is non-real and Gamma meets the box without
     covering it.  Otherwise (a real z may lie on the spectrum of
@@ -166,7 +179,8 @@ def _fold_indices(ens: EnsembleSpec, z: complex) -> tuple[np.ndarray, np.ndarray
     on_gamma = mask_vector(ens.mask, ens.box)
     if z.imag == 0.0 or on_gamma.all() or not on_gamma.any():
         return np.arange(ens.box.size), np.arange(0)
-    return np.flatnonzero(on_gamma), np.flatnonzero(~on_gamma)
+    comps = components_of_complement(ens.mask, ens.box)
+    return np.flatnonzero(on_gamma), ens.box.indices([x for c in comps for x in c])
 
 
 def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
@@ -246,7 +260,7 @@ def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
         k = np.zeros(len(idx), dtype=int)
         while True:
             try:
-                gs = green(h if fold is None else h - fold.s, z).entries
+                gs = green(h, z).entries if fold is None else fold.solve(h)
                 break
             except SpectralParameterOnSpectrum as exc:
                 rows = np.flatnonzero(exc.hits)
@@ -520,7 +534,8 @@ def chi_resolvent_inequalities(
 class TrimmedSplit:
     """What no sample changes: H(0) with read-only arrays, the box indices
     of Gamma and Gamma^c, the Gamma sites in index order and, computed on
-    first use, the eigenpairs `sd` of the trimmed restriction."""
+    first use, the eigenpairs `sd` of the trimmed restriction and
+    `spectrum` of H(0)."""
 
     h0: HamiltonianMatrix
     gamma: np.ndarray
@@ -533,6 +548,13 @@ class TrimmedSplit:
         if not self.comp.size:
             return None
         sd = eigendecompose(self.h0.matrix[np.ix_(self.comp, self.comp)])
+        sd.eigenvalues.flags.writeable = sd.eigenvectors.flags.writeable = False
+        return sd
+
+    @functools.cached_property
+    def spectrum(self) -> SpectralData:
+        """Read-only eigenpairs of H(0) on the box."""
+        sd = eigendecompose(self.h0)
         sd.eigenvalues.flags.writeable = sd.eigenvectors.flags.writeable = False
         return sd
 
@@ -652,7 +674,7 @@ def wegner_preconditions(
     names the first that fails.  Returns the multiplicity, the gap and
     an orthonormal basis of the lam-eigenspace.
     """
-    sd = eigendecompose(ens.split.h0)
+    sd = ens.split.spectrum
     gm = gap_and_mult(sd, lam, cluster_tol)
     mult, gap = gm["mult"], gm["gap"]
     if mult == 0:

@@ -509,9 +509,15 @@ def is_doubly_insulated(
 
 
 def relative_density(mask: SublatticeMask, radius: int, center: Site):
-    """|B(center, R) intersect Gamma| / |B(center, R)| as a Fraction."""
+    """|B(center, R) intersect Gamma| / |B(center, R)| as a Fraction, with
+    Gamma read on the ball's bounding box (`mask_vector`)."""
     from fractions import Fraction
 
-    sites = ball(center, radius)
-    hits = sum(1 for s in sites if s in mask)
-    return Fraction(hits, len(sites))
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    window = LatticeBox(
+        tuple(c - radius for c in center), tuple(c + radius for c in center)
+    )
+    in_ball = np.sum(np.abs(window.coords - np.array(center)), axis=1) <= radius
+    hits = np.count_nonzero(in_ball & mask_vector(mask, window))
+    return Fraction(int(hits), int(np.count_nonzero(in_ball)))

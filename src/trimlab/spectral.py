@@ -8,8 +8,12 @@ LAPACK syevd), so the LU route and the eigen route stay oracles for each
 other.  The LU route serves the Monte Carlo chi engine
 (`fracmoment.mc_map`), which at a non-real z solves only the |Gamma|
 block of each realization: `fold_complement` solves the deterministic
-complement once per z, and `green` the folded block H_{Gamma Gamma} - S
-of every realization.  `schur_green` keeps its own solve-based Schur
+complement once per z, and `ComplementFold.solve` the folded block
+H_{Gamma Gamma} - S of every realization, in one complex buffer.  The
+fold keeps, per component C of Gamma^c, R_C = G_z[H_{CC}] and
+B_C = R_C H_{C Gamma} on the Gamma-boundary of C only; that is exact
+because the Laplacian has no bond between two components, so H(0) on
+Gamma^c is block diagonal.  `schur_green` keeps its own solve-based Schur
 complement, an independent reference that `verify` checks against the
 whole-operator LU.  The eigen route serves `dynamics` and, when Gamma
 covers the box, the multi-z sweep of `localize`; both read G_z at every
@@ -24,6 +28,7 @@ BLAS and one thread pool.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -97,17 +102,23 @@ def green(h, z: complex) -> GreenMatrix:
             raise SpectralParameterOnSpectrum(
                 f"z = {z} lies on the spectrum (within 1e-12 * ||H||)", hits
             )
-    a = m.astype(complex)
-    d = np.arange(m.shape[-1])
-    a[..., d, d] -= z  # in place: no n x n identity or z * identity
-    return GreenMatrix(z, np.linalg.inv(a))
+    return GreenMatrix(z, _inverse(m.astype(complex), z))
+
+
+def _inverse(a: np.ndarray, z: complex) -> np.ndarray:
+    """(a - z)^-1 of one complex matrix or a stack, shifting a in place:
+    no n x n identity, z * identity or second buffer."""
+    d = np.arange(a.shape[-1])
+    a[..., d, d] -= z
+    return np.linalg.inv(a)
 
 
 @dataclass(frozen=True)
 class GreenBlocks:
     """A stack of G_z (S samples) by blocks of Gamma and its complement.
 
-    gamma and comp hold the box indices of Gamma and Gamma^c, ascending;
+    gamma and comp hold the box indices of Gamma and Gamma^c, each in the
+    order of its block's rows (comp in the fold's component order);
     gg = G_{Gamma Gamma}, cg = G_{Gamma^c Gamma}, cc = G_{Gamma^c Gamma^c},
     each with the samples on the first axis.  G is symmetric, so
     G_{Gamma Gamma^c} is cg transposed.
@@ -128,45 +139,81 @@ class GreenBlocks:
 
     def entry(self, x: int, y: int) -> np.ndarray:
         """G(x, y) of every sample, for box indices x, y."""
-        (bx, px), (by, py) = self._position(x), self._position(y)
-        if bx and by:
+        px, py = int(self._slot[x]), int(self._slot[y])
+        if px >= 0 and py >= 0:
             return self.gg[:, px, py]
-        if by:
-            return self.cg[:, px, py]
-        if bx:
-            return self.cg[:, py, px]
-        return self.cc[:, px, py]
+        if py >= 0:
+            return self.cg[:, ~px, py]
+        if px >= 0:
+            return self.cg[:, ~py, px]
+        return self.cc[:, ~px, ~py]
 
-    def _position(self, x: int) -> tuple[bool, int]:
-        """(x in Gamma, position of x in its block's index array)."""
-        on_gamma = x in self.gamma
-        return on_gamma, int(np.searchsorted(self.gamma if on_gamma else self.comp, x))
+    @functools.cached_property
+    def _slot(self) -> np.ndarray:
+        """Per box index, its row in gamma (>= 0) or ~(its row in comp)."""
+        slot = np.empty(len(self.gamma) + len(self.comp), dtype=np.int64)
+        slot[self.gamma] = np.arange(len(self.gamma))
+        slot[self.comp] = ~np.arange(len(self.comp))
+        return slot
 
 
 @dataclass(frozen=True)
 class ComplementFold:
-    """A deterministic block Gamma^c of H folded out at one z.
+    """A deterministic block Gamma^c of H folded out at one (non-real) z.
 
     With R = G_z[H_{Gamma^c}], B = R H_{Gamma^c Gamma} and
     S = H_{Gamma Gamma^c} B, the Schur complement gives, for any
     H_{Gamma Gamma}, G_{Gamma Gamma} = G_z[H_{Gamma Gamma} - S],
     G_{Gamma^c Gamma} = -B G_{Gamma Gamma} and
     G_{Gamma^c Gamma^c} = R + B G_{Gamma Gamma} B^T.
+
+    H_{Gamma^c} is block diagonal over the blocks of `parts`, runs of comp
+    that no entry of H couples: for H(0) these are the components of
+    Gamma^c (`assemble` adds only diagonal terms to the Laplacian, whose
+    nearest-neighbour bonds join no two components).  So R is block
+    diagonal and each block's rows of B are nonzero only in the columns
+    of its Gamma-boundary.  Each part is (rows, r, edge, nb): the slice of
+    comp of a block C, R_C, the positions in gamma of the boundary dC
+    (the nonzero columns of H_{C Gamma}), and -B_C on those columns.
     """
 
     gamma: np.ndarray
     comp: np.ndarray
-    r: np.ndarray
-    b: np.ndarray
+    z: complex
+    parts: tuple[tuple[slice, np.ndarray, np.ndarray, np.ndarray], ...]
     s: np.ndarray
 
+    def solve(self, h: np.ndarray) -> np.ndarray:
+        """G_{Gamma Gamma} = G_z[h - S] of a real H_{Gamma Gamma} or a stack,
+        inverted in the one complex buffer h - S.  z is non-real, so no
+        matrix collides with it and `green`'s collision check is not needed."""
+        return _inverse(h - self.s, self.z)
+
     def blocks(self, gg: np.ndarray) -> GreenBlocks:
-        """Every block of G_z from a stack of G_{Gamma Gamma}."""
-        cg = self.b @ gg
-        np.negative(cg, out=cg)
-        cc = cg @ self.b.T
-        np.subtract(self.r, cc, out=cc)
+        """Every block of G_z from a stack of G_{Gamma Gamma}, block by block:
+        G_{Gamma^c Gamma}[C] = -B_C G_{Gamma Gamma}[dC] and
+        G_{Gamma^c Gamma^c}[C] = R_C (on C x C) - B_C G_{Gamma^c Gamma}[:, dC]^T."""
+        n_s, n_c = len(gg), len(self.comp)
+        cg = np.empty((n_s, n_c, len(self.gamma)), dtype=complex)
+        cc = np.empty((n_s, n_c, n_c), dtype=complex)
+        for rows, _, edge, nb in self.parts:
+            cg[:, rows] = nb @ gg[:, edge]
+        for rows, r, edge, nb in self.parts:
+            cc[:, rows] = nb @ cg[:, :, edge].swapaxes(1, 2)
+            cc[:, rows, rows] += r
         return GreenBlocks(gg, cg, cc, self.gamma, self.comp)
+
+
+def _runs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, stops) of the finest split of range(len(m)) into runs that
+    no nonzero entry of the square matrix m couples: m is block diagonal
+    over them."""
+    nz = (m != 0) | (m != 0).T
+    pos = np.arange(len(m))
+    # a run ends at k when none of 0..k couples to a position past k
+    reach = np.max(np.where(nz, pos, pos[:, None]), axis=1, initial=0)
+    stops = np.flatnonzero(np.maximum.accumulate(reach) == pos) + 1
+    return np.concatenate(([0], stops))[:-1], stops
 
 
 def fold_complement(
@@ -176,18 +223,38 @@ def fold_complement(
     z: complex,
     sd: SpectralData | None = None,
 ) -> ComplementFold:
-    """Fold the block comp of the matrix h out of its block gamma at z.
+    """Fold the block comp of the symmetric matrix h out of its block gamma
+    at z.
 
-    R = G_z[h_{comp comp}] is solved by `green`, or read off sd, the
-    eigenpairs of h_{comp comp}, when they are given.
+    h_{comp comp} is split into the runs of comp that no entry couples, so
+    comp in component order gives one block per component and comp in
+    any other order fewer, larger blocks: the fold is exact either way.
+    The blocks are solved by `green`, one stacked call per block size, or
+    R is read off sd, the eigenpairs of h_{comp comp}, as one block.
     """
+    z = complex(z)
+    hcg, hgc = h[np.ix_(comp, gamma)], h[np.ix_(gamma, comp)]
     if sd is None:
-        r = green(h[np.ix_(comp, comp)], z).entries
+        hcc = h[np.ix_(comp, comp)]
+        starts, stops = _runs(hcc)
+        solved = []  # (start, R_C) per block
+        for size in np.unique(stops - starts):
+            first = starts[stops - starts == size]
+            pos = first[:, None] + np.arange(size)
+            stack = hcc[pos[:, :, None], pos[:, None, :]]
+            solved += zip(first, green(stack, z).entries)
     else:
         u = sd.eigenvectors
-        r = (u * (1.0 / (sd.eigenvalues - z))) @ u.T
-    b = r @ h[np.ix_(comp, gamma)]
-    return ComplementFold(gamma, comp, r, b, h[np.ix_(gamma, comp)] @ b)
+        solved = [(0, (u * (1.0 / (sd.eigenvalues - z))) @ u.T)]
+    s = np.zeros((len(gamma), len(gamma)), dtype=complex)
+    parts = []
+    for start, r in solved:
+        rows = slice(int(start), int(start) + len(r))
+        edge = np.flatnonzero(np.any(hcg[rows] != 0, axis=0))
+        nb = -(r @ hcg[rows, edge])
+        s[np.ix_(edge, edge)] -= hgc[edge, rows] @ nb
+        parts.append((rows, r, edge, nb))
+    return ComplementFold(gamma, comp, z, tuple(parts), s)
 
 
 def _index_split(ham: HamiltonianMatrix, x_sites: Sequence[Site]):

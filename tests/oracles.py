@@ -9,6 +9,11 @@ package neither compiles them nor loads numpy.random for them.
   site by site through `s in mask`.
 - `EvolutionKernel` and `evolve`: e^{itH} as a full matrix and applied
   to a vector, the reference for the amplitudes of `dynamics`.
+- `dense_fold` and `dense_blocks`: the fold of a complement Gamma^c as
+  dense products over all of Gamma^c, the reference for the component
+  by component `spectral.fold_complement`.
+- `relative_density`: |B(center, R) intersect Gamma| / |B(center, R)|
+  read site by site through `s in mask`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from trimlab.disorder import SampleStream, _stream_key
-from trimlab.lattice import Site, SublatticeMask
+from trimlab.lattice import Site, SublatticeMask, ball
 from trimlab.spectral import SpectralData
 
 
@@ -63,3 +68,27 @@ def evolve(sd: SpectralData, psi0: np.ndarray, t: float) -> np.ndarray:
     psi0 = np.asarray(psi0)
     coeff = sd.eigenvectors.T @ psi0
     return sd.eigenvectors @ (np.exp(1j * t * sd.eigenvalues) * coeff)
+
+
+def dense_fold(h: np.ndarray, gamma: np.ndarray, comp: np.ndarray, z: complex):
+    """(R, B, S) of the block comp of h folded out of its block gamma at z:
+    R = (h_{comp comp} - z)^-1, B = R h_{comp gamma}, S = h_{gamma comp} B,
+    each one dense product."""
+    r = np.linalg.inv(h[np.ix_(comp, comp)] - z * np.eye(len(comp)))
+    b = r @ h[np.ix_(comp, gamma)]
+    return r, b, h[np.ix_(gamma, comp)] @ b
+
+
+def dense_blocks(r: np.ndarray, b: np.ndarray, gg: np.ndarray):
+    """(G_{comp gamma}, G_{comp comp}) = (-B gg, R + B gg B^T) of a stack
+    gg of G_{gamma gamma}, from `dense_fold`'s R and B."""
+    cg = -(b @ gg)
+    return cg, r - cg @ b.T
+
+
+def relative_density(mask: SublatticeMask, radius: int, center: Site):
+    """|B(center, R) intersect Gamma| / |B(center, R)| as a Fraction."""
+    from fractions import Fraction
+
+    sites = ball(center, radius)
+    return Fraction(sum(1 for s in sites if s in mask), len(sites))

@@ -183,6 +183,30 @@ def test_wegner_run(tmp_path):
     assert len(lines) == 3
 
 
+def test_wegner_builds_h0_and_its_spectrum_once(tmp_path, monkeypatch):
+    # the preconditions and the counts read one H(0) and one
+    # eigendecomposition of it, beside the one of the single chunk
+    import trimlab.cli as cli
+    from trimlab.operators import assemble
+    from trimlab.spectral import eigendecompose
+
+    calls = Counter()
+    for real in (assemble, eigendecompose):
+
+        def counting(*args, _real=real, **kwargs):
+            calls[_real.__name__] += 1
+            return _real(*args, **kwargs)
+
+        name = real.__name__
+        for module in [m for k, m in sys.modules.items() if k.startswith("trimlab")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    args = ["wegner", "--box", "1..3,1..1", "--gamma", "gamma1:2,2", "--g", "10"]
+    args += ["--energy", "4", "--epsilon", "0.4,0.2", "--samples", "100"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0
+    assert calls == {"assemble": 1, "eigendecompose": 2}
+
+
 def test_lattice_info_run(tmp_path):
     code = run_cli(
         ["lattice-info", "--out", str(tmp_path), "--gamma", "gamma1:2,2"]

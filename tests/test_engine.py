@@ -37,12 +37,19 @@ from trimlab.lattice import (
     Gamma1Mask,
     Gamma2Mask,
     PeriodicCellMask,
+    components_of_complement,
     make_box,
     mask_vector,
 )
-from trimlab.spectral import SpectralParameterOnSpectrum, eigendecompose, green
+from trimlab.operators import assemble
+from trimlab.spectral import (
+    SpectralParameterOnSpectrum,
+    eigendecompose,
+    fold_complement,
+    green,
+)
 
-from oracles import eigenvector_gamma_mass
+from oracles import dense_blocks, dense_fold, eigenvector_gamma_mass
 
 GEOMETRIES = [
     (make_box(1, (0,), (0,)), FullMask()),
@@ -51,11 +58,14 @@ GEOMETRIES = [
     (make_box(2, (0, 0), (4, 4)), Gamma2Mask(3)),
 ]
 
-# GEOMETRIES plus a Bernoulli and a cell mask: the ones Gamma meets
-# without covering are folded at non-real z
+# GEOMETRIES plus Bernoulli and cell masks: the ones Gamma meets without
+# covering are folded at non-real z.  The engine orders Gamma^c component by
+# component, which on both Bernoulli boxes is not index order: on the
+# second, the one-site component (4, 0) lies between rows of a six-site one.
 FOLD_GEOMETRIES = GEOMETRIES + [
     (make_box(2, (0, 0), (5, 4)), BernoulliMask(0.5, 3)),
     (make_box(2, (1, 1), (4, 4)), PeriodicCellMask((2, 2), (True, False, False, True))),
+    (make_box(2, (0, 0), (4, 4)), BernoulliMask(0.5, 7)),
 ]
 # Gamma meets these boxes without covering them
 TRIMMED_GEOMETRIES = FOLD_GEOMETRIES[2:]
@@ -193,6 +203,73 @@ def test_folded_results_do_not_depend_on_chunk_size(
         chi_small = mc_chi_green(ens, z, 0.5, rho)
     np.testing.assert_array_equal(gs_small, gs)
     assert (chi_small.value, chi_small.stderr) == (chi.value, chi.stderr)
+
+
+# The component fold against the dense oracle: Gamma meets each box without
+# covering it.  FOLD_GEOMETRIES' trimmed boxes, plus an all-singleton Gamma^c
+# (gamma1), one large component (Gamma a 3 x 3 sublattice), components that
+# touch the box faces, and d = 1 and 3.
+FOLD_ORACLE_GEOMETRIES = TRIMMED_GEOMETRIES + [
+    (make_box(2, (0, 0), (6, 5)), Gamma1Mask(2, 2)),
+    (make_box(2, (0, 0), (6, 6)), PeriodicCellMask((3, 3), (True,) + (False,) * 8)),
+    (make_box(1, (0,), (11,)), PeriodicCellMask((4,), (True, False, False, False))),
+    (make_box(1, (0,), (9,)), BernoulliMask(0.5, 1)),
+    (make_box(3, (0, 0, 0), (2, 3, 2)), BernoulliMask(0.5, 2)),
+    (make_box(3, (0, 0, 0), (2, 2, 3)), PeriodicCellMask((2, 2, 2), (True, False) * 4)),
+]
+
+
+def _component_order(box, mask):
+    return box.indices([x for c in components_of_complement(mask, box) for x in c])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.sampled_from(FOLD_ORACLE_GEOMETRIES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 4),
+    re=st.floats(-1.0, 9.0),
+    im=st.floats(0.05, 2.0),
+    upper=st.booleans(),
+    by_component=st.booleans(),
+)
+def test_component_fold_matches_dense_oracle(
+    geometry, seed, samples, re, im, upper, by_component
+):
+    box, mask = geometry
+    on_gamma = mask_vector(mask, box)
+    assert on_gamma.any() and not on_gamma.all()
+    h = assemble(box, mask, None, 0.0, None).matrix
+    gamma = np.flatnonzero(on_gamma)
+    # component order, as the engine folds, or index order: both are exact
+    comp = _component_order(box, mask) if by_component else np.flatnonzero(~on_gamma)
+    z = complex(re, im if upper else -im)
+    fold = fold_complement(h, gamma, comp, z)
+    r, b, s = dense_fold(h, gamma, comp, z)
+    assert _close(fold.s, s)
+    v = np.random.default_rng(seed).uniform(0.0, 10.0, (samples, len(gamma)))
+    hgg = h[np.ix_(gamma, gamma)] + v[:, :, None] * np.eye(len(gamma))
+    gg = fold.solve(hgg)
+    assert _close(gg, np.linalg.inv(hgg - s - z * np.eye(len(gamma))))
+    blocks = fold.blocks(gg)
+    cg, cc = dense_blocks(r, b, gg)
+    assert _close(blocks.cg, cg) and _close(blocks.cc, cc)
+    assert blocks.gg is gg
+    np.testing.assert_array_equal(blocks.comp, comp)
+
+
+@pytest.mark.parametrize("geometry", TRIMMED_GEOMETRIES)
+def test_entry_reads_every_block_in_component_order(geometry):
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=3, samples=2)
+    z = 4.0 + 0.1j
+    blocks = []
+    gs, _ = mc_map(lambda b: blocks.append(b) or _stack(b), ens, z=z)
+    (g,) = blocks
+    np.testing.assert_array_equal(g.comp, _component_order(box, mask))
+    for x in range(box.size):
+        for y in range(box.size):
+            np.testing.assert_array_equal(g.entry(x, y), gs[:, x, y])
 
 
 # A narrow two-atom mixture: z collides (within 1e-12 ||H||) with every
@@ -357,13 +434,14 @@ def test_localize_routes_several_eps_to_eigh_and_one_eps_to_lu():
 
         return mock.patch.object(module, name, wrapper)
 
-    # 6 samples of 16 sites fit in one chunk: one stacked call per z.  The
-    # trimmed mask (the default gamma1:2,2) adds one solve of the folded
-    # complement per z.
+    # 6 samples of 16 sites fit in one chunk: one stacked call per z.  On the
+    # trimmed mask (the default gamma1:2,2) that call is the fold's own
+    # solve of the Gamma block, and its complement, four one-site
+    # components, is one stacked `green` per z.
     cases = (
-        ("gamma1:2,2", "0.1,0.01", {"green": 4}),
+        ("gamma1:2,2", "0.1,0.01", {"green": 2, "solve": 2}),
         ("full", "0.1,0.01", {"eigendecompose": 1}),
-        ("gamma1:2,2", "0.1", {"green": 2}),
+        ("gamma1:2,2", "0.1", {"green": 1, "solve": 1}),
         ("full", "0.1", {"green": 1}),
     )
     for gamma, eps, expected in cases:
@@ -374,6 +452,7 @@ def test_localize_routes_several_eps_to_eigh_and_one_eps_to_lu():
             counting(fracmoment, "green"),
             counting(spectral, "green"),
             counting(fracmoment, "eigendecompose"),
+            counting(spectral.ComplementFold, "solve"),
         ):
             cli._run_localize(config)
         assert calls == expected

@@ -1,7 +1,8 @@
 """The import path loads numpy's LAPACK only.  scipy loads inside the
 experiments that need it (quadrature in `couple`), and numpy.random
 (with `secrets` and OpenSSL's `_hashlib` behind it) only where a numpy
-generator is made: the runners of `verify` and `couple`."""
+generator is made: the runners of `verify` and `couple`, never `localize`,
+`dynamics` or `lattice-info`."""
 
 from __future__ import annotations
 
@@ -57,6 +58,7 @@ for experiment, args in (
                   "--samples", "4", "--epsilon", "0.1,0.01"]),
     ("dynamics", ["--box", "1..5,1..5", "--gamma", "gamma1:2,2",
                   "--samples", "2", "--epsilon", "0.1,0.01"]),
+    ("lattice-info", ["--box", "0..40,0..40", "--gamma", "bernoulli:0.5:1"]),
 ):
     report[experiment + "_exit"] = trimlab.cli.main([experiment, *args, "--out", out])
     report[experiment] = random_modules()
@@ -118,6 +120,9 @@ def test_localize_and_dynamics_load_no_numpy_random(tmp_path):
     assert report["import"] == []
     assert report["localize_exit"] == 0 and report["localize"] == []
     assert report["dynamics_exit"] == 0 and report["dynamics"] == []
+    # the Bernoulli densities read Gamma through the Philox kernel, not
+    # one numpy generator per site
+    assert report["lattice-info_exit"] == 0 and report["lattice-info"] == []
     # a traced benchmark run wraps these modules as soon as it starts
     assert {"trimlab.coupling", "trimlab.dynamics"} <= set(report["trimlab"])
 

@@ -30,6 +30,8 @@ from trimlab.lattice import (
     relative_density,
 )
 
+from oracles import relative_density as per_site_density
+
 sites_2d = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
 
@@ -271,6 +273,29 @@ def test_relative_density_gamma1():
     # density of the grid mask tends to 3/4
     assert abs(float(frac) - 0.75) < 0.02
     assert isinstance(frac, Fraction)
+
+
+def _density_masks(dim: int):
+    masks = [BernoulliMask(0.5, 5), BernoulliMask(0.3, 11)]
+    masks.append(PeriodicCellMask((2,) * dim, (True,) + (False,) * (2**dim - 1)))
+    masks.append(PeriodicCellMask((3,) * dim, (False, True) + (True,) * (3**dim - 2)))
+    if dim == 2:
+        masks += [Gamma1Mask(2, 2), Gamma1Mask(3, 2), Gamma2Mask(3)]
+    return masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 3),
+    radius=st.integers(0, 6),
+)
+def test_relative_density_matches_per_site_reference(data, dim, radius):
+    mask = data.draw(st.sampled_from(_density_masks(dim)))
+    center = data.draw(st.tuples(*[st.integers(-30, 30)] * dim))
+    frac = relative_density(mask, radius, center)
+    assert isinstance(frac, Fraction)
+    assert frac == per_site_density(mask, radius, center)
 
 
 @settings(max_examples=25)
