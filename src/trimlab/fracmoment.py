@@ -4,26 +4,21 @@ threshold kernel, and eigenvalue-counting (Wegner) statistics.
 
 All Monte Carlo loops are serial, draw disorder through counter-based
 streams and reduce in sample-index order, so estimates are reproducible
-bit for bit.  Every one takes its operators from one generator of
-chunked stacks, `_operator_stacks`.  `mc_map` inverts them by LU, one
+bit for bit.  The chi estimates at a non-real z (`localize`) never form
+an n x n matrix: H couples only adjacent slices x_1 = const of the box,
+so `_slice_sums` draws each chunk of realizations once and, at every z,
+reads the weighted column sums of |G_z|^s off the rows of blocks that
+`spectral.slice_green_rows` yields, a few W x W inversions per slice.
+Every other loop takes its operators from one generator of chunked
+(S, n, n) stacks, `_operator_stacks`: `mc_map` inverts them by LU, one
 inverse per realization and z, and resamples a realization that
-collides with a real z.  At a non-real z on a box that Gamma meets
-without covering, it folds the deterministic complement once per z
-(`spectral.fold_complement`, which `kernel_K` reads too) and inverts
-only the |Gamma|-sized blocks; its consumers reduce the resulting
-`GreenBlocks` block by block.  `_fold_indices` lists Gamma^c component
-by component, so the fold solves and stores each component on its own
-(the Laplacian couples no two components, so H(0) on Gamma^c is block
-diagonal and the fold stays exact).  When Gamma covers the box, the z
-sweep of `mc_chi_green_sweep` factors each realization once and reads
-every z off its spectrum, as the Wegner statistics and `dynamics` do
-for every eps or t.
+collides with a real z; the Wegner statistics and `dynamics` factor
+them by `eigh` once for every eps or t.
 
 H(0) is built once per ensemble: `EnsembleSpec.split` caches a
 `TrimmedSplit` (H(0), the Gamma/Gamma^c indices and sites, the eigenpairs
 of H(0)|_{Gamma^c} and of H(0)) for the kernel K, the identity checks and the
-deterministic side of every other check.  The engine folds a transient
-H(0) instead, since holding one for the run raises its peak RSS.
+deterministic side of every other check.
 """
 
 from __future__ import annotations
@@ -36,17 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .disorder import DisorderSpec, SampleStream, sample_potential
-from .lattice import (
-    LatticeBox,
-    Site,
-    SublatticeMask,
-    components_of_complement,
-    l1_distances,
-    mask_vector,
-)
+from .lattice import LatticeBox, Site, SublatticeMask, l1_distances, mask_vector
 from .operators import HamiltonianMatrix, assemble, laplacian_matrix, resolve_v0
 from .spectral import (
-    GreenBlocks,
     SpectralData,
     SpectralParameterOnSpectrum,
     _index_split,
@@ -55,6 +42,7 @@ from .spectral import (
     gap_and_mult,
     green,
     off_x_green,
+    slice_green_rows,
 )
 
 
@@ -80,9 +68,12 @@ class DecayMetric:
     def evaluate(self, x: Site, y: Site) -> float:
         return self.eta * int(l1_distances([x], [y])[0, 0])
 
-    def weight_matrix(self, sites: Sequence[Site]) -> np.ndarray:
-        """e^{rho(x, y)} over pairs of sites, one math.exp per distance."""
-        dist = l1_distances(sites, sites)
+    def weight_matrix(
+        self, sites: Sequence[Site], others: Sequence[Site] | None = None
+    ) -> np.ndarray:
+        """e^{rho(x, y)} for x in sites and y in others (default: sites),
+        one math.exp per distance."""
+        dist = l1_distances(sites, sites if others is None else others)
         table = [math.exp(self.eta * k) for k in range(dist.max(initial=0) + 1)]
         return np.array(table)[dist]
 
@@ -165,114 +156,140 @@ def chunk_size(n: int) -> int:
     return max(1, CHUNK_ENTRIES // (n * n))
 
 
-def _fold_indices(ens: EnsembleSpec, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Box indices of Gamma and of the complement the engine folds at z,
-    the complement ordered component by component
-    (`components_of_complement`), so that the fold solves each component
-    on its own.
-
-    The fold applies when z is non-real and Gamma meets the box without
-    covering it.  Otherwise (a real z may lie on the spectrum of
-    H(0)|_{Gamma^c}) every site counts as Gamma and the complement is
-    empty.
-    """
-    on_gamma = mask_vector(ens.mask, ens.box)
-    if z.imag == 0.0 or on_gamma.all() or not on_gamma.any():
-        return np.arange(ens.box.size), np.arange(0)
-    comps = components_of_complement(ens.mask, ens.box)
-    return np.flatnonzero(on_gamma), ens.box.indices([x for c in comps for x in c])
-
-
 def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
     """Evaluate the ensemble at z in sample-index order; returns
     (values, n_resampled).
 
     The samples go through in chunks (chunk_size of the box): the
     potentials are drawn as one (S, n) array, the operators built as one
-    stack and inverted by `green` at once, and per_chunk(blocks) maps the
-    chunk's `GreenBlocks` to one row per sample; values holds the rows of
-    all chunks in order.
-
-    At a non-real z on a box that Gamma meets without covering, the
-    deterministic complement is folded once (`spectral.fold_complement`)
-    and only the (S, |Gamma|, |Gamma|) stack H_{Gamma Gamma} - S is
-    inverted.  Otherwise the whole (S, n, n) stack is, and a sample whose
-    operator has a real z on its spectrum (SpectralParameterOnSpectrum) is
-    replaced by sample index i + k * samples, k = 1, 2, ...; at most 1% of
-    the samples may be resampled.
+    stack and inverted by `green` at once, and per_chunk(gs) maps the
+    chunk's (S, n, n) stack of G_z to one row per sample; values holds
+    the rows of all chunks in order.  A sample whose operator has a real
+    z on its spectrum (SpectralParameterOnSpectrum) is replaced by sample
+    index i + k * samples, k = 1, 2, ...; at most 1% of the samples may
+    be resampled.
     """
+    z = complex(z)
     budget = max(1, ens.samples // 100)
-    rows, n_resampled = [], 0
-    for blocks, k in _green_chunks(ens, complex(z), budget):
-        rows.append(per_chunk(blocks))
-        n_resampled += k
-        del blocks  # free this chunk's G before the next chunk is solved
-    return np.concatenate(rows), n_resampled
+    total, rows, used = ens.samples, [], 0
+    for idx, _, h, redraw in _operator_stacks(ens):
+        k = np.zeros(len(idx), dtype=int)
+        while True:
+            try:
+                gs = green(h, z).entries
+                break
+            except SpectralParameterOnSpectrum as exc:
+                hits = np.flatnonzero(exc.hits)
+                k[hits] += 1
+                if used + int(k.sum()) > budget:
+                    raise ResampleBudgetExceeded(
+                        f"{used + int(k.sum())} resamples exceed the {budget} budget"
+                    )
+                redraw(hits, idx[hits] + k[hits] * total)
+        used += int(k.sum())
+        rows.append(per_chunk(gs))
+        del gs  # free this chunk's G before the next chunk is solved
+    return np.concatenate(rows), used
 
 
-def _operator_stacks(ens: EnsembleSpec, keep: np.ndarray | None = None):
+def _operator_stacks(ens: EnsembleSpec):
     """(sample indices, potentials, stack, redraw) per chunk of the
     ensemble, in sample order; no linear algebra.
 
-    The potentials are (S, n) and the stack (S, m, m), for the chunk's
-    sample indices, on the m box indices `keep` (default: every site);
-    redraw(rows, samples) overwrites the given rows of both with those of
-    other sample indices.  The diagonal is formed as `assemble` forms it,
-    so every matrix equals ens.realization(i).matrix[keep][:, keep] bit
-    for bit.
+    The potentials are (S, n) and the stack (S, n, n), for the chunk's
+    sample indices; redraw(rows, samples) overwrites the given rows of
+    both with those of other sample indices.  The diagonal is formed as
+    `assemble` forms it, so every matrix equals ens.realization(i).matrix
+    bit for bit.
     """
     box = ens.box
     stream = ens.stream()
-    keep = slice(None) if keep is None else keep
-    lap = laplacian_matrix(box)[keep][:, keep]
+    lap = laplacian_matrix(box)
     hops = np.nonzero(lap)
     lap_hops, lap_diag = lap[hops], np.diag(lap).copy()
-    del lap  # only its nonzeros are needed, not m**2 floats beside each stack
-    v0 = resolve_v0(ens.v0, box)[keep]
-    m = len(v0)
-    diag = np.arange(m)
-    step = chunk_size(box.size)
+    del lap  # only its nonzeros are needed, not n**2 floats beside each stack
+    v0 = resolve_v0(ens.v0, box)
+    n = box.size
+    diag = np.arange(n)
+    step = chunk_size(n)
     for start in range(0, ens.samples, step):
         idx = np.arange(start, min(start + step, ens.samples))
-        v = np.empty((len(idx), box.size))
-        h = np.zeros((len(idx), m, m))
+        v = np.empty((len(idx), n))
+        h = np.zeros((len(idx), n, n))
         h[:, hops[0], hops[1]] = lap_hops
 
         def redraw(rows: np.ndarray, samples: np.ndarray, v=v, h=h) -> None:
             v[rows] = sample_potential(stream, ens.mask, box, samples)
-            h[rows[:, None], diag, diag] = lap_diag + (v0 + ens.g * v[rows][:, keep])
+            h[rows[:, None], diag, diag] = lap_diag + (v0 + ens.g * v[rows])
 
         redraw(np.arange(len(idx)), idx)
         yield idx, v, h, redraw
 
 
-def _green_chunks(ens: EnsembleSpec, z: complex, budget: int):
-    """(`GreenBlocks`, resamples) per chunk of the ensemble, in sample
-    order, by LU; a sample colliding with a real z is redrawn as
-    i + k * samples."""
-    gamma, comp = _fold_indices(ens, z)
-    fold = None
-    if comp.size:
-        # not ens.split: holding H(0) for the run, or R off split.sd, raises peak RSS
-        fold = fold_complement(ens.deterministic_part().matrix, gamma, comp, z)
-    total, used = ens.samples, 0
-    for idx, _, h, redraw in _operator_stacks(ens, None if fold is None else gamma):
-        k = np.zeros(len(idx), dtype=int)
-        while True:
-            try:
-                gs = green(h, z).entries if fold is None else fold.solve(h)
-                break
-            except SpectralParameterOnSpectrum as exc:
-                rows = np.flatnonzero(exc.hits)
-                k[rows] += 1
-                if used + int(k.sum()) > budget:
-                    raise ResampleBudgetExceeded(
-                        f"{used + int(k.sum())} resamples exceed the {budget} budget"
-                    )
-                redraw(rows, idx[rows] + k[rows] * total)
-        used += int(k.sum())
-        yield (GreenBlocks.whole(gs) if fold is None else fold.blocks(gs)), int(k.sum())
-        del gs  # free this chunk's G before the next chunk is solved
+def _slice_laplacian(box: LatticeBox) -> np.ndarray:
+    """The W x W block of -Delta on one slice x_1 = const of the box, with
+    the full-lattice diagonal 2d: every diagonal block of H(0) but V0."""
+    if box.dim == 1:
+        return np.full((1, 1), 2.0)
+    t = laplacian_matrix(LatticeBox(box.lo[1:], box.hi[1:]))
+    t[np.diag_indices_from(t)] += 2.0
+    return t
+
+
+def _slice_blocks(ens: EnsembleSpec):
+    """The (S, L, W, W) diagonal blocks of H along axis 0 per chunk of the
+    ensemble, in sample order, each chunk from one draw; the diagonal is
+    formed as `assemble` forms it.  A sample costs about
+    L W**2 + 2 W n complex entries in `_slice_sums`, and a chunk holds
+    CHUNK_ENTRIES of them."""
+    box = ens.box
+    n_l, n = box.shape[0], box.size
+    w = n // n_l
+    t = _slice_laplacian(box)
+    v0 = resolve_v0(ens.v0, box)
+    d = np.arange(w)
+    step = max(1, CHUNK_ENTRIES // (n_l * w * w + 2 * w * n))
+    stream = ens.stream()
+    for start in range(0, ens.samples, step):
+        idx = np.arange(start, min(start + step, ens.samples))
+        v = sample_potential(stream, ens.mask, box, idx)
+        a = np.empty((len(idx), n_l, w, w))
+        a[:] = t
+        a[..., d, d] += (v0 + ens.g * v).reshape(len(idx), n_l, w)
+        yield a
+
+
+def _slice_sums(
+    ens: EnsembleSpec, zs: Sequence[complex], s: float, rho: DecayMetric
+) -> list[np.ndarray]:
+    """Per-sample weighted column sums sum_y e^{rho(y,x)} |G_z(y,x)|^s, an
+    (S, n) array at each non-real z of zs, by `spectral.slice_green_rows`
+    on every chunk of `_slice_blocks`.
+
+    Each row of blocks G_{i,0..i} is reduced as soon as it exists: its
+    columns get its column sums and, G and the weights being symmetric,
+    the columns of slice i get its row sums over slices 0..i-1.  The
+    weights of slice i against slice j are those of the last slice
+    against slice L-1-i+j, so one (W, n) block of `weight_matrix` serves
+    every row.
+    """
+    box = ens.box
+    n_l = box.shape[0]
+    w = box.size // n_l
+    weights = rho.weight_matrix(box.coords[-w:], box.coords)
+    sums: list[list[np.ndarray]] = [[] for _ in zs]
+    for a in _slice_blocks(ens):
+        for out, z in zip(sums, zs):
+            col = np.zeros((len(a), box.size))
+            for i, row in enumerate(slice_green_rows(a, z)):
+                p = np.abs(row)
+                p **= s
+                p *= weights[:, (n_l - 1 - i) * w :]
+                col[:, : (i + 1) * w] += p.sum(axis=1)
+                if i:
+                    col[:, i * w : (i + 1) * w] += p[:, :, : i * w].sum(axis=2)
+            out.append(col)
+    return [np.concatenate(rows) for rows in sums]
 
 
 def sample_mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,11 +322,7 @@ def mc_fractional_moment(
     if not 0 < s < 1:
         raise ValueError("need 0 < s < 1")
     ix, iy = ens.box.index(x), ens.box.index(y)
-
-    def entries(g: GreenBlocks) -> np.ndarray:
-        return np.abs(g.entry(ix, iy)) ** s
-
-    values, n_resampled = mc_map(entries, ens, z)
+    values, n_resampled = mc_map(lambda g: np.abs(g[:, ix, iy]) ** s, ens, z)
     mean, se = sample_mean_stderr(values)
     return {
         "estimate": float(mean),
@@ -326,23 +339,6 @@ def _column_sums(w: np.ndarray, abs_s: np.ndarray) -> np.ndarray:
     return np.sum(w * abs_s, axis=1)
 
 
-def _block_column_sums(w: tuple, g: GreenBlocks, s: float) -> np.ndarray:
-    """`_column_sums` of `GreenBlocks`, with w the weight blocks on
-    (Gamma, Gamma), (Gamma^c, Gamma) and (Gamma^c, Gamma^c).  G and w are
-    symmetric, so the weighted |G_{Gamma^c Gamma}|^s gives the Gamma
-    columns their sums over Gamma^c (its column sums) and the Gamma^c
-    columns theirs over Gamma (its row sums)."""
-    w_gg, w_cg, w_cc = w
-    sums = np.empty((len(g.gg), len(g.gamma) + len(g.comp)))
-    sums[:, g.gamma] = _column_sums(w_gg, np.abs(g.gg) ** s)
-    if g.comp.size:
-        off = w_cg * np.abs(g.cg) ** s
-        sums[:, g.gamma] += np.sum(off, axis=1)
-        sums[:, g.comp] = np.sum(off, axis=2)
-        sums[:, g.comp] += _column_sums(w_cc, np.abs(g.cc) ** s)
-    return sums
-
-
 def _chi_report(
     sums: np.ndarray,
     ens: EnsembleSpec,
@@ -351,8 +347,15 @@ def _chi_report(
     rho: DecayMetric,
     n_resampled: int,
 ) -> ChiReport:
-    """The Monte Carlo chi report of per-sample weighted column sums."""
+    """The Monte Carlo chi report of per-sample weighted column sums;
+    ArithmeticError when the estimate or its standard error is not finite
+    (an overflowed |G|^s, or inf - inf in the spread), since no row
+    should carry a nan or an inf that was not asked for."""
     value, se = _chi_sup(sums)
+    if not math.isfinite(value) or not (math.isfinite(se) or len(sums) < 2):
+        raise ArithmeticError(
+            f"chi at z = {z} is not finite (estimate {value}, stderr {se})"
+        )
     return ChiReport(
         value,
         "monte-carlo",
@@ -370,68 +373,34 @@ def mc_chi_green(
 ) -> ChiReport:
     """chi_rho(E |G_z[H(g)|_B]|^s) over the box, with a CI at the sup row.
 
-    One LU inverse per realization through `mc_map`, of the folded
-    |Gamma| block where the fold applies and of the whole operator
-    otherwise; a realization colliding with a real z is resampled.  The
-    column sums are reduced block by block, never from a full G.
+    At a non-real z, by recursion over the slices of the box
+    (`_slice_sums`): no n x n matrix per realization.  At a real z, one
+    LU inverse of the whole operator per realization through `mc_map`,
+    and a realization colliding with z is resampled.
     """
     if not 0 < s <= 1:
         raise ValueError("need 0 < s <= 1")
-    gamma, comp = _fold_indices(ens, complex(z))
+    z = complex(z)
+    if z.imag != 0.0:
+        return _chi_report(_slice_sums(ens, [z], s, rho)[0], ens, z, s, rho, 0)
     w = rho.weight_matrix(ens.box.coords)
-    w = (w[np.ix_(gamma, gamma)], w[np.ix_(comp, gamma)], w[np.ix_(comp, comp)])
-    sums, n_resampled = mc_map(lambda g: _block_column_sums(w, g, s), ens, z)
+    sums, n_resampled = mc_map(lambda g: _column_sums(w, np.abs(g) ** s), ens, z)
     return _chi_report(sums, ens, z, s, rho, n_resampled)
 
 
 def mc_chi_green_sweep(
     ens: EnsembleSpec, zs: Sequence[complex], s: float, rho: DecayMetric
 ) -> list[ChiReport]:
-    """`mc_chi_green` at every z of zs; every z needs Im z > 0.
-
-    With Gamma covering the box and two or more z, each realization is
-    factored once and every z read off its eigenpairs (`_eigen_sweep`).
-    Otherwise `mc_chi_green` runs z after z, holding one z's fold at a
-    time: a |Gamma|-sized solve per realization and z, or one LU inverse
-    at a single z, costs less than an eigendecomposition of the box.
-    """
-    zs = [complex(z) for z in zs]
-    if not all(z.imag > 0 for z in zs):
-        raise ValueError("the eigen route needs Im z > 0 at every z")
-    if len(zs) >= 2 and mask_vector(ens.mask, ens.box).all():
-        return _eigen_sweep(ens, zs, s, rho)
-    return [mc_chi_green(ens, z, s, rho) for z in zs]
-
-
-def _eigen_sweep(
-    ens: EnsembleSpec, zs: Sequence[complex], s: float, rho: DecayMetric
-) -> list[ChiReport]:
-    """`mc_chi_green` at every z of zs (Im z > 0), any mask, from one
-    eigendecomposition per realization, H = U diag(E) U^T: at every z,
-    G_z = U diag(1 / (E - z)) U^T by two real products (real and imaginary
-    part).  Nothing collides or is resampled.  The LU engine is its
-    test oracle.
-    """
+    """`mc_chi_green` at every z of zs, each with Im z > 0 (localize's
+    epsilon), from one draw per chunk: each chunk of realizations runs
+    the slice recursion at every z before the next chunk is drawn."""
     if not 0 < s <= 1:
         raise ValueError("need 0 < s <= 1")
-    w = rho.weight_matrix(ens.box.coords)
-    sums: list[list[np.ndarray]] = [[] for _ in zs]
-    for _, _, h, _ in _operator_stacks(ens):
-        sd = eigendecompose(h)
-        u, ut = sd.eigenvectors, sd.eigenvectors.swapaxes(-1, -2)
-        for rows, z in zip(sums, zs):
-            d = 1.0 / (sd.eigenvalues - z)
-            g2 = (u * d.real[:, None, :]) @ ut
-            g2 **= 2
-            gi = (u * d.imag[:, None, :]) @ ut
-            gi **= 2
-            g2 += gi
-            g2 **= s / 2  # |G|^s from (Re G)^2 + (Im G)^2, in place
-            rows.append(_column_sums(w, g2))
-    return [
-        _chi_report(np.concatenate(rows), ens, z, s, rho, 0)
-        for rows, z in zip(sums, zs)
-    ]
+    zs = [complex(z) for z in zs]
+    if not all(z.imag > 0 for z in zs):
+        raise ValueError("the sweep needs Im z > 0 at every z")
+    sums = _slice_sums(ens, zs, s, rho)
+    return [_chi_report(col, ens, z, s, rho, 0) for col, z in zip(sums, zs)]
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +538,7 @@ class TrimmedSplit:
                 raise SpectralParameterOnSpectrum(
                     f"z = {z} lies on the spectrum of the trimmed restriction"
                 )
-            m += fold_complement(h0, gamma, self.comp, z, sd).s
+            m += fold_complement(h0, gamma, self.comp, z, sd)
         d = np.diag(m).copy()
         return {
             "K": m - np.diag(d),

@@ -169,12 +169,22 @@ class SublatticeMask:
         raise NotImplementedError
 
 
+def _plane_coords(box: LatticeBox) -> np.ndarray:
+    """(x1, x2) of the sites of a two-dimensional box, in index order."""
+    if box.dim != 2:
+        raise ValueError(f"the mask is defined on Z^2, not on a {box.dim}-d box")
+    return box.coords.T
+
+
 @dataclass(frozen=True)
 class FullMask(SublatticeMask):
     """Gamma = Z^d; every site carries disorder."""
 
     def __contains__(self, site: Site) -> bool:
         return True
+
+    def indicator(self, box: LatticeBox) -> np.ndarray:
+        return np.ones(box.size, dtype=bool)
 
     def descriptor(self) -> str:
         return "full"
@@ -200,6 +210,10 @@ class Gamma1Mask(SublatticeMask):
         x1, x2 = site
         return x1 % self.k == 0 or x2 % self.m == 0
 
+    def indicator(self, box: LatticeBox) -> np.ndarray:
+        x1, x2 = _plane_coords(box)
+        return (x1 % self.k == 0) | (x2 % self.m == 0)
+
     def descriptor(self) -> str:
         return f"gamma1:{self.k},{self.m}"
 
@@ -224,6 +238,10 @@ class Gamma2Mask(SublatticeMask):
     def __contains__(self, site: Site) -> bool:
         x1, x2 = site
         return x1 % self.k == 0 or (x2 - x1) % 2 == 0
+
+    def indicator(self, box: LatticeBox) -> np.ndarray:
+        x1, x2 = _plane_coords(box)
+        return (x1 % self.k == 0) | ((x2 - x1) % 2 == 0)
 
     def descriptor(self) -> str:
         return f"gamma2:{self.k}"
@@ -257,6 +275,13 @@ class PeriodicCellMask(SublatticeMask):
         for s, p in zip(site, self.cell_period):
             idx = idx * p + (s % p)
         return self.cell[idx]
+
+    def indicator(self, box: LatticeBox) -> np.ndarray:
+        if box.dim != len(self.cell_period):
+            raise ValueError("site dimension mismatch")
+        residues = box.coords % np.array(self.cell_period)
+        idx = np.ravel_multi_index(tuple(residues.T), self.cell_period)
+        return np.array(self.cell, dtype=bool)[idx]
 
     def descriptor(self) -> str:
         dims = "x".join(str(p) for p in self.cell_period)

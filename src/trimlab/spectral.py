@@ -1,34 +1,31 @@
-"""Dense spectral machinery: eigendecomposition, Green functions, Schur
-complements and the fold of a deterministic block, resolvent-identity
-residuals, projections and decay fits.
+"""Dense spectral machinery: eigendecomposition, Green functions, the
+slice recursion of a box's Green function, Schur complements and the
+fold of a deterministic block, resolvent-identity residuals,
+projections and decay fits.
 
 Green functions are computed by pivoted complex LU (LAPACK gesv through
 `numpy.linalg`), independent of the eigendecomposition (`numpy.linalg.eigh`,
 LAPACK syevd), so the LU route and the eigen route stay oracles for each
-other.  The LU route serves the Monte Carlo chi engine
-(`fracmoment.mc_map`), which at a non-real z solves only the |Gamma|
-block of each realization: `fold_complement` solves the deterministic
-complement once per z, and `ComplementFold.solve` the folded block
-H_{Gamma Gamma} - S of every realization, in one complex buffer.  The
-fold keeps, per component C of Gamma^c, R_C = G_z[H_{CC}] and
-B_C = R_C H_{C Gamma} on the Gamma-boundary of C only; that is exact
-because the Laplacian has no bond between two components, so H(0) on
-Gamma^c is block diagonal.  `schur_green` keeps its own solve-based Schur
-complement, an independent reference that `verify` checks against the
-whole-operator LU.  The eigen route serves `dynamics` and, when Gamma
-covers the box, the multi-z sweep of `localize`; both read G_z at every
-z off one eigendecomposition per realization.  A single matrix and a
-stack of matrices go through the same gesv or syevd;
-`tests/test_engine.py` checks the stacked engine's own logic (draws,
-assembly, folding, chunking, resampling) against single-matrix `green`
-calls of the whole operator, and the eigen sweep against the folded LU
-engine.  All dense algebra uses numpy's LAPACK, so a process loads one
-BLAS and one thread pool.
+other.  The Monte Carlo chi estimates at a non-real z take a third
+route, `slice_green_rows`: H on a box couples only adjacent slices
+x_1 = const, by -1, so every block of G_z follows from W x W inversions
+per slice, and the rows of blocks are handed over one at a time instead
+of an n x n matrix.  `fold_complement` folds the deterministic
+complement Gamma^c out of the eigenpairs of H(0)|_{Gamma^c}, for the
+kernel K; `schur_green` keeps its own solve-based Schur complement, an
+independent reference that `verify` checks against the whole-operator
+LU.  The eigen route serves `dynamics` and the Wegner statistics, which
+read every t or eps off one eigendecomposition per realization.  A
+single matrix and a stack of matrices go through the same gesv or syevd;
+`tests/test_engine.py` checks the stacked engine (draws, assembly,
+chunking, resampling, the slice recursion) against single-matrix `green`
+calls of the whole operator, and against an eigen oracle.  All dense
+algebra uses numpy's LAPACK, so a process loads one BLAS and one thread
+pool.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -113,148 +110,66 @@ def _inverse(a: np.ndarray, z: complex) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-@dataclass(frozen=True)
-class GreenBlocks:
-    """A stack of G_z (S samples) by blocks of Gamma and its complement.
+def slice_green_rows(a: np.ndarray, z: complex):
+    """Rows of blocks G_{i,0..i}, i = 0, 1, ..., of G_z = (H - z)^-1 for a
+    stack of block-tridiagonal H, by recursion over the slices.
 
-    gamma and comp hold the box indices of Gamma and Gamma^c, each in the
-    order of its block's rows (comp in the fold's component order);
-    gg = G_{Gamma Gamma}, cg = G_{Gamma^c Gamma}, cc = G_{Gamma^c Gamma^c},
-    each with the samples on the first axis.  G is symmetric, so
-    G_{Gamma Gamma^c} is cg transposed.
+    a holds the diagonal blocks, (S, L, W, W) for S matrices of L slices;
+    the blocks beside the diagonal are -1 (minus the W x W identity), as
+    between adjacent slices x_1 = const of a box.  z is non-real, so no
+    block is singular in exact arithmetic; one singular to working
+    precision raises LinAlgError.  With the right-connected gR_i = (A_i - z - gR_{i+1})^-1
+    and the left-connected gL_i = (A_i - z - gL_{i-1})^-1, each diagonal
+    block is inverted on its own, G_ii = (A_i - z - gL_{i-1} - gR_{i+1})^-1,
+    and G_{i,j} = gR_i G_{i-1,j} for j < i.  Each row is yielded as one
+    (S, W, (i+1) W) array, the columns of slices 0..i in order, and is
+    overwritten once the next row is taken; G is complex symmetric, so
+    the rows give every entry.  The Dyson update
+    G_ii = gR_i + gR_i G_{i-1,i-1} gR_i would save the inversions, but it
+    cancels near an eigenvalue: on a gamma1:2,2 9 x 7 box at E = 4, its
+    chi was off by 1.2e-3 at eps = 1e-9, the direct inversion's by 4e-15.
     """
-
-    gg: np.ndarray
-    cg: np.ndarray
-    cc: np.ndarray
-    gamma: np.ndarray
-    comp: np.ndarray
-
-    @classmethod
-    def whole(cls, gs: np.ndarray) -> GreenBlocks:
-        """A whole (S, n, n) stack: every site in Gamma, comp empty."""
-        s, n = len(gs), gs.shape[-1]
-        cg, cc = np.empty((s, 0, n), dtype=complex), np.empty((s, 0, 0), dtype=complex)
-        return cls(gs, cg, cc, np.arange(n), np.arange(0))
-
-    def entry(self, x: int, y: int) -> np.ndarray:
-        """G(x, y) of every sample, for box indices x, y."""
-        px, py = int(self._slot[x]), int(self._slot[y])
-        if px >= 0 and py >= 0:
-            return self.gg[:, px, py]
-        if py >= 0:
-            return self.cg[:, ~px, py]
-        if px >= 0:
-            return self.cg[:, ~py, px]
-        return self.cc[:, ~px, ~py]
-
-    @functools.cached_property
-    def _slot(self) -> np.ndarray:
-        """Per box index, its row in gamma (>= 0) or ~(its row in comp)."""
-        slot = np.empty(len(self.gamma) + len(self.comp), dtype=np.int64)
-        slot[self.gamma] = np.arange(len(self.gamma))
-        slot[self.comp] = ~np.arange(len(self.comp))
-        return slot
-
-
-@dataclass(frozen=True)
-class ComplementFold:
-    """A deterministic block Gamma^c of H folded out at one (non-real) z.
-
-    With R = G_z[H_{Gamma^c}], B = R H_{Gamma^c Gamma} and
-    S = H_{Gamma Gamma^c} B, the Schur complement gives, for any
-    H_{Gamma Gamma}, G_{Gamma Gamma} = G_z[H_{Gamma Gamma} - S],
-    G_{Gamma^c Gamma} = -B G_{Gamma Gamma} and
-    G_{Gamma^c Gamma^c} = R + B G_{Gamma Gamma} B^T.
-
-    H_{Gamma^c} is block diagonal over the blocks of `parts`, runs of comp
-    that no entry of H couples: for H(0) these are the components of
-    Gamma^c (`assemble` adds only diagonal terms to the Laplacian, whose
-    nearest-neighbour bonds join no two components).  So R is block
-    diagonal and each block's rows of B are nonzero only in the columns
-    of its Gamma-boundary.  Each part is (rows, r, edge, nb): the slice of
-    comp of a block C, R_C, the positions in gamma of the boundary dC
-    (the nonzero columns of H_{C Gamma}), and -B_C on those columns.
-    """
-
-    gamma: np.ndarray
-    comp: np.ndarray
-    z: complex
-    parts: tuple[tuple[slice, np.ndarray, np.ndarray, np.ndarray], ...]
-    s: np.ndarray
-
-    def solve(self, h: np.ndarray) -> np.ndarray:
-        """G_{Gamma Gamma} = G_z[h - S] of a real H_{Gamma Gamma} or a stack,
-        inverted in the one complex buffer h - S.  z is non-real, so no
-        matrix collides with it and `green`'s collision check is not needed."""
-        return _inverse(h - self.s, self.z)
-
-    def blocks(self, gg: np.ndarray) -> GreenBlocks:
-        """Every block of G_z from a stack of G_{Gamma Gamma}, block by block:
-        G_{Gamma^c Gamma}[C] = -B_C G_{Gamma Gamma}[dC] and
-        G_{Gamma^c Gamma^c}[C] = R_C (on C x C) - B_C G_{Gamma^c Gamma}[:, dC]^T."""
-        n_s, n_c = len(gg), len(self.comp)
-        cg = np.empty((n_s, n_c, len(self.gamma)), dtype=complex)
-        cc = np.empty((n_s, n_c, n_c), dtype=complex)
-        for rows, _, edge, nb in self.parts:
-            cg[:, rows] = nb @ gg[:, edge]
-        for rows, r, edge, nb in self.parts:
-            cc[:, rows] = nb @ cg[:, :, edge].swapaxes(1, 2)
-            cc[:, rows, rows] += r
-        return GreenBlocks(gg, cg, cc, self.gamma, self.comp)
-
-
-def _runs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, stops) of the finest split of range(len(m)) into runs that
-    no nonzero entry of the square matrix m couples: m is block diagonal
-    over them."""
-    nz = (m != 0) | (m != 0).T
-    pos = np.arange(len(m))
-    # a run ends at k when none of 0..k couples to a position past k
-    reach = np.max(np.where(nz, pos, pos[:, None]), axis=1, initial=0)
-    stops = np.flatnonzero(np.maximum.accumulate(reach) == pos) + 1
-    return np.concatenate(([0], stops))[:-1], stops
+    n_l, w = a.shape[1], a.shape[-1]
+    a = a.astype(complex)
+    d = np.arange(w)
+    a[..., d, d] -= z
+    gr = [None] * n_l  # gR_i for i >= 1
+    for i in range(n_l - 1, 0, -1):
+        gr[i] = np.linalg.inv(a[:, i] - gr[i + 1] if i + 1 < n_l else a[:, i])
+    # row i is written into bufs[i % 2] from row i - 1 in the other one
+    bufs = np.empty((min(n_l, 2), len(a), w, n_l * w), dtype=complex)
+    gl = None
+    for i in range(n_l):
+        m = a[:, i] if i == 0 else a[:, i] - gl
+        if i + 1 < n_l:
+            m = m - gr[i + 1]
+        row = bufs[i % 2, :, :, : (i + 1) * w]
+        if i:
+            np.matmul(gr[i], bufs[1 - i % 2, :, :, : i * w], out=row[:, :, : i * w])
+        row[:, :, i * w :] = np.linalg.inv(m)
+        yield row
+        if i + 1 < n_l:
+            gl = np.linalg.inv(a[:, i] if i == 0 else a[:, i] - gl)
 
 
 def fold_complement(
-    h: np.ndarray,
-    gamma: np.ndarray,
-    comp: np.ndarray,
-    z: complex,
-    sd: SpectralData | None = None,
-) -> ComplementFold:
-    """Fold the block comp of the symmetric matrix h out of its block gamma
-    at z.
-
-    h_{comp comp} is split into the runs of comp that no entry couples, so
-    comp in component order gives one block per component and comp in
-    any other order fewer, larger blocks: the fold is exact either way.
-    The blocks are solved by `green`, one stacked call per block size, or
-    R is read off sd, the eigenpairs of h_{comp comp}, as one block.
-    """
+    h: np.ndarray, gamma: np.ndarray, comp: np.ndarray, z: complex, sd: SpectralData
+) -> np.ndarray:
+    """S = H_{Gamma Gamma^c} G_z[H_{Gamma^c}] H_{Gamma^c Gamma} of the
+    symmetric matrix h, with gamma and comp the indices of Gamma and
+    Gamma^c and sd the eigenpairs of H_{Gamma^c}: the block that folding
+    Gamma^c out of G_z subtracts from H_{Gamma Gamma}, so that
+    G_{Gamma Gamma} = G_z[H_{Gamma Gamma} - S].  Only the columns of the
+    Gamma-boundary of Gamma^c (the nonzero columns of H_{Gamma^c Gamma})
+    enter the products."""
     z = complex(z)
+    u = sd.eigenvectors
+    r = (u * (1.0 / (sd.eigenvalues - z))) @ u.T
     hcg, hgc = h[np.ix_(comp, gamma)], h[np.ix_(gamma, comp)]
-    if sd is None:
-        hcc = h[np.ix_(comp, comp)]
-        starts, stops = _runs(hcc)
-        solved = []  # (start, R_C) per block
-        for size in np.unique(stops - starts):
-            first = starts[stops - starts == size]
-            pos = first[:, None] + np.arange(size)
-            stack = hcc[pos[:, :, None], pos[:, None, :]]
-            solved += zip(first, green(stack, z).entries)
-    else:
-        u = sd.eigenvectors
-        solved = [(0, (u * (1.0 / (sd.eigenvalues - z))) @ u.T)]
+    edge = np.flatnonzero(np.any(hcg != 0, axis=0))
     s = np.zeros((len(gamma), len(gamma)), dtype=complex)
-    parts = []
-    for start, r in solved:
-        rows = slice(int(start), int(start) + len(r))
-        edge = np.flatnonzero(np.any(hcg[rows] != 0, axis=0))
-        nb = -(r @ hcg[rows, edge])
-        s[np.ix_(edge, edge)] -= hgc[edge, rows] @ nb
-        parts.append((rows, r, edge, nb))
-    return ComplementFold(gamma, comp, z, tuple(parts), s)
+    s[np.ix_(edge, edge)] -= hgc[edge] @ -(r @ hcg[:, edge])
+    return s
 
 
 def _index_split(ham: HamiltonianMatrix, x_sites: Sequence[Site]):

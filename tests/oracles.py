@@ -9,9 +9,12 @@ package neither compiles them nor loads numpy.random for them.
   site by site through `s in mask`.
 - `EvolutionKernel` and `evolve`: e^{itH} as a full matrix and applied
   to a vector, the reference for the amplitudes of `dynamics`.
-- `dense_fold` and `dense_blocks`: the fold of a complement Gamma^c as
-  dense products over all of Gamma^c, the reference for the component
-  by component `spectral.fold_complement`.
+- `dense_fold`: the fold of a complement Gamma^c as dense products over
+  all of Gamma^c, the reference for `spectral.fold_complement`, which
+  multiplies only on the Gamma-boundary of Gamma^c.
+- `eigen_sweep`: chi_rho(E |G_z|^s) at several z from one
+  eigendecomposition per realization, an oracle for the slice recursion
+  of `fracmoment.mc_chi_green_sweep` that shares none of its algebra.
 - `relative_density`: |B(center, R) intersect Gamma| / |B(center, R)|
   read site by site through `s in mask`.
 """
@@ -24,8 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from trimlab.disorder import SampleStream, _stream_key
+from trimlab.fracmoment import _chi_report, _operator_stacks
 from trimlab.lattice import Site, SublatticeMask, ball
-from trimlab.spectral import SpectralData
+from trimlab.spectral import SpectralData, eigendecompose
 
 
 def draw_vector(stream: SampleStream, n_sites: int, sample_index: int) -> np.ndarray:
@@ -79,11 +83,29 @@ def dense_fold(h: np.ndarray, gamma: np.ndarray, comp: np.ndarray, z: complex):
     return r, b, h[np.ix_(gamma, comp)] @ b
 
 
-def dense_blocks(r: np.ndarray, b: np.ndarray, gg: np.ndarray):
-    """(G_{comp gamma}, G_{comp comp}) = (-B gg, R + B gg B^T) of a stack
-    gg of G_{gamma gamma}, from `dense_fold`'s R and B."""
-    cg = -(b @ gg)
-    return cg, r - cg @ b.T
+def eigen_sweep(ens, zs: Sequence[complex], s: float, rho) -> list:
+    """`mc_chi_green` at every z of zs (non-real), from one
+    eigendecomposition per realization, H = U diag(E) U^T: at every z,
+    G_z = U diag(1 / (E - z)) U^T by two real products (real and imaginary
+    part)."""
+    w = rho.weight_matrix(ens.box.coords)
+    sums: list[list[np.ndarray]] = [[] for _ in zs]
+    for _, _, h, _ in _operator_stacks(ens):
+        sd = eigendecompose(h)
+        u, ut = sd.eigenvectors, sd.eigenvectors.swapaxes(-1, -2)
+        for rows, z in zip(sums, zs):
+            d = 1.0 / (sd.eigenvalues - z)
+            g2 = (u * d.real[:, None, :]) @ ut
+            g2 **= 2
+            gi = (u * d.imag[:, None, :]) @ ut
+            gi **= 2
+            g2 += gi
+            g2 **= s / 2  # |G|^s from (Re G)^2 + (Im G)^2, in place
+            rows.append(np.sum(w * g2, axis=1))
+    return [
+        _chi_report(np.concatenate(rows), ens, z, s, rho, 0)
+        for rows, z in zip(sums, zs)
+    ]
 
 
 def relative_density(mask: SublatticeMask, radius: int, center: Site):

@@ -379,6 +379,41 @@ def test_non_finite_number_exits_2(tmp_path, capsys, field, value, epsilon):
     assert not (tmp_path / "localize.csv").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["1e-300", "1e-170"])
+def test_localize_at_a_singular_slice_block_exits_3(tmp_path, capsys, epsilon):
+    # z = 4 + i eps is an eigenvalue of a slice block to within rounding: the
+    # complement fold wrote a nan row with exit 0 here
+    args = ["localize", "--box", "1..5,1..5", "--samples", "20", "--epsilon", epsilon]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 3
+    assert "LinAlgError" in capsys.readouterr().err
+    assert not (tmp_path / "localize.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("poison", ["nan", "spread"])
+def test_localize_non_finite_chi_exits_3(tmp_path, monkeypatch, capsys, poison):
+    # a nan estimate, or a finite estimate whose stderr overflows
+    from trimlab import fracmoment
+
+    real = fracmoment._slice_sums
+
+    def poisoned(*args):
+        sums = real(*args)
+        if poison == "nan":
+            sums[0][0, 0] = np.nan
+        else:
+            sums[0][:] = 1e200
+            sums[0][::2] = 3e200
+        return sums
+
+    monkeypatch.setattr(fracmoment, "_slice_sums", poisoned)
+    args = ["localize", "--box", "1..3,1..3", "--samples", "4", "--epsilon", "0.1,0.01"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "ArithmeticError" in err and "z = (4+0.1j)" in err
+    assert not (tmp_path / "localize.csv").exists()
+
+
 @pytest.mark.parametrize("experiment", ["dynamics", "localize"])
 def test_repeated_epsilon_exits_2(tmp_path, capsys, experiment):
     args = [experiment, "--box", "1..5,1..5", "--samples", "2", "--epsilon", "0.1,0.1"]

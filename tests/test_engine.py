@@ -1,9 +1,9 @@
 """The chunked, stacked Monte Carlo engine against the scalar routes it
-replaced, one realization at a time: `mc_map`, with and without the folded
-complement, against pivoted LU of the whole operator, the eigen sweep
-against the folded LU engine z by z, and the Wegner statistics, the
-uniform resolvent probe and the dynamics rows against per-realization
-`eigh` and SVD."""
+replaced, one realization at a time: `mc_map` against pivoted LU of the
+whole operator, the slice recursion of the chi estimates against the
+same LU and against an eigen oracle, the eigenpair fold of Gamma^c
+against dense products, and the Wegner statistics, the uniform resolvent
+probe and the dynamics rows against per-realization `eigh` and SVD."""
 
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from trimlab.spectral import (
     green,
 )
 
-from oracles import dense_blocks, dense_fold, eigenvector_gamma_mass
+from oracles import dense_fold, eigen_sweep, eigenvector_gamma_mass
 
 GEOMETRIES = [
     (make_box(1, (0,), (0,)), FullMask()),
@@ -58,10 +58,9 @@ GEOMETRIES = [
     (make_box(2, (0, 0), (4, 4)), Gamma2Mask(3)),
 ]
 
-# GEOMETRIES plus Bernoulli and cell masks: the ones Gamma meets without
-# covering are folded at non-real z.  The engine orders Gamma^c component by
-# component, which on both Bernoulli boxes is not index order: on the
-# second, the one-site component (4, 0) lies between rows of a six-site one.
+# GEOMETRIES plus Bernoulli and cell masks.  On both Bernoulli boxes Gamma^c
+# has components of several sizes; on the second, the one-site component
+# (4, 0) lies between rows of a six-site one.
 FOLD_GEOMETRIES = GEOMETRIES + [
     (make_box(2, (0, 0), (5, 4)), BernoulliMask(0.5, 3)),
     (make_box(2, (1, 1), (4, 4)), PeriodicCellMask((2, 2), (True, False, False, True))),
@@ -71,14 +70,8 @@ FOLD_GEOMETRIES = GEOMETRIES + [
 TRIMMED_GEOMETRIES = FOLD_GEOMETRIES[2:]
 
 
-def _stack(g):
-    """The (S, n, n) Green stack of a chunk, reassembled from its blocks."""
-    n = len(g.gamma) + len(g.comp)
-    gs = np.empty((len(g.gg), n, n), dtype=complex)
-    gs[:, g.gamma[:, None], g.gamma] = g.gg
-    gs[:, g.comp[:, None], g.gamma] = g.cg
-    gs[:, g.gamma[:, None], g.comp] = g.cg.swapaxes(1, 2)
-    gs[:, g.comp[:, None], g.comp] = g.cc
+def _whole(gs):
+    """The (S, n, n) Green stack of a chunk, as `mc_map` hands it over."""
     return gs
 
 
@@ -107,23 +100,31 @@ def _close(a, b) -> bool:
     return float(np.max(np.abs(a - b))) <= 1e-12 * max(1.0, float(np.max(np.abs(b))))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    geometry=st.sampled_from(GEOMETRIES),
+    geometry=st.sampled_from(FOLD_GEOMETRIES),
     seed=st.integers(0, 2**32),
     samples=st.integers(1, 12),
     re=st.floats(-1.0, 9.0),
     im=st.floats(0.05, 2.0),
+    upper=st.booleans(),
     g=st.floats(0.5, 20.0),
 )
-def test_stacked_values_match_scalar_oracle(geometry, seed, samples, re, im, g):
+def test_stacked_values_match_scalar_oracle(geometry, seed, samples, re, im, upper, g):
     box, mask = geometry
     ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
-    z = complex(re, im)
-    gs, n_resampled = mc_map(_stack, ens, z=z)
+    z = complex(re, im if upper else -im)
+    gs, n_resampled = mc_map(_whole, ens, z=z)
     assert gs.shape == (samples, box.size, box.size) and n_resampled == 0
     for i in range(samples):
         assert _close(gs[i], green(ens.realization(i), z).entries)
+
+
+def _slice_entries(box) -> int:
+    """Complex entries per sample that sizes the chunks of the slice route."""
+    n_l, n = box.shape[0], box.size
+    w = n // n_l
+    return n_l * w * w + 2 * w * n
 
 
 @settings(max_examples=20, deadline=None)
@@ -139,44 +140,124 @@ def test_results_do_not_depend_on_chunk_size(geometry, seed, samples, im, per_ch
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=seed, samples=samples)
     z = complex(4.0, im)
     rho = DecayMetric(0.1)
-    gs, _ = mc_map(_stack, ens, z=z)
+    gs, _ = mc_map(_whole, ens, z=z)
     chi = mc_chi_green(ens, z, 0.5, rho)
     with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
         assert fracmoment.chunk_size(box.size) == per_chunk
-        gs_small, _ = mc_map(_stack, ens, z=z)
+        gs_small, _ = mc_map(_whole, ens, z=z)
+    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * _slice_entries(box)):
         chi_small = mc_chi_green(ens, z, 0.5, rho)
     np.testing.assert_array_equal(gs_small, gs)
     assert (chi_small.value, chi_small.stderr) == (chi.value, chi.stderr)
 
 
-@settings(max_examples=40, deadline=None)
+# The chi estimates of the slice route against the same estimates from one
+# whole-operator `green` per realization.
+
+
+def _lu_chi(ens, z, s, rho) -> tuple[float, float]:
+    """sup_x of the sample mean of sum_y e^{rho(y,x)} |G_z(y,x)|^s, with its
+    standard error at the sup column, one `green` of the whole operator
+    per realization."""
+    w = rho.weight_matrix(ens.box.coords)
+    sums = np.array(
+        [
+            np.sum(w * np.abs(green(ens.realization(i), z).entries) ** s, axis=0)
+            for i in range(ens.samples)
+        ]
+    )
+    means = np.mean(sums, axis=0)
+    x = int(np.argmax(means))
+    if ens.samples < 2:
+        return float(means[x]), math.inf
+    return float(means[x]), float(np.std(sums[:, x], ddof=1) / math.sqrt(ens.samples))
+
+
+def _chi_close(report, oracle, rtol: float) -> bool:
+    # the stderr is a difference of per-sample sums of the estimate's size,
+    # so it carries their rounding: compare it on the estimate's scale
+    value, se = oracle
+    return abs(report.value - value) <= rtol * value and (
+        report.stderr == se or abs(report.stderr - se) <= rtol * value
+    )
+
+
+# d = 1, 2, 3; one slice (L = 1) and one site per slice (W = 1); every mask kind
+SLICE_GEOMETRIES = [
+    (make_box(1, (0,), (0,)), FullMask()),
+    (make_box(1, (-2,), (4,)), FullMask()),
+    (make_box(1, (0,), (9,)), BernoulliMask(0.5, 1)),
+    (make_box(1, (0,), (7,)), PeriodicCellMask((4,), (True, False, False, False))),
+    (make_box(2, (3, 0), (3, 5)), Gamma1Mask(2, 2)),
+    (make_box(2, (0, 1), (5, 1)), Gamma2Mask(3)),
+    (make_box(2, (1, 1), (5, 4)), Gamma1Mask(2, 2)),
+    (make_box(2, (-2, -1), (2, 3)), Gamma2Mask(3)),
+    (make_box(2, (0, 0), (5, 4)), BernoulliMask(0.5, 3)),
+    (make_box(2, (1, 1), (4, 4)), PeriodicCellMask((2, 2), (True, False, False, True))),
+    (make_box(3, (0, 0, 0), (2, 1, 2)), FullMask()),
+    (make_box(3, (0, 0, 0), (2, 2, 1)), BernoulliMask(0.5, 2)),
+    (make_box(3, (0, 0, 0), (1, 2, 2)), PeriodicCellMask((2, 2, 2), (True, False) * 4)),
+]
+
+
+def _v0(kind: str, box, seed: int):
+    if kind == "number":
+        return 0.7
+    if kind == "vector":
+        return np.random.default_rng(seed).uniform(-1.0, 1.0, box.size)
+    if kind == "callable":
+        return lambda site: 0.25 * sum(site)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    geometry=st.sampled_from(FOLD_GEOMETRIES),
+    geometry=st.sampled_from(SLICE_GEOMETRIES),
     seed=st.integers(0, 2**32),
-    samples=st.integers(1, 12),
-    re=st.floats(-1.0, 9.0),
-    im=st.floats(0.05, 2.0),
+    samples=st.integers(1, 6),
+    v0=st.sampled_from(["none", "number", "vector", "callable"]),
+    energy=st.one_of(st.just("2d"), st.floats(-1.0, 9.0)),
+    eps=st.floats(1e-6, 1.0),
     upper=st.booleans(),
+    s=st.floats(0.0, 1.0, exclude_min=True),
     g=st.floats(0.5, 20.0),
-    xy=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
 )
-def test_folded_engine_matches_per_realization_green(
-    geometry, seed, samples, re, im, upper, g, xy
+def test_slice_route_matches_per_realization_green(
+    geometry, seed, samples, v0, energy, eps, upper, s, g
 ):
     box, mask = geometry
-    ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
-    z = complex(re, im if upper else -im)
-    on_gamma = mask_vector(mask, box)
-    folded = int(np.count_nonzero(~on_gamma)) if on_gamma.any() else 0
-    x, y = (int(f * (box.size - 1)) for f in xy)
-    comp_sizes, _ = mc_map(lambda b: np.full(len(b.gg), len(b.comp)), ens, z=z)
-    assert np.all(comp_sizes == folded)
-    gs, n_resampled = mc_map(_stack, ens, z=z)
-    assert gs.shape == (samples, box.size, box.size) and n_resampled == 0
-    for i in range(samples):
-        assert _close(gs[i], green(ens.realization(i), z).entries)
-    entries, _ = mc_map(lambda b: b.entry(x, y), ens, z=z)
-    np.testing.assert_array_equal(entries, gs[:, x, y])
+    ens = EnsembleSpec(
+        box, mask, Uniform(), g, v0=_v0(v0, box, seed), master_seed=seed, samples=samples
+    )
+    re = 2.0 * box.dim if energy == "2d" else energy
+    rho = DecayMetric(0.1)
+    z = complex(re, eps if upper else -eps)
+    report = mc_chi_green(ens, z, s, rho)
+    assert _chi_close(report, _lu_chi(ens, z, s, rho), 1e-10)
+    assert report.params["z"] == z and report.samples == samples
+    if upper:
+        (swept,) = mc_chi_green_sweep(ens, [z], s, rho)
+        assert (swept.value, swept.stderr) == (report.value, report.stderr)
+
+
+# E = 4 = 2d is an eigenvalue of H(0) on every one-site component of Gamma^c,
+# and of every realization on the gamma1 box.  Folding Gamma^c out of G_z
+# there divided by eps and cancelled: on the gamma2 and Bernoulli boxes the
+# fold was off by about 1e-6 at eps = 1e-6 and by 40-100 % at eps = 1e-9.
+ACCURACY_GEOMETRIES = [
+    (make_box(2, (1, 1), (9, 7)), Gamma2Mask(3)),
+    (make_box(2, (1, 1), (7, 7)), BernoulliMask(0.5, 3)),
+    (make_box(2, (1, 1), (9, 7)), Gamma1Mask(2, 2)),
+]
+
+
+@pytest.mark.parametrize("geometry", ACCURACY_GEOMETRIES)
+def test_sweep_is_accurate_at_the_trimmed_spectrum(geometry):
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=3, samples=7)
+    zs, s, rho = [4.0 + 1e-6j, 4.0 + 1e-9j], 1.0 / 3.0, DecayMetric(0.1)
+    for report, z in zip(mc_chi_green_sweep(ens, zs, s, rho), zs, strict=True):
+        assert _chi_close(report, _lu_chi(ens, z, s, rho), 1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -188,27 +269,51 @@ def test_folded_engine_matches_per_realization_green(
     upper=st.booleans(),
     per_chunk=st.integers(1, 7),
 )
-def test_folded_results_do_not_depend_on_chunk_size(
+def test_slice_results_do_not_depend_on_chunk_size(
     geometry, seed, samples, im, upper, per_chunk
 ):
     box, mask = geometry
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=seed, samples=samples)
     z = complex(4.0, im if upper else -im)
     rho = DecayMetric(0.1)
-    gs, _ = mc_map(_stack, ens, z=z)
     chi = mc_chi_green(ens, z, 0.5, rho)
-    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
-        assert fracmoment.chunk_size(box.size) == per_chunk
-        gs_small, _ = mc_map(_stack, ens, z=z)
+    draws = []
+    real_draw = fracmoment.sample_potential
+
+    def counting(*args):
+        draws.append(len(args[-1]))
+        return real_draw(*args)
+
+    with (
+        mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * _slice_entries(box)),
+        mock.patch.object(fracmoment, "sample_potential", counting),
+    ):
         chi_small = mc_chi_green(ens, z, 0.5, rho)
-    np.testing.assert_array_equal(gs_small, gs)
+    assert draws == [min(per_chunk, samples - k) for k in range(0, samples, per_chunk)]
     assert (chi_small.value, chi_small.stderr) == (chi.value, chi.stderr)
 
 
-# The component fold against the dense oracle: Gamma meets each box without
-# covering it.  FOLD_GEOMETRIES' trimmed boxes, plus an all-singleton Gamma^c
-# (gamma1), one large component (Gamma a 3 x 3 sublattice), components that
-# touch the box faces, and d = 1 and 3.
+@pytest.mark.parametrize("geometry", TRIMMED_GEOMETRIES)
+def test_slice_rows_give_every_entry(geometry):
+    # rows of blocks G_{i,0..i} and the symmetry of G give every entry of
+    # every realization's G_z
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=3, samples=2)
+    z, w = 4.0 + 0.1j, box.size // box.shape[0]
+    (a,) = fracmoment._slice_blocks(ens)
+    gs = np.zeros((2, box.size, box.size), dtype=complex)
+    for i, row in enumerate(spectral.slice_green_rows(a, z)):
+        gs[:, i * w : (i + 1) * w, : (i + 1) * w] = row
+        gs[:, : i * w, i * w : (i + 1) * w] = row[:, :, : i * w].swapaxes(1, 2)
+    for i in range(2):
+        assert _close(gs[i], green(ens.realization(i), z).entries)
+
+
+# The eigenpair fold that `TrimmedSplit.kernel` reads against the dense
+# oracle: Gamma meets each box without covering it.  FOLD_GEOMETRIES'
+# trimmed boxes, plus an all-singleton Gamma^c (gamma1), one large component
+# (Gamma a 3 x 3 sublattice), components that touch the box faces, and
+# d = 1 and 3.
 FOLD_ORACLE_GEOMETRIES = TRIMMED_GEOMETRIES + [
     (make_box(2, (0, 0), (6, 5)), Gamma1Mask(2, 2)),
     (make_box(2, (0, 0), (6, 6)), PeriodicCellMask((3, 3), (True,) + (False,) * 8)),
@@ -241,35 +346,18 @@ def test_component_fold_matches_dense_oracle(
     assert on_gamma.any() and not on_gamma.all()
     h = assemble(box, mask, None, 0.0, None).matrix
     gamma = np.flatnonzero(on_gamma)
-    # component order, as the engine folds, or index order: both are exact
+    # component order or index order: the fold is exact in either
     comp = _component_order(box, mask) if by_component else np.flatnonzero(~on_gamma)
     z = complex(re, im if upper else -im)
-    fold = fold_complement(h, gamma, comp, z)
-    r, b, s = dense_fold(h, gamma, comp, z)
-    assert _close(fold.s, s)
+    s = fold_complement(h, gamma, comp, z, eigendecompose(h[np.ix_(comp, comp)]))
+    assert _close(s, dense_fold(h, gamma, comp, z)[2])
+    # G_{Gamma Gamma} = G_z[H_{Gamma Gamma} - S] for any potential on Gamma
     v = np.random.default_rng(seed).uniform(0.0, 10.0, (samples, len(gamma)))
-    hgg = h[np.ix_(gamma, gamma)] + v[:, :, None] * np.eye(len(gamma))
-    gg = fold.solve(hgg)
-    assert _close(gg, np.linalg.inv(hgg - s - z * np.eye(len(gamma))))
-    blocks = fold.blocks(gg)
-    cg, cc = dense_blocks(r, b, gg)
-    assert _close(blocks.cg, cg) and _close(blocks.cc, cc)
-    assert blocks.gg is gg
-    np.testing.assert_array_equal(blocks.comp, comp)
-
-
-@pytest.mark.parametrize("geometry", TRIMMED_GEOMETRIES)
-def test_entry_reads_every_block_in_component_order(geometry):
-    box, mask = geometry
-    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=3, samples=2)
-    z = 4.0 + 0.1j
-    blocks = []
-    gs, _ = mc_map(lambda b: blocks.append(b) or _stack(b), ens, z=z)
-    (g,) = blocks
-    np.testing.assert_array_equal(g.comp, _component_order(box, mask))
-    for x in range(box.size):
-        for y in range(box.size):
-            np.testing.assert_array_equal(g.entry(x, y), gs[:, x, y])
+    hv = np.tile(h, (samples, 1, 1))
+    hv[:, gamma, gamma] += v
+    whole = np.linalg.inv(hv - z * np.eye(box.size))[:, gamma[:, None], gamma]
+    hgg = hv[:, gamma[:, None], gamma]
+    assert _close(np.linalg.inv(hgg - s - z * np.eye(len(gamma))), whole)
 
 
 # A narrow two-atom mixture: z collides (within 1e-12 ||H||) with every
@@ -291,9 +379,9 @@ def test_resample_accounting_matches_scalar_rerun(case, seed):
         expected, k_expected = _scalar_greens(ens, z)
     except ResampleBudgetExceeded:
         with pytest.raises(ResampleBudgetExceeded):
-            mc_map(_stack, ens, z=z)
+            mc_map(_whole, ens, z=z)
         return
-    gs, k = mc_map(_stack, ens, z=z)
+    gs, k = mc_map(_whole, ens, z=z)
     assert k == k_expected
     assert _close(gs, np.stack(expected))
 
@@ -301,24 +389,22 @@ def test_resample_accounting_matches_scalar_rerun(case, seed):
 @pytest.mark.parametrize("box, dist, z", RESAMPLING)
 def test_resampling_within_budget(box, dist, z):
     ens = EnsembleSpec(box, FullMask(), dist, 1.0, master_seed=11, samples=1000)
-    gs, k = mc_map(_stack, ens, z=z)
+    gs, k = mc_map(_whole, ens, z=z)
     expected, k_expected = _scalar_greens(ens, z)
     assert 0 < k == k_expected <= 10
     assert _close(gs, np.stack(expected))
 
 
-# The eigen sweep of `localize` against the LU engine: one eigendecomposition
-# per realization for every z, checked z by z against `mc_chi_green`.
+# The z sweep of `localize` (one draw per chunk for every z) against the LU
+# oracle, and against the eigen oracle, which reads every z off one
+# eigendecomposition per realization.
 
 
 def _sweep_matches(sweep, oracle) -> bool:
-    # value and stderr at 1e-12 relative to the estimate: the stderr is a
-    # difference of per-sample sums of its size, so it carries their
-    # rounding; one sample has stderr inf on both routes
+    # value and stderr at 1e-12 relative to the estimate; one sample has
+    # stderr inf on both routes
     return all(
-        abs(a.value - b.value) <= 1e-12 * abs(b.value)
-        and (a.stderr == b.stderr or abs(a.stderr - b.stderr) <= 1e-12 * b.value)
-        for a, b in zip(sweep, oracle, strict=True)
+        _chi_close(a, (b.value, b.stderr), 1e-12) for a, b in zip(sweep, oracle, strict=True)
     )
 
 
@@ -338,7 +424,9 @@ def test_sweep_matches_lu_oracle(geometry, seed, samples, re, ims, s, g):
     zs = [complex(re, im) for im in ims]
     rho = DecayMetric(0.1)
     sweep = mc_chi_green_sweep(ens, zs, s, rho)
-    assert _sweep_matches(sweep, [mc_chi_green(ens, z, s, rho) for z in zs])
+    assert all(
+        _chi_close(r, _lu_chi(ens, z, s, rho), 1e-12) for r, z in zip(sweep, zs, strict=True)
+    )
     assert all(r.params["z"] == z and r.samples == samples for r, z in zip(sweep, zs))
 
 
@@ -356,14 +444,14 @@ def test_sweep_does_not_depend_on_chunk_size(geometry, seed, samples, ims, per_c
     zs = [complex(4.0, im) for im in ims]
     rho = DecayMetric(0.1)
     full = mc_chi_green_sweep(ens, zs, 0.5, rho)
-    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
+    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * _slice_entries(box)):
         small = mc_chi_green_sweep(ens, zs, 0.5, rho)
     assert [(r.value, r.stderr) for r in small] == [(r.value, r.stderr) for r in full]
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    geometry=st.sampled_from(TRIMMED_GEOMETRIES),
+    geometry=st.sampled_from(FOLD_GEOMETRIES),
     seed=st.integers(0, 2**32),
     samples=st.integers(1, 12),
     re=st.floats(-1.0, 9.0),
@@ -371,17 +459,13 @@ def test_sweep_does_not_depend_on_chunk_size(geometry, seed, samples, ims, per_c
     s=st.floats(0.1, 1.0),
     g=st.floats(0.5, 20.0),
 )
-def test_eigen_sweep_on_trimmed_masks_matches_folded_lu(
-    geometry, seed, samples, re, ims, s, g
-):
-    # the router sends trimmed masks to the folded LU engine; the eigen
-    # sweep, called directly, stays its independent oracle
+def test_eigen_oracle_matches_slice_route(geometry, seed, samples, re, ims, s, g):
+    # covering and trimmed masks alike
     box, mask = geometry
     ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
     zs = [complex(re, im) for im in ims]
     rho = DecayMetric(0.1)
-    sweep = fracmoment._eigen_sweep(ens, zs, s, rho)
-    assert _sweep_matches(sweep, [mc_chi_green(ens, z, s, rho) for z in zs])
+    assert _sweep_matches(mc_chi_green_sweep(ens, zs, s, rho), eigen_sweep(ens, zs, s, rho))
 
 
 def _numpy_peak(fn) -> int:
@@ -402,13 +486,18 @@ def _numpy_peak(fn) -> int:
 
 
 @pytest.mark.parametrize("mask", [Gamma1Mask(2, 2), BernoulliMask(0.5, 3)])
-def test_folded_route_peak_does_not_exceed_eigen_route(mask):
+def test_slice_route_peak_does_not_exceed_whole_lu_route(mask):
     box = make_box(2, (1, 1), (12, 12))
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=4, samples=10)
     zs, rho = [4.0 + 0.1j, 4.0 + 0.01j], DecayMetric(0.1)
-    folded = _numpy_peak(lambda: mc_chi_green_sweep(ens, zs, 0.5, rho))
-    eigen = _numpy_peak(lambda: fracmoment._eigen_sweep(ens, zs, 0.5, rho))
-    assert folded <= eigen
+
+    def whole_lu():
+        w = rho.weight_matrix(box.coords)
+        for z in zs:
+            mc_map(lambda g: fracmoment._column_sums(w, np.abs(g) ** 0.5), ens, z)
+
+    sliced = _numpy_peak(lambda: mc_chi_green_sweep(ens, zs, 0.5, rho))
+    assert sliced <= _numpy_peak(whole_lu)
 
 
 @pytest.mark.parametrize("zs", [[4.0, 4.0 + 0.1j], [4.0 + 0.1j, 3.0 - 0.1j], [4.0]])
@@ -419,7 +508,7 @@ def test_sweep_refuses_z_off_the_upper_half_plane(zs):
         mc_chi_green_sweep(ens, zs, 0.5, DecayMetric(0.1))
 
 
-def test_localize_routes_several_eps_to_eigh_and_one_eps_to_lu():
+def test_localize_routes_every_eps_to_the_slice_recursion():
     from trimlab import cli
 
     base = ["localize", "--box", "1..4,1..4", "--samples", "6", "--out", "unused"]
@@ -434,28 +523,24 @@ def test_localize_routes_several_eps_to_eigh_and_one_eps_to_lu():
 
         return mock.patch.object(module, name, wrapper)
 
-    # 6 samples of 16 sites fit in one chunk: one stacked call per z.  On the
-    # trimmed mask (the default gamma1:2,2) that call is the fold's own
-    # solve of the Gamma block, and its complement, four one-site
-    # components, is one stacked `green` per z.
-    cases = (
-        ("gamma1:2,2", "0.1,0.01", {"green": 2, "solve": 2}),
-        ("full", "0.1,0.01", {"eigendecompose": 1}),
-        ("gamma1:2,2", "0.1", {"green": 1, "solve": 1}),
-        ("full", "0.1", {"green": 1}),
-    )
-    for gamma, eps, expected in cases:
-        calls.clear()
-        argv = base + ["--gamma", gamma, "--epsilon", eps]
-        config = cli._load_config(cli._build_parser().parse_args(argv))
-        with (
-            counting(fracmoment, "green"),
-            counting(spectral, "green"),
-            counting(fracmoment, "eigendecompose"),
-            counting(spectral.ComplementFold, "solve"),
-        ):
-            cli._run_localize(config)
-        assert calls == expected
+    # 6 samples of 16 sites fit in one chunk: one draw for every eps, one
+    # recursion per eps, and no n x n inverse or eigendecomposition, on a
+    # trimmed mask (the default gamma1:2,2) and on a covering one alike
+    for gamma in ("gamma1:2,2", "full"):
+        for eps in ("0.1,0.01", "0.1"):
+            calls.clear()
+            argv = base + ["--gamma", gamma, "--epsilon", eps]
+            config = cli._load_config(cli._build_parser().parse_args(argv))
+            with (
+                counting(fracmoment, "green"),
+                counting(spectral, "green"),
+                counting(fracmoment, "eigendecompose"),
+                counting(fracmoment, "sample_potential"),
+                counting(fracmoment, "slice_green_rows"),
+            ):
+                cli._run_localize(config)
+            expected = {"sample_potential": 1, "slice_green_rows": len(eps.split(","))}
+            assert calls == expected, (gamma, eps)
 
 
 # The eigen consumers of the operator stacks against one realization at a

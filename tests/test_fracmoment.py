@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,11 @@ def test_weight_matrix_matches_loop(sites):
     for eta in (0.0, 0.1, 0.37):
         rho = DecayMetric(eta)
         assert np.array_equal(rho.weight_matrix(sites), _weight_matrix_loop(rho, sites))
+        # rows of a subset against every site, as the slice route reads them
+        rows = sites[len(sites) // 2 :]
+        assert np.array_equal(
+            rho.weight_matrix(rows, sites), _weight_matrix_loop(rho, sites)[len(sites) // 2 :]
+        )
 
 
 def test_chi_kernel_chain_oracle():
@@ -114,6 +120,27 @@ def _one_site_ens(g: float, samples: int = 4000, seed: int = 7):
         samples=samples,
         master_seed=seed,
     )
+
+
+@pytest.mark.parametrize("z", [3.17, 4.0 + 0.1j])
+def test_non_finite_chi_raises_on_both_routes(monkeypatch, z):
+    # a nan in one sample's column sums, at a real z (whole-operator LU) and
+    # at a non-real one (slice recursion)
+    from trimlab import fracmoment
+
+    def poisoned(real):
+        def wrapper(*args):
+            out = real(*args)
+            (out[0] if isinstance(out, list) else out)[0, 0] = np.nan
+            return out
+
+        return wrapper
+
+    for name in ("_column_sums", "_slice_sums"):
+        monkeypatch.setattr(fracmoment, name, poisoned(getattr(fracmoment, name)))
+    ens = EnsembleSpec(make_box(1, (0,), (3,)), FullMask(), Uniform(), 2.0, samples=4)
+    with pytest.raises(ArithmeticError, match=re.escape(f"z = {complex(z)}")):
+        fracmoment.mc_chi_green(ens, z, 0.5, RHO)
 
 
 def test_one_site_closed_form():

@@ -221,6 +221,50 @@ def test_bernoulli_indicator_matches_membership(p, seed, lo, hi):
     assert cached.tolist() == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    mask=st.one_of(
+        st.just(FullMask()),
+        st.builds(Gamma1Mask, st.integers(2, 6), st.integers(2, 6)),
+        st.builds(Gamma2Mask, st.integers(2, 6)),
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(st.integers(1, 4), min_size=d, max_size=d).flatmap(
+                lambda period: st.builds(
+                    PeriodicCellMask,
+                    st.just(tuple(period)),
+                    st.lists(
+                        st.booleans(),
+                        min_size=int(np.prod(period)),
+                        max_size=int(np.prod(period)),
+                    ).map(tuple),
+                )
+            )
+        ),
+    ),
+)
+def test_closed_form_indicators_match_membership(data, mask):
+    # boxes reaching into negative coordinates, where % must still give the
+    # nonnegative residue that membership uses
+    d = mask.dim or data.draw(st.integers(1, 3))
+    lo = data.draw(st.lists(st.integers(-9, 3), min_size=d, max_size=d))
+    ext = data.draw(st.lists(st.integers(0, 6), min_size=d, max_size=d))
+    box = make_box(d, lo, [a + e for a, e in zip(lo, ext)])
+    expected = [s in mask for s in box.sites()]
+    with mock.patch.object(type(mask), "__contains__", side_effect=AssertionError):
+        got = mask.indicator(box)
+    assert got.dtype == bool
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "mask", [Gamma1Mask(2, 2), Gamma2Mask(3), PeriodicCellMask((2, 2), (True,) * 4)]
+)
+def test_closed_form_indicators_refuse_other_dimensions(mask):
+    with pytest.raises(ValueError):
+        mask.indicator(make_box(3, (0, 0, 0), (1, 1, 1)))
+
+
 def test_mask_descriptor_roundtrip():
     for text in ("full", "gamma1:2,3", "gamma2:4", "bernoulli:0.3:7"):
         mask = mask_from_descriptor(text)
