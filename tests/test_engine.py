@@ -269,13 +269,20 @@ def test_sweep_is_accurate_at_the_trimmed_spectrum(geometry):
     upper=st.booleans(),
     per_chunk=st.integers(1, 7),
 )
-def test_slice_results_do_not_depend_on_chunk_size(
+def test_folded_results_do_not_depend_on_chunk_size(
     geometry, seed, samples, im, upper, per_chunk
 ):
+    # the trimmed FOLD_GEOMETRIES: `mc_map`'s whole-operator stacks, and the
+    # slice route with one draw per chunk
     box, mask = geometry
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=seed, samples=samples)
     z = complex(4.0, im if upper else -im)
     rho = DecayMetric(0.1)
+    gs, _ = mc_map(_whole, ens, z=z)
+    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
+        assert fracmoment.chunk_size(box.size) == per_chunk
+        gs_small, _ = mc_map(_whole, ens, z=z)
+    np.testing.assert_array_equal(gs_small, gs)
     chi = mc_chi_green(ens, z, 0.5, rho)
     draws = []
     real_draw = fracmoment.sample_potential
@@ -468,6 +475,29 @@ def test_eigen_oracle_matches_slice_route(geometry, seed, samples, re, ims, s, g
     assert _sweep_matches(mc_chi_green_sweep(ens, zs, s, rho), eigen_sweep(ens, zs, s, rho))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    geometry=st.sampled_from(TRIMMED_GEOMETRIES),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 12),
+    re=st.floats(-1.0, 9.0),
+    ims=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
+    s=st.floats(0.1, 1.0),
+    g=st.floats(0.5, 20.0),
+)
+def test_eigen_sweep_on_trimmed_masks_matches_folded_lu(
+    geometry, seed, samples, re, ims, s, g
+):
+    # the eigen oracle against `mc_chi_green` one z at a time, on the trimmed
+    # masks that the slice recursion took over from the folded LU engine
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
+    zs = [complex(re, im) for im in ims]
+    rho = DecayMetric(0.1)
+    sweep = eigen_sweep(ens, zs, s, rho)
+    assert _sweep_matches([mc_chi_green(ens, z, s, rho) for z in zs], sweep)
+
+
 def _numpy_peak(fn) -> int:
     """Peak traced bytes (numpy reports its buffers to tracemalloc) of
     one call of fn, after a warm-up call."""
@@ -486,7 +516,9 @@ def _numpy_peak(fn) -> int:
 
 
 @pytest.mark.parametrize("mask", [Gamma1Mask(2, 2), BernoulliMask(0.5, 3)])
-def test_slice_route_peak_does_not_exceed_whole_lu_route(mask):
+def test_folded_route_peak_does_not_exceed_eigen_route(mask):
+    # the slice route, which took over from the folded route, against the
+    # eigen oracle and against `mc_map`'s whole-operator LU
     box = make_box(2, (1, 1), (12, 12))
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=4, samples=10)
     zs, rho = [4.0 + 0.1j, 4.0 + 0.01j], DecayMetric(0.1)
@@ -497,6 +529,7 @@ def test_slice_route_peak_does_not_exceed_whole_lu_route(mask):
             mc_map(lambda g: fracmoment._column_sums(w, np.abs(g) ** 0.5), ens, z)
 
     sliced = _numpy_peak(lambda: mc_chi_green_sweep(ens, zs, 0.5, rho))
+    assert sliced <= _numpy_peak(lambda: eigen_sweep(ens, zs, 0.5, rho))
     assert sliced <= _numpy_peak(whole_lu)
 
 
