@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -107,10 +106,10 @@ class LatticeBox:
     def indices(self, sites: Sequence[Site] | np.ndarray) -> np.ndarray:
         """Row-major indices of sites (tuples or an (m, dim) array), -1 for
         a site outside the box."""
-        c = np.asarray(sites, dtype=np.int64).reshape(-1, self.dim)
-        if len(c) != len(sites):
+        c = np.asarray(sites, dtype=np.int64)
+        if c.size and c.shape[1:] != (self.dim,):
             raise ValueError(f"sites are not {self.dim}-dimensional")
-        c = c - self.lo
+        c = c.reshape(-1, self.dim) - self.lo
         idx = np.ravel_multi_index(tuple(c.T), self.shape, mode="clip")
         return np.where(np.all((c >= 0) & (c < self.shape), axis=1), idx, -1)
 
@@ -455,27 +454,58 @@ def boundary(sites: Sequence[Site] | set) -> BoundaryData:
     return BoundaryData(tuple(edges), inner, outer)
 
 
+def _union_find(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Root of each of n nodes under the edges (i, j), the smallest node of
+    its component: each pass hooks every root to its smallest adjacent
+    root, then jumps pointers until every node points at a root."""
+    root = np.arange(n)
+    while len(i):
+        a, b = root[i], root[j]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := root[root], root):
+            root = up
+        i, j = np.array([i, j])[:, root[i] != root[j]]
+    return root
+
+
+def _labelled(sites: np.ndarray):
+    """(comp, pairs) of an (m, d) array of distinct sites in sorted order:
+    their nearest-neighbour components, numbered in the order of their
+    smallest site, and `pairs(offsets)`, the positions (i, j) of the site
+    pairs with site j - site i among the offsets.  Each axis is re-laid
+    with its gaps capped at 3, which keeps the order and every offset of
+    l^1 length <= 2; `pairs` searches the sorted row-major keys of the box
+    so spanned, and no array the size of that box is made."""
+    packed = np.empty_like(sites)
+    for k, col in enumerate(sites.T):
+        u, inv = np.unique(col, return_inverse=True)
+        # an unsigned difference is exact for any two int64 coordinates
+        gaps = np.diff(u.view(np.uint64), prepend=u[:1].view(np.uint64))
+        packed[:, k] = np.cumsum(np.minimum(gaps, 3), dtype=np.int64)[inv]
+    hi = tuple(packed.max(axis=0, initial=0).tolist())
+    box = LatticeBox((0,) * len(hi), hi)
+    keys = box.indices(packed)
+
+    def pairs(offsets) -> tuple[np.ndarray, np.ndarray]:
+        shifted = np.array([box.indices(packed + offset) for offset in offsets])
+        j = np.minimum(np.searchsorted(keys, shifted), len(keys) - 1).ravel()
+        hit = np.flatnonzero(keys[j] == shifted.ravel())
+        return hit % len(keys), j[hit]
+
+    root = _union_find(len(keys), *pairs(np.eye(len(hi), dtype=np.int64)))
+    return np.unique(root, return_inverse=True)[1], pairs
+
+
 def components(sites: Iterable[Site]) -> list[tuple[Site, ...]]:
     """Nearest-neighbour connected components of a finite site set, each
     sorted, ordered by their smallest site."""
-    pool = set(sites)
-    seen: set[Site] = set()
-    comps = []
-    for start in sorted(pool):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in neighbors(x):
-                if y in pool and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    pool = sorted(set(sites))
+    if not pool:
+        return []
+    comp, _ = _labelled(np.array(pool, dtype=np.int64))
+    order = np.argsort(comp, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(comp)).tolist()
+    return [tuple(pool[k] for k in order[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def components_of_complement(
@@ -505,32 +535,21 @@ def is_doubly_insulated(
     Components touching the window boundary are treated as finite within
     the window but flagged, since the window cannot decide finiteness.
     """
-    comps = components_of_complement(mask, window)
-    flagged = tuple(
-        i
-        for i, comp in enumerate(comps)
-        if any(window.is_boundary_site(s) for s in comp)
-    )
-    # one distance block per component i against all later components;
-    # the witness is the first (i, j, x, y) in loop order at the minimum
-    sites = [s for comp in comps for s in comp]
-    coords = np.array(sites, dtype=np.int64).reshape(len(sites), window.dim)
-    sizes = np.array([len(comp) for comp in comps], dtype=np.int64)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    best: tuple[int, Site, Site] | None = None
-    for i in range(len(comps) - 1):
-        hi = ends[i]
-        dist = l1_distances(coords[starts[i] : hi], coords[hi:])
-        per_comp = np.minimum.reduceat(dist.min(axis=0), starts[i + 1 :] - hi)
-        j = i + 1 + int(np.argmin(per_comp))
-        if best is None or per_comp[j - i - 1] < best[0]:
-            block = dist[:, starts[j] - hi : ends[j] - hi]
-            a, b = divmod(int(np.argmin(block)), block.shape[1])
-            best = (int(block[a, b]), sites[starts[i] + a], sites[starts[j] + b])
-    if best is not None and best[0] < 3:
-        return InsulationReport(False, (best[1], best[2]), best[0], flagged, len(comps))
-    return InsulationReport(True, None, None, flagged, len(comps))
+    sites = window.coords[~mask_vector(mask, window)]
+    comp, pairs = _labelled(sites)
+    face = np.any((sites == window.lo) | (sites == window.hi), axis=1)
+    flagged, n = tuple(np.unique(comp[face]).tolist()), int(comp.max(initial=-1)) + 1
+    # distinct components are never adjacent, so a distance below 3 is 2;
+    # the witness is the least (component i, component j, site of i, site
+    # of j) over the site pairs at the offsets of l^1 length 2
+    offsets = [o for o in ball((0,) * window.dim, 2) if sum(map(abs, o)) == 2]
+    x, y = pairs(offsets)
+    x, y = np.array([x, y])[:, comp[x] < comp[y]]
+    if not len(x):
+        return InsulationReport(True, None, None, flagged, n)
+    w = np.lexsort((y, x, comp[y], comp[x]))[0]
+    witness = (tuple(sites[x[w]].tolist()), tuple(sites[y[w]].tolist()))
+    return InsulationReport(False, witness, 2, flagged, n)
 
 
 def relative_density(mask: SublatticeMask, radius: int, center: Site):

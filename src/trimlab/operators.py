@@ -155,11 +155,10 @@ def adjacency_operator(
     x_sites: Sequence[Site], box: LatticeBox
 ) -> AdjacencyOperator:
     rows = tuple(sorted(x_sites))
-    inside = set(rows)
-    for s in rows:
-        if s not in box:
-            raise ValueError(f"site {s} outside the ambient box")
-    cols = tuple(s for s in box.sites() if s not in inside)
+    idx = box.indices(rows)
+    if (idx < 0).any():
+        raise ValueError(f"site {rows[int(np.argmin(idx))]} outside the ambient box")
+    cols = tuple(map(tuple, np.delete(box.coords, idx, axis=0).tolist()))
     t = (l1_distances(rows, cols) == 1).astype(float)
     return AdjacencyOperator(rows, cols, t)
 

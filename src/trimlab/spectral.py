@@ -118,7 +118,8 @@ def slice_green_rows(a: np.ndarray, z: complex):
     the blocks beside the diagonal are -1 (minus the W x W identity), as
     between adjacent slices x_1 = const of a box.  z is non-real, so no
     block is singular in exact arithmetic; one singular to working
-    precision raises LinAlgError.  With the right-connected gR_i = (A_i - z - gR_{i+1})^-1
+    precision raises LinAlgError, naming z and the slice.  With the
+    right-connected gR_i = (A_i - z - gR_{i+1})^-1
     and the left-connected gL_i = (A_i - z - gL_{i-1})^-1, each diagonal
     block is inverted on its own, G_ii = (A_i - z - gL_{i-1} - gR_{i+1})^-1,
     and G_{i,j} = gR_i G_{i-1,j} for j < i.  Each row is yielded as one
@@ -133,23 +134,26 @@ def slice_green_rows(a: np.ndarray, z: complex):
     a = a.astype(complex)
     d = np.arange(w)
     a[..., d, d] -= z
-    gr = [None] * n_l  # gR_i for i >= 1
-    for i in range(n_l - 1, 0, -1):
-        gr[i] = np.linalg.inv(a[:, i] - gr[i + 1] if i + 1 < n_l else a[:, i])
-    # row i is written into bufs[i % 2] from row i - 1 in the other one
-    bufs = np.empty((min(n_l, 2), len(a), w, n_l * w), dtype=complex)
-    gl = None
-    for i in range(n_l):
-        m = a[:, i] if i == 0 else a[:, i] - gl
-        if i + 1 < n_l:
-            m = m - gr[i + 1]
-        row = bufs[i % 2, :, :, : (i + 1) * w]
-        if i:
-            np.matmul(gr[i], bufs[1 - i % 2, :, :, : i * w], out=row[:, :, : i * w])
-        row[:, :, i * w :] = np.linalg.inv(m)
-        yield row
-        if i + 1 < n_l:
-            gl = np.linalg.inv(a[:, i] if i == 0 else a[:, i] - gl)
+    try:
+        gr = [None] * n_l  # gR_i for i >= 1
+        for i in range(n_l - 1, 0, -1):
+            gr[i] = np.linalg.inv(a[:, i] - gr[i + 1] if i + 1 < n_l else a[:, i])
+        # row i is written into bufs[i % 2] from row i - 1 in the other one
+        bufs = np.empty((min(n_l, 2), len(a), w, n_l * w), dtype=complex)
+        gl = None
+        for i in range(n_l):
+            m = a[:, i] if i == 0 else a[:, i] - gl
+            if i + 1 < n_l:
+                m = m - gr[i + 1]
+            row = bufs[i % 2, :, :, : (i + 1) * w]
+            if i:
+                np.matmul(gr[i], bufs[1 - i % 2, :, :, : i * w], out=row[:, :, : i * w])
+            row[:, :, i * w :] = np.linalg.inv(m)
+            yield row
+            if i + 1 < n_l:
+                gl = np.linalg.inv(a[:, i] if i == 0 else a[:, i] - gl)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{exc} at z = {z}, slice {i}") from exc
 
 
 def fold_complement(

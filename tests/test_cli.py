@@ -379,13 +379,16 @@ def test_non_finite_number_exits_2(tmp_path, capsys, field, value, epsilon):
     assert not (tmp_path / "localize.csv").exists()
 
 
-@pytest.mark.parametrize("epsilon", ["1e-300", "1e-170"])
+@pytest.mark.parametrize("epsilon", ["1e-300", "1e-170", "0.1,1e-300"])
 def test_localize_at_a_singular_slice_block_exits_3(tmp_path, capsys, epsilon):
     # z = 4 + i eps is an eigenvalue of a slice block to within rounding: the
-    # complement fold wrote a nan row with exit 0 here
+    # complement fold wrote a nan row with exit 0 here; the message names
+    # the failing z, not the one before it
     args = ["localize", "--box", "1..5,1..5", "--samples", "20", "--epsilon", epsilon]
     assert run_cli(args + ["--out", str(tmp_path)]) == 3
-    assert "LinAlgError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    z = complex(4, float(epsilon.split(",")[-1]))
+    assert f"LinAlgError: Singular matrix at z = {z}, slice " in err
     assert not (tmp_path / "localize.csv").exists()
 
 

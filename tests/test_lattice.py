@@ -366,12 +366,11 @@ def test_l1_distances_empty_and_mismatch():
         l1_distances([(0, 0)], [(0,)])
 
 
-def _components_loop(mask, window):
-    # the per-site membership scan and breadth-first search that
-    # components_of_complement replaced
-    complement = {s for s in window.sites() if s not in mask}
+def _components_loop(sites):
+    # the breadth-first search over a site set that components replaced
+    pool = set(sites)
     seen, comps = set(), []
-    for start in sorted(complement):
+    for start in sorted(pool):
         if start in seen:
             continue
         comp, queue = [], [start]
@@ -380,11 +379,16 @@ def _components_loop(mask, window):
             x = queue.pop(0)
             comp.append(x)
             for y in neighbors(x):
-                if y in complement and y not in seen:
+                if y in pool and y not in seen:
                     seen.add(y)
                     queue.append(y)
         comps.append(tuple(sorted(comp)))
     return sorted(comps)
+
+
+def _complement_loop(mask, window):
+    # the per-site membership scan of Gamma^c in the window
+    return [s for s in window.sites() if s not in mask]
 
 
 @pytest.mark.parametrize(
@@ -402,7 +406,8 @@ def _components_loop(mask, window):
 )
 def test_components_of_complement_matches_loop(descriptor, lo, hi):
     mask, window = mask_from_descriptor(descriptor), make_box(len(lo), lo, hi)
-    assert components_of_complement(mask, window) == _components_loop(mask, window)
+    expected = _components_loop(_complement_loop(mask, window))
+    assert components_of_complement(mask, window) == expected
 
 
 def test_components_of_site_sets():
@@ -413,9 +418,48 @@ def test_components_of_site_sets():
     ]
 
 
+# near coordinates make adjacent sites; far ones (some of them adjacent too)
+# span a bounding box far past what could be allocated, or past int64
+_coordinate = st.integers(-3, 3) | st.sampled_from(
+    [-(2**63), -(10**15), -(10**9), 10**9, 10**9 + 1, 10**15, 2**63 - 1]
+)
+
+
+@st.composite
+def _site_lists(draw):
+    dim = draw(st.integers(1, 3))
+    sites = draw(st.lists(st.tuples(*[_coordinate] * dim), max_size=40))
+    return sites + sites[: len(sites) // 2]  # some sites twice
+
+
+@settings(max_examples=100, deadline=None)
+@given(_site_lists())
+def test_components_of_site_sets_match_breadth_first_search(sites):
+    assert components(sites) == _components_loop(sites)
+
+
+def test_components_of_far_apart_sites_allocate_no_bounding_box():
+    import tracemalloc
+
+    far = [(0, 0), (10**9, 10**9)]
+    tracemalloc.start()
+    try:
+        comps = components(far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comps == [((0, 0),), ((10**9, 10**9),)]
+    assert peak < 2**20
+    assert components([(0, 0, 0), (10**9, -(10**9), 10**9), (0, 0, 1)]) == [
+        ((0, 0, 0), (0, 0, 1)),
+        ((10**9, -(10**9), 10**9),),
+    ]
+
+
 def _insulation_loop(mask, window):
-    # the per-site-pair loop that is_doubly_insulated replaced
-    comps = components_of_complement(mask, window)
+    # the per-site-pair loop that is_doubly_insulated replaced, on the
+    # components of the breadth-first search
+    comps = _components_loop(_complement_loop(mask, window))
     flagged = tuple(
         i
         for i, comp in enumerate(comps)
@@ -443,6 +487,8 @@ def _insulation_loop(mask, window):
         "cell:3x3:001001111",
         "cell:4x4:0011001111111111",
         "bernoulli:0.5:3",
+        # the least (site of i, site of j) is not the least (site of j, site of i)
+        "bernoulli:0.3:47",
     ],
 )
 def test_insulation_matches_loop(descriptor):
@@ -461,3 +507,37 @@ def test_insulation_matches_loop_bernoulli_seeds(p, lo, hi):
     for seed in range(20):
         mask = BernoulliMask(p, seed)
         assert is_doubly_insulated(mask, window) == _insulation_loop(mask, window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 100),
+)
+def test_insulation_on_windows_matches_loop(data, dim, seed):
+    # every mask kind, with components of one site to spanning ones; most
+    # windows are small enough that some component touches their face
+    masks = _density_masks(dim) + [
+        FullMask(),
+        BernoulliMask(0.2, seed),
+        BernoulliMask(0.6, seed),
+        PeriodicCellMask((3,) * dim, (True,) + (False,) * (3**dim - 1)),
+    ]
+    mask = data.draw(st.sampled_from(masks))
+    lo = data.draw(st.tuples(*[st.integers(-6, 6)] * dim))
+    shape = data.draw(st.tuples(*[st.integers(1, 8 if dim < 3 else 4)] * dim))
+    window = LatticeBox(lo, tuple(a + n - 1 for a, n in zip(lo, shape)))
+    assert is_doubly_insulated(mask, window) == _insulation_loop(mask, window)
+
+
+def test_insulation_at_scale_in_closed_form():
+    # Gamma^c of gamma1:2,2 is the odd-odd sites: 200 x 200 singletons, none
+    # on the even window faces, the first two at distance 2
+    import time
+
+    start = time.perf_counter()
+    rep = is_doubly_insulated(Gamma1Mask(2, 2), make_box(2, (0, 0), (400, 400)))
+    elapsed = time.perf_counter() - start
+    assert rep == InsulationReport(False, ((1, 1), (1, 3)), 2, (), 40000)
+    assert elapsed < 1.0

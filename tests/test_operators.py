@@ -195,8 +195,9 @@ def test_row_lookup_of_whole_box_and_restrictions():
             h.rows([h.site_list()[0], site])  # names the outside site
         with pytest.raises(ValueError, match=message):
             restrict(h, [site])
-    with pytest.raises(ValueError, match="2-dimensional"):
-        ham.rows([(0, 0, 0), (1, 1, 1)])
+    for sites in ([(0, 0, 0), (1, 1, 1)], [(0, 0, 0)], [(0,)]):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            ham.rows(sites)
 
 
 def test_hedgehog_structure():
