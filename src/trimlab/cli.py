@@ -11,8 +11,9 @@ validated and recorded in the JSON config echo, and nothing else reads
 it: the Monte Carlo engine is serial and takes no thread count, so
 outputs cannot depend on it.
 
-Exit codes: 0 ok, 2 configuration error, 3 numeric or I/O error (a
-ValueError, ArithmeticError, RuntimeError or OSError after validation).
+Exit codes: 0 ok, 2 configuration error, 3 numeric, memory or I/O error
+(a ValueError, ArithmeticError, RuntimeError, MemoryError or OSError
+after validation).
 Any other exception is a bug: it propagates with its traceback, and the
 interpreter exits 1.
 """
@@ -37,7 +38,11 @@ from .anomalous import (
     gamma2_eigenfunction,
 )
 from .coupling import s2w_identity_check, weak_disorder_bound_check
-from .disorder import estimate_decoupling_constants, spec_from_descriptor
+from .disorder import (
+    estimate_decoupling_constants,
+    spec_from_descriptor,
+    trial_uniforms,
+)
 from .dynamics import dynamics_samples, laplace_summary
 from .fracmoment import (
     DecayMetric,
@@ -242,9 +247,18 @@ def _resolved(config: dict, dense: bool = True):
 # ---------------------------------------------------------------------------
 
 
+def _trial_points(seed: int, trials: int, n: int):
+    """(z, u_real, u_complex) of each trial, from one `trial_uniforms`
+    call: Re z and the entries of u_real uniform on [-2, 2), Im z =
+    0.3 + U[0, 1), and u_complex = u_real + i U[0, 1)^n."""
+    u = trial_uniforms(seed, trials, 2 + 2 * n)
+    z = 4.0 * u[:, 0] - 2.0 + 1j * (0.3 + u[:, 1])
+    u_real = 4.0 * u[:, 2 : 2 + n] - 2.0
+    return zip(z.tolist(), u_real, u_real + 1j * u[:, 2 + n :])
+
+
 def _run_verify(config: dict):
     ens, _ = _resolved(config)
-    rng = np.random.default_rng(config["seed"])
     rows = []
 
     def record(check, residual):
@@ -254,9 +268,9 @@ def _run_verify(config: dict):
     # X: the first half of the box sites, the first n_x rows of H
     n_x = max(1, box.size // 2)
     x_sites = list(box.sites())[:n_x]
-    for trial in range(5):
+    points = _trial_points(config["seed"], 5, box.size)
+    for trial, (z, u_real, u_cplx) in enumerate(points):
         ham = ens.realization(trial)
-        z = complex(rng.normal(), 0.3 + rng.random())
         _, schur = schur_green(ham, x_sites, z)
         g = green(ham, z).entries
         record(f"schur[{trial}]", float(np.max(np.abs(schur - g[:n_x, :n_x]))))
@@ -269,8 +283,6 @@ def _run_verify(config: dict):
         if ens.split.comp.size:
             record(f"kernel[{trial}]", kernel_identity_residual(ens, z, trial, g))
         g0 = green(h0, z).entries
-        u_real = rng.normal(size=box.size)
-        u_cplx = u_real + 1j * rng.random(box.size)
         for tag, u in (("real", u_real), ("complex", u_cplx)):
             res = s2w_identity_check(h0, u, z, g0)
             record(f"hedgehog-{tag}-base[{trial}]", res["residual0"])
@@ -389,16 +401,14 @@ def _run_dynamics(config: dict):
 
 def _run_couple(config: dict):
     ens, rho = _resolved(config)
-    rng = np.random.default_rng(config["seed"])
     rows = []
     h0 = ens.split.h0
     eps = config["epsilon"][0]
     z = complex(config["energy"], max(eps, 1e-6))
     g0 = green(h0, z).entries
-    for tag, u in (
-        ("real", rng.normal(size=ens.box.size)),
-        ("complex", rng.normal(size=ens.box.size) + 1j * rng.random(ens.box.size)),
-    ):
+    # the test vectors of verify's trial 0; z is the one the weak bound reads
+    _, u_real, u_cplx = next(_trial_points(config["seed"], 1, ens.box.size))
+    for tag, u in (("real", u_real), ("complex", u_cplx)):
         res = s2w_identity_check(h0, u, z, g0)
         for part, residual in (("base", res["residual0"]), ("pendant", res["residual1"])):
             rows.append(
@@ -580,9 +590,6 @@ def main(argv=None) -> int:
         ens, _ = _resolved(checked, dense=args.experiment != "lattice-info")
         if args.experiment in _CHECKS:
             _CHECKS[args.experiment](ens, checked)
-        if args.experiment in ("verify", "couple"):
-            # their runners call default_rng: load numpy.random here, not in the run
-            import numpy.random  # noqa: F401
     except ConfigError as exc:
         print(f"trimlab: config error: {exc}", file=sys.stderr)
         return 2
@@ -593,9 +600,9 @@ def main(argv=None) -> int:
         # a hypothesis a runner decides before it samples (wegner's)
         print(f"trimlab: config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
-        # numeric or I/O failure after validation; anything else is a bug
-        # and keeps its traceback
+    except (ValueError, ArithmeticError, RuntimeError, MemoryError, OSError) as exc:
+        # numeric, memory or I/O failure after validation (a window whose
+        # arrays do not fit); anything else is a bug and keeps its traceback
         print(f"trimlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     print(csv_path)

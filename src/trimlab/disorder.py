@@ -7,9 +7,10 @@ sample index keys one Philox4x64-10 stream.  Every potential, of one
 sample or of a block, is drawn by the vectorised kernel
 `lattice.philox_uniforms`, bit-identical to numpy's `Philox` generator.
 That generator is the reference the tests compare against
-(`draw_vector` and `draw` in tests/oracles.py); here only
-`estimate_decoupling_constants` uses numpy.random, which numpy loads on
-first use.
+(`draw_vector` and `draw` in tests/oracles.py); nothing here loads
+numpy.random.  The same kernel draws the test points of the CLI's
+identity checks (`trial_uniforms`, on streams no potential uses) and the
+(a, b) pairs of `estimate_decoupling_constants`.
 """
 
 from __future__ import annotations
@@ -264,6 +265,22 @@ class SampleStream:
         return self.spec.from_uniform(u.reshape(len(idx), n_sites, k))
 
 
+#: xored into the seed word of `trial_uniforms`' keys, which no potential uses
+_TRIAL_MIX = 0xBB67AE8584CAA73B
+
+
+def trial_uniforms(master_seed: int, trials: int, m: int) -> np.ndarray:
+    """(trials, m) uniforms on [0, 1), row t keyed by (master_seed, t).
+
+    The keys are `SampleStream`'s with _TRIAL_MIX xored into the seed
+    word, so no potential of the same master seed shares a stream with
+    them; all rows come from one `philox_uniforms` call.
+    """
+    key_lo = np.arange(trials, dtype=np.uint64) ^ np.uint64(_STREAM_MIX)
+    key_hi = _stream_key(master_seed, 0) >> 64 ^ _TRIAL_MIX
+    return philox_uniforms(key_lo, key_hi, m)
+
+
 def sample_potential(
     stream: SampleStream,
     mask: SublatticeMask,
@@ -414,10 +431,11 @@ def estimate_decoupling_constants(
     lo = min(a for a, _ in spec.support)
     hi = max(b for _, b in spec.support)
     span = hi - lo
-    gen = np.random.Generator(np.random.Philox(key=_stream_key(seed, 0)))
+    # one Philox stream, five uniforms per trial
+    key = _stream_key(seed, 0)
+    draws = philox_uniforms(key & _MASK64, key >> 64, 5 * trials).reshape(trials, 5)
     best = {"C_s": -np.inf}
-    for _ in range(trials):
-        re_a, re_b, im_a, im_b, u = gen.random(5)
+    for re_a, re_b, im_a, im_b, u in draws.tolist():
         a = complex(lo - 0.5 * span + 2.0 * span * re_a, 2.0 * (im_a - 0.5))
         if u < 0.5:  # coincident pair: quotient reduces to E|V-b|^-s
             a = complex(lo + span * re_a, 0.0)

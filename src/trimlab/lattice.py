@@ -365,6 +365,30 @@ def _site_key(seed: int, site: Site) -> int:
     return h
 
 
+_FNV_K = np.uint64(0x1B3)  # h * (2**40 + 0x1B3) is (h << 40) + h * _FNV_K
+_SHIFT17, _SHIFT24, _SHIFT40, _SHIFT47 = (np.uint64(v) for v in (17, 24, 40, 47))
+
+
+def _site_keys(seed: int, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_site_key` of each row of an (m, d) int64 coordinate array, as its
+    low and high uint64 words.  The carry of lo * 0x1B3 out of the low
+    word is taken from its 32-bit halves, and that of the sum from the
+    wrapped low word."""
+    lo = np.full(len(coords), _site_key(seed, ()), dtype=np.uint64)
+    hi = np.zeros_like(lo)
+    for c in np.asarray(coords, dtype=np.int64).astype(np.uint64).T:
+        lo ^= c
+        carry = (lo >> _SHIFT32) * _FNV_K + ((lo & _LO32) * _FNV_K >> _SHIFT32)
+        shifted = lo << _SHIFT40
+        low = shifted + lo * _FNV_K
+        hi = (hi << _SHIFT40 | lo >> _SHIFT24) + hi * _FNV_K + (carry >> _SHIFT32)
+        hi += low < shifted
+        # h ^= h >> 47
+        lo = low ^ (low >> _SHIFT47 | hi << _SHIFT17)
+        hi ^= hi >> _SHIFT47
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class BernoulliMask(SublatticeMask):
     """Site percolation: each site is in Gamma independently with prob p."""
@@ -384,10 +408,7 @@ class BernoulliMask(SublatticeMask):
         return bool(u < self.p)
 
     def indicator(self, box: LatticeBox) -> np.ndarray:
-        keys = [_site_key(self.seed, s) for s in box.sites()]
-        key_lo = np.array([h & _MASK64 for h in keys], dtype=np.uint64)
-        key_hi = np.array([h >> 64 for h in keys], dtype=np.uint64)
-        return philox_uniforms(key_lo, key_hi, 1)[:, 0] < self.p
+        return philox_uniforms(*_site_keys(self.seed, box.coords), 1)[:, 0] < self.p
 
     def descriptor(self) -> str:
         return f"bernoulli:{self.p}:{self.seed}"

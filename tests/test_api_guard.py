@@ -1,6 +1,9 @@
 """Guards on the package surface: the functions the benchmark's tracer
-wraps by name still exist, and no public function takes a `threads`
-argument (the engine is serial; only the CLI records a thread count)."""
+wraps by name still exist, no public function takes a `threads`
+argument (the engine is serial; only the CLI records a thread count),
+and no numpy generator is used outside the per-site reference
+`BernoulliMask.__contains__` (every other draw goes through
+`lattice.philox_uniforms`)."""
 
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from pathlib import Path
 import trimlab
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+SRC = Path(trimlab.__file__).resolve().parent
 
 
 def _explicit_spans() -> list[tuple[str, str, str]]:
@@ -62,3 +66,58 @@ def test_no_public_function_takes_threads():
         if "threads" in inspect.signature(fn).parameters
     ]
     assert takes_threads == []
+
+
+def _numpy_random_uses(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing qualified name, line) of every `np.random` or
+    `numpy.random` attribute and every import of numpy.random in tree."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        hit = (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and getattr(node.value, "id", None) in ("np", "numpy")
+        )
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            hit = module[:2] == ["numpy", "random"] or (
+                module == ["numpy"] and any(a.name == "random" for a in node.names)
+            )
+        if hit:
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_numpy_random_is_used_only_by_the_bernoulli_reference():
+    uses = {
+        path.name: _numpy_random_uses(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {scope for scope, _ in uses.pop("lattice.py")} == {
+        "BernoulliMask.__contains__"
+    }
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_numpy_random_guard_sees_every_form():
+    source = (
+        "import numpy.random\n"
+        "from numpy import random\n"
+        "from numpy.random import default_rng\n"
+        "def f():\n"
+        "    return np.random.default_rng(0)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return numpy.random.Philox\n"
+    )
+    uses = _numpy_random_uses(ast.parse(source))
+    assert uses == [("", 1), ("", 2), ("", 3), ("f", 5), ("C.g", 8)]

@@ -640,6 +640,20 @@ def test_numeric_and_io_family_exits_3(tmp_path, monkeypatch, capsys, error):
     assert f"{type(error).__name__}: {error}" in capsys.readouterr().err
 
 
+def test_out_of_memory_window_exits_3(tmp_path, monkeypatch, capsys):
+    # a lattice-info window whose arrays do not fit exited 1 with a traceback
+    import trimlab.cli as cli
+
+    def out_of_memory(mask, box):
+        raise MemoryError("Unable to allocate 3.16 GiB for an array")
+
+    monkeypatch.setattr(cli, "is_doubly_insulated", out_of_memory)
+    args = ["lattice-info", "--box", "0..4,0..4", "--gamma", "bernoulli:0.4:1"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 3
+    assert "trimlab: MemoryError: Unable to allocate" in capsys.readouterr().err
+    assert not (tmp_path / "lattice-info.csv").exists()
+
+
 def test_unexpected_exception_keeps_traceback_and_exits_1(tmp_path):
     # only the numeric and I/O family exits 3; any other exception is a bug
     import trimlab.cli as cli

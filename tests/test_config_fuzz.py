@@ -1,0 +1,85 @@
+"""Config fuzz of the CLI: every experiment, on tiny boxes, at edge values
+of g, s, eta, energy and epsilon, ends in exit 0 (ok), 2 (config error)
+or 3 (numeric failure).  An uncaught exception, exit 1, is a bug.
+
+`couple` is fuzzed up to dispatch only: its 200-quadrature search for
+the decoupling constant takes about 0.5 s per run, too long for a fuzz
+in the fast suite, so its runner is replaced by one that stops the run
+once the config has passed every check made before dispatch.
+"""
+
+from __future__ import annotations
+
+import math
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import trimlab.cli as cli
+from trimlab.cli import EXPERIMENTS
+
+EDGES = (
+    0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 1.5, 4.0, 8.0, -1.0,
+    1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+)  # fmt: skip
+EPSILON_EDGES = (5e-324, 1e-300, 1e-12, 0.1, 1.0, 1e300, 0.0, -0.1, math.inf, math.nan)
+# masks that fit a box of each dimension: a mismatch is a config error
+# that test_cli covers, and would only dilute the fuzz
+GAMMAS = ("full", "bernoulli:0.5:1", "bernoulli:0:2", "bernoulli:1:2")
+GAMMAS_BY_DIM = {
+    1: GAMMAS + ("cell:2:10",),
+    2: GAMMAS + ("gamma1:2,2", "gamma2:3", "cell:2x2:1001"),
+    3: GAMMAS + ("cell:2x1x2:1001",),
+}
+
+
+class Dispatched(BaseException):
+    """Raised in place of `couple`'s run: the config passed validation."""
+
+
+def _dispatched(config):
+    raise Dispatched
+
+
+@st.composite
+def _argv(draw):
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    sides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    lo = draw(st.lists(st.integers(-2, 2), min_size=len(sides), max_size=len(sides)))
+    box = ",".join(f"{a}..{a + n - 1}" for a, n in zip(lo, sides))
+    gamma = draw(st.sampled_from(GAMMAS_BY_DIM[len(sides)]))
+    # "--box=": after a bare --box, a box starting at a negative coordinate
+    # reads as a flag
+    argv = [experiment, f"--box={box}", f"--gamma={gamma}"]
+    argv.append(f"--samples={draw(st.integers(1, 4))}")
+    # most fields keep their default, so each edge also meets valid values
+    for field in ("g", "s", "eta", "energy"):
+        value = draw(st.none() | st.none() | st.sampled_from(EDGES))
+        if value is not None:
+            argv.append(f"--{field}={value!r}")
+    eps = draw(
+        st.none()
+        | st.lists(st.sampled_from(EPSILON_EDGES), min_size=1, max_size=3, unique=True)
+    )
+    if eps is not None:
+        argv.append("--epsilon=" + ",".join(repr(e) for e in eps))
+    return argv
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_argv())
+def test_edge_configs_exit_0_2_or_3(tmp_path_factory, argv):
+    out = str(tmp_path_factory.getbasetemp() / "fuzz")
+    with mock.patch.dict(cli._RUNNERS, couple=_dispatched):
+        try:
+            code = cli.main([*argv, "--out", out])
+        except Dispatched:
+            return
+    assert code in (0, 2, 3)

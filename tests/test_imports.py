@@ -1,8 +1,10 @@
 """The import path loads numpy's LAPACK only.  scipy loads inside the
-experiments that need it (quadrature in `couple`), and numpy.random
-(with `secrets` and OpenSSL's `_hashlib` behind it) only where a numpy
-generator is made: the runners of `verify` and `couple`, never `localize`,
-`dynamics` or `lattice-info`."""
+experiments that need it (quadrature in `couple`).  numpy.random (with
+`secrets` and OpenSSL's `_hashlib` behind it) is loaded by no experiment
+before dispatch and by none of `verify`, `localize`, `dynamics` or
+`lattice-info`: every draw goes through trimlab's own Philox kernel.
+Only `couple` loads it, inside its run, because scipy.integrate imports
+it."""
 
 from __future__ import annotations
 
@@ -59,6 +61,7 @@ for experiment, args in (
     ("dynamics", ["--box", "1..5,1..5", "--gamma", "gamma1:2,2",
                   "--samples", "2", "--epsilon", "0.1,0.01"]),
     ("lattice-info", ["--box", "0..40,0..40", "--gamma", "bernoulli:0.5:1"]),
+    ("verify", ["--box", "1..4,1..4", "--gamma", "bernoulli:0.5:3"]),
 ):
     report[experiment + "_exit"] = trimlab.cli.main([experiment, *args, "--out", out])
     report[experiment] = random_modules()
@@ -123,12 +126,14 @@ def test_localize_and_dynamics_load_no_numpy_random(tmp_path):
     # the Bernoulli densities read Gamma through the Philox kernel, not
     # one numpy generator per site
     assert report["lattice-info_exit"] == 0 and report["lattice-info"] == []
+    # verify's test points are Philox draws too
+    assert report["verify_exit"] == 0 and report["verify"] == []
     # a traced benchmark run wraps these modules as soon as it starts
     assert {"trimlab.coupling", "trimlab.dynamics"} <= set(report["trimlab"])
 
 
 @pytest.mark.parametrize("experiment", ["verify", "couple"])
-def test_numpy_random_is_loaded_before_dispatch(tmp_path, experiment):
-    # their runners call default_rng; the import is set-up, not run time
+def test_numpy_random_is_not_loaded_before_dispatch(tmp_path, experiment):
+    # their test points come from the Philox kernel, not default_rng
     report = _run(DISPATCH_SCRIPT, experiment, str(tmp_path))
-    assert report["at_dispatch"]
+    assert report["at_dispatch"] is False

@@ -24,6 +24,8 @@ from trimlab.lattice import (
     l1_distances,
     make_box,
     mask_from_descriptor,
+    _site_key,
+    _site_keys,
     mask_vector,
     neighbors,
     philox_uniforms,
@@ -206,6 +208,7 @@ def test_philox_uniforms_match_numpy_philox(keys, m, pairs):
         (0.5, 2**64 + 9, (0, 0, 0), (4, 3, 5)),
         (0.0, 7, (0, 0), (3, 3)),
         (1.0, 7, (0, 0), (3, 3)),
+        (0.5, -5, (2**62 - 6, -(2**62) + 1), (2**62 - 1, -(2**62) + 5)),
     ],
 )
 def test_bernoulli_indicator_matches_membership(p, seed, lo, hi):
@@ -219,6 +222,29 @@ def test_bernoulli_indicator_matches_membership(p, seed, lo, hi):
     assert got.dtype == bool
     assert got.tolist() == expected
     assert cached.tolist() == expected
+
+
+_coordinate = st.one_of(
+    st.integers(-40, 40),
+    st.integers(2**62 - 40, 2**62 + 40),
+    st.integers(-(2**62) - 40, -(2**62) + 40),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.tuples(*[_coordinate] * d), min_size=1, max_size=8)
+    ),
+    st.one_of(st.sampled_from([0, -1, -(2**63), 2**64]), st.integers(-(2**70), 2**70)),
+)
+def test_site_keys_match_the_per_site_key(sites, seed):
+    # the word-pair mix of `indicator` against the 128-bit integer one of
+    # `__contains__`, over negative coordinates and coordinates near +-2**62
+    lo, hi = _site_keys(seed, np.array(sites, dtype=np.int64))
+    got = [int(a) | int(b) << 64 for a, b in zip(lo, hi)]
+    assert got == [_site_key(seed, site) for site in sites]
 
 
 @settings(max_examples=60, deadline=None)
