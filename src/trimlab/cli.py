@@ -541,7 +541,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--energy", type=float, default=None)
         p.add_argument("--epsilon", default=None)
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--box", default=None)
+        p.add_argument(
+            "--box",
+            default=None,
+            help="lo..hi[,lo..hi]; write --box=lo..hi when lo is negative",
+        )
         p.add_argument("--gamma", default=None)
     return parser
 

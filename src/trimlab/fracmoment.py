@@ -239,9 +239,10 @@ def _slice_laplacian(box: LatticeBox) -> np.ndarray:
 def _slice_blocks(ens: EnsembleSpec):
     """The (S, L, W, W) diagonal blocks of H along axis 0 per chunk of the
     ensemble, in sample order, each chunk from one draw; the diagonal is
-    formed as `assemble` forms it.  A sample costs about
-    L W**2 + 2 W n complex entries in `_slice_sums`, and a chunk holds
-    CHUNK_ENTRIES of them."""
+    formed as `assemble` forms it.  A sample holds about
+    2 L W**2 + 2 W n complex entries in `_slice_sums` (a complex copy of
+    its blocks, the gR_i, two rows) beside its L W**2 real blocks; the
+    chunks are sized by L W**2 + 2 W n, CHUNK_ENTRIES per chunk."""
     box = ens.box
     n_l, n = box.shape[0], box.size
     w = n // n_l

@@ -9,8 +9,9 @@ LAPACK syevd), so the LU route and the eigen route stay oracles for each
 other.  The Monte Carlo chi estimates at a non-real z take a third
 route, `slice_green_rows`: H on a box couples only adjacent slices
 x_1 = const, by -1, so every block of G_z follows from W x W inversions
-per slice, and the rows of blocks are handed over one at a time instead
-of an n x n matrix.  `fold_complement` folds the deterministic
+per slice (elementwise divisions when W = 1, as on every chain), and
+the rows of blocks are handed over one at a time instead of an n x n
+matrix.  `fold_complement` folds the deterministic
 complement Gamma^c out of the eigenpairs of H(0)|_{Gamma^c}, for the
 kernel K; `schur_green` keeps its own solve-based Schur complement, an
 independent reference that `verify` checks against the whole-operator
@@ -110,6 +111,16 @@ def _inverse(a: np.ndarray, z: complex) -> np.ndarray:
     return np.linalg.inv(a)
 
 
+def _reciprocal(m: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of 1 x 1 blocks, by one elementwise division.
+    As in `numpy.linalg.inv`, a zero block raises LinAlgError and overflow
+    is silent."""
+    if not m.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.reciprocal(m)
+
+
 def slice_green_rows(a: np.ndarray, z: complex):
     """Rows of blocks G_{i,0..i}, i = 0, 1, ..., of G_z = (H - z)^-1 for a
     stack of block-tridiagonal H, by recursion over the slices.
@@ -118,7 +129,8 @@ def slice_green_rows(a: np.ndarray, z: complex):
     the blocks beside the diagonal are -1 (minus the W x W identity), as
     between adjacent slices x_1 = const of a box.  z is non-real, so no
     block is singular in exact arithmetic; one singular to working
-    precision raises LinAlgError, naming z and the slice.  With the
+    precision raises LinAlgError, naming z and the slice.  One-site slices
+    (W = 1, every chain) are inverted elementwise, without LAPACK.  With the
     right-connected gR_i = (A_i - z - gR_{i+1})^-1
     and the left-connected gL_i = (A_i - z - gL_{i-1})^-1, each diagonal
     block is inverted on its own, G_ii = (A_i - z - gL_{i-1} - gR_{i+1})^-1,
@@ -131,13 +143,14 @@ def slice_green_rows(a: np.ndarray, z: complex):
     chi was off by 1.2e-3 at eps = 1e-9, the direct inversion's by 4e-15.
     """
     n_l, w = a.shape[1], a.shape[-1]
+    inv = np.linalg.inv if w > 1 else _reciprocal
     a = a.astype(complex)
     d = np.arange(w)
     a[..., d, d] -= z
     try:
         gr = [None] * n_l  # gR_i for i >= 1
         for i in range(n_l - 1, 0, -1):
-            gr[i] = np.linalg.inv(a[:, i] - gr[i + 1] if i + 1 < n_l else a[:, i])
+            gr[i] = inv(a[:, i] - gr[i + 1] if i + 1 < n_l else a[:, i])
         # row i is written into bufs[i % 2] from row i - 1 in the other one
         bufs = np.empty((min(n_l, 2), len(a), w, n_l * w), dtype=complex)
         gl = None
@@ -148,10 +161,10 @@ def slice_green_rows(a: np.ndarray, z: complex):
             row = bufs[i % 2, :, :, : (i + 1) * w]
             if i:
                 np.matmul(gr[i], bufs[1 - i % 2, :, :, : i * w], out=row[:, :, : i * w])
-            row[:, :, i * w :] = np.linalg.inv(m)
+            row[:, :, i * w :] = inv(m)
             yield row
             if i + 1 < n_l:
-                gl = np.linalg.inv(a[:, i] if i == 0 else a[:, i] - gl)
+                gl = inv(a[:, i] if i == 0 else a[:, i] - gl)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"{exc} at z = {z}, slice {i}") from exc
 

@@ -77,6 +77,19 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run_cli(["localize", "--config", str(cfg)]) == 2
 
 
+def test_negative_box_start_needs_the_equals_form(tmp_path, capsys):
+    # argparse takes the -2..0 of `--box -2..0` for an option; the help
+    # names the form that works
+    args = ["lattice-info", "--box=-2..0", "--gamma", "full", "--out", str(tmp_path)]
+    assert run_cli(args) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["lattice-info", "--box", "-2..0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        run_cli(["lattice-info", "--help"])
+    assert "--box=lo..hi" in capsys.readouterr().out
+
+
 def test_box_beyond_int64_coordinates_exits_2(tmp_path):
     box = "10000000000000000000..10000000000000000004,0..4"
     assert run_cli(["lattice-info", "--box", box, "--out", str(tmp_path)]) == 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -68,6 +69,16 @@ FOLD_GEOMETRIES = GEOMETRIES + [
 ]
 # Gamma meets these boxes without covering them
 TRIMMED_GEOMETRIES = FOLD_GEOMETRIES[2:]
+# d = 1 chains of 30-40 sites, trimmed: W = 1 over many slices.  On the
+# first, Gamma^c is every odd site, the chain's ends among them, so E = 2 is
+# an eigenvalue of every realization.  They feed the tests against LU and
+# the chunk-size tests, not the eigen oracle: its error is absolute, and G
+# decays along a chain to entries of 6e-13, which it gets wrong by 9e-5
+# relative, moving chi at s = 1/8 by 3e-8 relative.
+CHAINS = [
+    (make_box(1, (1,), (35,)), PeriodicCellMask((2,), (True, False))),
+    (make_box(1, (-4,), (34,)), BernoulliMask(0.5, 5)),
+]
 
 
 def _whole(gs):
@@ -129,7 +140,7 @@ def _slice_entries(box) -> int:
 
 @settings(max_examples=20, deadline=None)
 @given(
-    geometry=st.sampled_from(GEOMETRIES),
+    geometry=st.sampled_from(GEOMETRIES + CHAINS),
     seed=st.integers(0, 2**32),
     samples=st.integers(1, 40),
     im=st.floats(0.05, 1.0),
@@ -197,6 +208,7 @@ SLICE_GEOMETRIES = [
     (make_box(3, (0, 0, 0), (2, 1, 2)), FullMask()),
     (make_box(3, (0, 0, 0), (2, 2, 1)), BernoulliMask(0.5, 2)),
     (make_box(3, (0, 0, 0), (1, 2, 2)), PeriodicCellMask((2, 2, 2), (True, False) * 4)),
+    *CHAINS,
 ]
 
 
@@ -240,14 +252,16 @@ def test_slice_route_matches_per_realization_green(
         assert (swept.value, swept.stderr) == (report.value, report.stderr)
 
 
-# E = 4 = 2d is an eigenvalue of H(0) on every one-site component of Gamma^c,
-# and of every realization on the gamma1 box.  Folding Gamma^c out of G_z
-# there divided by eps and cancelled: on the gamma2 and Bernoulli boxes the
-# fold was off by about 1e-6 at eps = 1e-6 and by 40-100 % at eps = 1e-9.
+# E = 2d is an eigenvalue of H(0) on every one-site component of Gamma^c,
+# and of every realization on the gamma1 box and the first chain.  Folding
+# Gamma^c out of G_z there divided by eps and cancelled: on the gamma2 and
+# Bernoulli boxes the fold was off by about 1e-6 at eps = 1e-6 and by
+# 40-100 % at eps = 1e-9.
 ACCURACY_GEOMETRIES = [
     (make_box(2, (1, 1), (9, 7)), Gamma2Mask(3)),
     (make_box(2, (1, 1), (7, 7)), BernoulliMask(0.5, 3)),
     (make_box(2, (1, 1), (9, 7)), Gamma1Mask(2, 2)),
+    *CHAINS,
 ]
 
 
@@ -255,14 +269,15 @@ ACCURACY_GEOMETRIES = [
 def test_sweep_is_accurate_at_the_trimmed_spectrum(geometry):
     box, mask = geometry
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=3, samples=7)
-    zs, s, rho = [4.0 + 1e-6j, 4.0 + 1e-9j], 1.0 / 3.0, DecayMetric(0.1)
+    e = 2.0 * box.dim
+    zs, s, rho = [e + 1e-6j, e + 1e-9j], 1.0 / 3.0, DecayMetric(0.1)
     for report, z in zip(mc_chi_green_sweep(ens, zs, s, rho), zs, strict=True):
         assert _chi_close(report, _lu_chi(ens, z, s, rho), 1e-10)
 
 
 @settings(max_examples=20, deadline=None)
 @given(
-    geometry=st.sampled_from(TRIMMED_GEOMETRIES),
+    geometry=st.sampled_from(TRIMMED_GEOMETRIES + CHAINS),
     seed=st.integers(0, 2**32),
     samples=st.integers(1, 40),
     im=st.floats(0.05, 1.0),
@@ -300,7 +315,7 @@ def test_folded_results_do_not_depend_on_chunk_size(
     assert (chi_small.value, chi_small.stderr) == (chi.value, chi.stderr)
 
 
-@pytest.mark.parametrize("geometry", TRIMMED_GEOMETRIES)
+@pytest.mark.parametrize("geometry", TRIMMED_GEOMETRIES + CHAINS)
 def test_slice_rows_give_every_entry(geometry):
     # rows of blocks G_{i,0..i} and the symmetry of G give every entry of
     # every realization's G_z
@@ -314,6 +329,47 @@ def test_slice_rows_give_every_entry(geometry):
         gs[:, : i * w, i * w : (i + 1) * w] = row[:, :, : i * w].swapaxes(1, 2)
     for i in range(2):
         assert _close(gs[i], green(ens.realization(i), z).entries)
+
+
+@pytest.mark.parametrize("geometry", [GEOMETRIES[0], CHAINS[0]])
+def test_one_site_slices_make_no_lapack_inverse(geometry):
+    # W = 1 divides elementwise: a LAPACK fallback fails here
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=3, samples=3)
+    z = 2.0 + 0.1j
+    (a,) = fracmoment._slice_blocks(ens)
+    lapack = AssertionError("numpy.linalg.inv on a one-site slice")
+    with mock.patch.object(np.linalg, "inv", side_effect=lapack):
+        rows = [row.copy() for row in spectral.slice_green_rows(a, z)]
+    for i in range(3):
+        g = green(ens.realization(i), z).entries
+        assert all(_close(row[i, 0], g[k, : k + 1]) for k, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("n_l", [1, 3])
+def test_singular_one_site_block_raises_like_lapack(n_l):
+    # a 1 x 1 block equal to z: the same LinAlgError as a singular W x W
+    # block, before any row is written, and no RuntimeWarning
+    z = 2.0 + 0.5j
+    a = np.full((2, n_l, 1, 1), 1.0 - 0.5j)
+    a[:, -1] = z
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            rows.extend(spectral.slice_green_rows(a, z))
+    assert str(exc.value) == f"Singular matrix at z = {z}, slice {n_l - 1}"
+    assert rows == []
+
+
+def test_one_site_overflow_is_silent():
+    # 1 / (-1e-310 i) overflows, silently as in `numpy.linalg.inv` (which
+    # gives nan here): the non-finite chi check names the failure
+    a = np.full((1, 1, 1, 1), 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (row,) = spectral.slice_green_rows(a, 2.0 + 1e-310j)
+    assert not np.isfinite(row).any()
 
 
 # The eigenpair fold that `TrimmedSplit.kernel` reads against the dense
@@ -439,7 +495,7 @@ def test_sweep_matches_lu_oracle(geometry, seed, samples, re, ims, s, g):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    geometry=st.sampled_from(GEOMETRIES),
+    geometry=st.sampled_from(GEOMETRIES + CHAINS),
     seed=st.integers(0, 2**32),
     samples=st.integers(1, 40),
     ims=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=3),
