@@ -6,6 +6,10 @@ JSON file plus flag overrides (flags win).  Each run writes
 fields are printed with 17 significant digits in lowercase scientific
 notation so that reruns are byte-identical.
 
+`main` validates the config once, before dispatch: `_resolved` coerces
+it in place, builds the ensemble and the decay metric and runs the
+experiment's own checks, and every runner receives (config, ens, rho).
+
 The thread count (--threads, TRIMLAB_THREADS, default os.cpu_count()) is
 validated and recorded in the JSON config echo, and nothing else reads
 it: the Monte Carlo engine is serial and takes no thread count, so
@@ -54,6 +58,8 @@ from .fracmoment import (
     wegner_preconditions,
 )
 from .lattice import (
+    Gamma1Mask,
+    Gamma2Mask,
     LatticeBox,
     is_doubly_insulated,
     mask_from_descriptor,
@@ -66,16 +72,6 @@ from .spectral import (
     off_x_green,
     resolvent_identity_residual,
     schur_green,
-)
-
-EXPERIMENTS = (
-    "verify",
-    "localize",
-    "wegner",
-    "anomalous",
-    "dynamics",
-    "couple",
-    "lattice-info",
 )
 
 #: residual at or below which an exact identity row passes (verify, couple)
@@ -137,26 +133,16 @@ def _load_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
+    # every flag but --config overrides the config key of its name
     overrides = {
-        "seed": args.seed,
-        "threads": args.threads,
-        "out": args.out,
-        "g": args.g,
-        "s": args.s,
-        "eta": args.eta,
-        "energy": args.energy,
-        "samples": args.samples,
-        "box": args.box,
-        "gamma": args.gamma,
+        k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None
     }
-    if args.epsilon is not None:
+    if "epsilon" in overrides:
         try:
-            overrides["epsilon"] = [float(v) for v in args.epsilon.split(",")]
+            overrides["epsilon"] = [float(v) for v in overrides["epsilon"].split(",")]
         except ValueError as exc:
             raise ConfigError(f"malformed epsilon list: {exc}") from exc
-    else:
-        overrides["epsilon"] = None
-    config.update({k: v for k, v in overrides.items() if v is not None})
+    config.update(overrides)
     if config["threads"] is None:
         env = os.environ.get("TRIMLAB_THREADS")
         try:
@@ -170,11 +156,12 @@ def _load_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _resolved(config: dict, dense: bool = True):
-    """Validate the config into the objects the experiments consume.
+def _resolved(config: dict, experiment: str):
+    """Coerce the config in place, build the ensemble and decay metric
+    the experiment consumes, then run its entry of _CHECKS.
 
-    dense: the experiment builds dense operators on the box, so the box
-    must not exceed DENSE_LIMIT sites.
+    Every experiment but lattice-info builds dense operators on the box,
+    so the box must not exceed DENSE_LIMIT sites.
     """
     try:
         box = _parse_box(config["box"])
@@ -187,7 +174,7 @@ def _resolved(config: dict, dense: bool = True):
             f"gamma {config['gamma']!r} is {mask.dim}-dimensional, "
             f"the box is {box.dim}-dimensional"
         )
-    if dense and box.size > DENSE_LIMIT:
+    if experiment != "lattice-info" and box.size > DENSE_LIMIT:
         raise ConfigError(
             f"box has {box.size} sites, over the dense limit {DENSE_LIMIT}"
         )
@@ -239,6 +226,8 @@ def _resolved(config: dict, dense: bool = True):
         master_seed=config["seed"],
         samples=config["samples"],
     )
+    if experiment in _CHECKS:
+        _CHECKS[experiment](ens, config)
     return ens, rho
 
 
@@ -257,8 +246,12 @@ def _trial_points(seed: int, trials: int, n: int):
     return zip(z.tolist(), u_real, u_real + 1j * u[:, 2 + n :])
 
 
-def _run_verify(config: dict):
-    ens, _ = _resolved(config)
+def _center(box: LatticeBox):
+    """The site at the middle of the box (rounded down)."""
+    return tuple((a + b) // 2 for a, b in zip(box.lo, box.hi))
+
+
+def _run_verify(config: dict, ens: EnsembleSpec, rho: DecayMetric):
     rows = []
 
     def record(check, residual):
@@ -272,7 +265,7 @@ def _run_verify(config: dict):
     for trial, (z, u_real, u_cplx) in enumerate(points):
         ham = ens.realization(trial)
         _, schur = schur_green(ham, x_sites, z)
-        g = green(ham, z).entries
+        g = green(ham, z)
         record(f"schur[{trial}]", float(np.max(np.abs(schur - g[:n_x, :n_x]))))
         gx = off_x_green(ham, x_sites, z)
         for case in ("in-out", "out-in", "out-out"):
@@ -282,7 +275,7 @@ def _run_verify(config: dict):
             )
         if ens.split.comp.size:
             record(f"kernel[{trial}]", kernel_identity_residual(ens, z, trial, g))
-        g0 = green(h0, z).entries
+        g0 = green(h0, z)
         for tag, u in (("real", u_real), ("complex", u_cplx)):
             res = s2w_identity_check(h0, u, z, g0)
             record(f"hedgehog-{tag}-base[{trial}]", res["residual0"])
@@ -290,8 +283,7 @@ def _run_verify(config: dict):
     return ["check", "residual", "tolerance", "pass"], rows
 
 
-def _run_localize(config: dict):
-    ens, rho = _resolved(config)
+def _run_localize(config: dict, ens: EnsembleSpec, rho: DecayMetric):
     zs = [complex(config["energy"], eps) for eps in config["epsilon"]]
     reports = mc_chi_green_sweep(ens, zs, config["s"], rho)
     rows = [
@@ -317,8 +309,7 @@ def _run_localize(config: dict):
     ], rows
 
 
-def _run_wegner(config: dict):
-    ens, _ = _resolved(config)
+def _run_wegner(config: dict, ens: EnsembleSpec, rho: DecayMetric):
     try:
         # the counting bound's hypotheses, decided from H(0) before sampling;
         # wegner_count reads the same cached eigenpairs of H(0)
@@ -349,8 +340,7 @@ def _run_wegner(config: dict):
     ], rows
 
 
-def _run_anomalous(config: dict):
-    ens, _ = _resolved(config)
+def _run_anomalous(config: dict, ens: EnsembleSpec, rho: DecayMetric):
     mask, split = ens.mask, ens.split
     try:
         rep = compact_eigenfunctions(split.h0, mask, config["energy"])
@@ -363,29 +353,20 @@ def _run_anomalous(config: dict):
         for lam in sorted(set(np.round(spectrum, 10))):
             mult = int(np.sum(np.abs(spectrum - lam) < 1e-9))
             rows.append(["trimmed-spectrum", float(lam), mult, 0, True])
-    desc = mask.descriptor()
-    window = LatticeBox(
-        tuple(c - 10 for c in ens.box.lo), tuple(c + 10 for c in ens.box.hi)
-    )
-    if desc.startswith("gamma1:"):
-        k, m = (int(v) for v in desc.split(":")[1].split(","))
-        fn = gamma1_eigenfunction(k, m, 1, 1)
-        rows.append(
-            ["gamma1-eigenfunction", fn.lam, 0, 0, fn.window_residual(window) <= 1e-10]
-        )
-    if desc.startswith("gamma2:"):
-        fn = gamma2_eigenfunction(int(desc.split(":")[1]))
-        rows.append(
-            ["gamma2-eigenfunction", fn.lam, 0, 0, fn.window_residual(window) <= 1e-10]
-        )
+    if isinstance(mask, (Gamma1Mask, Gamma2Mask)):
+        if isinstance(mask, Gamma1Mask):
+            check, fn = "gamma1", gamma1_eigenfunction(mask.k, mask.m, 1, 1)
+        else:
+            check, fn = "gamma2", gamma2_eigenfunction(mask.k)
+        lo, hi = ens.box.lo, ens.box.hi
+        window = LatticeBox(tuple(c - 10 for c in lo), tuple(c + 10 for c in hi))
+        ok = fn.window_residual(window) <= 1e-10
+        rows.append([f"{check}-eigenfunction", fn.lam, 0, 0, ok])
     return ["check", "energy", "full_mult", "supported_dim", "pass"], rows
 
 
-def _run_dynamics(config: dict):
-    ens, _ = _resolved(config)
-    center = tuple(
-        (a + b) // 2 for a, b in zip(ens.box.lo, ens.box.hi)
-    )
+def _run_dynamics(config: dict, ens: EnsembleSpec, rho: DecayMetric):
+    center = _center(ens.box)
     p, times, eps = config["p"], config["times"], config["epsilon"]
     samples = dynamics_samples(
         ens, center, p, times, config["energy"], eps[0], sorted(eps, reverse=True)
@@ -399,13 +380,12 @@ def _run_dynamics(config: dict):
     return ["t", "p", "Mp", "stderr"], rows
 
 
-def _run_couple(config: dict):
-    ens, rho = _resolved(config)
+def _run_couple(config: dict, ens: EnsembleSpec, rho: DecayMetric):
     rows = []
     h0 = ens.split.h0
     eps = config["epsilon"][0]
     z = complex(config["energy"], max(eps, 1e-6))
-    g0 = green(h0, z).entries
+    g0 = green(h0, z)
     # the test vectors of verify's trial 0; z is the one the weak bound reads
     _, u_real, u_cplx = next(_trial_points(config["seed"], 1, ens.box.size))
     for tag, u in (("real", u_real), ("complex", u_cplx)):
@@ -427,35 +407,19 @@ def _run_couple(config: dict):
         g0 if z.imag == eps else None,  # the weak bound is taken at eps itself
     )
     if rep["applicable"]:
-        rows.append(["weak-bound", rep["lhs"], rep["bound"], rep["holds"]])
         audit = rep["audit"]
-        rows.append(
-            [
-                "weak-bound-audit-pendant",
-                audit["pendant_chi"],
-                audit["pendant_bound"],
-                audit["pendant_holds"],
-            ]
-        )
-        rows.append(
-            [
-                "weak-bound-audit-star",
-                rep["lhs"],
-                audit["star_rhs"],
-                audit["star_holds"],
-            ]
-        )
+        pendant = [audit["pendant_chi"], audit["pendant_bound"], audit["pendant_holds"]]
+        star = [rep["lhs"], audit["star_rhs"], audit["star_holds"]]
+        rows.append(["weak-bound", rep["lhs"], rep["bound"], rep["holds"]])
+        rows.append(["weak-bound-audit-pendant", *pendant])
+        rows.append(["weak-bound-audit-star", *star])
     else:
         rows.append(["weak-bound-inapplicable", rep["chi0"], 0.0, True])
     return ["check", "value", "bound", "pass"], rows
 
 
-def _run_lattice_info(config: dict):
-    ens, _ = _resolved(config, dense=False)
-    mask = ens.mask
-    center = tuple(
-        (a + b) // 2 for a, b in zip(ens.box.lo, ens.box.hi)
-    )
+def _run_lattice_info(config: dict, ens: EnsembleSpec, rho: DecayMetric):
+    mask, center = ens.mask, _center(ens.box)
     rows = []
     for radius in (2, 5, 10, 20):
         frac = relative_density(mask, radius, center)
@@ -478,12 +442,13 @@ _RUNNERS = {
     "couple": _run_couple,
     "lattice-info": _run_lattice_info,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
-def run(experiment: str, config: dict) -> dict:
-    """Dispatch one experiment; returns the in-memory result record."""
+def run(experiment: str, config: dict, ens: EnsembleSpec, rho: DecayMetric) -> dict:
+    """Dispatch one resolved experiment; returns the in-memory result record."""
     start = time.monotonic()
-    header, rows = _RUNNERS[experiment](config)
+    header, rows = _RUNNERS[experiment](config, ens, rho)
     return {
         "experiment": experiment,
         "config": {k: config[k] for k in sorted(config)},
@@ -577,7 +542,7 @@ def _check_couple(ens: EnsembleSpec, config: dict) -> None:
         )
 
 
-#: per-experiment checks that main runs before dispatch
+#: per-experiment checks that `_resolved` runs last
 _CHECKS = {
     "localize": _check_localize,
     "dynamics": _check_dynamics,
@@ -589,16 +554,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        # validate before dispatch
-        checked = dict(config)
-        ens, _ = _resolved(checked, dense=args.experiment != "lattice-info")
-        if args.experiment in _CHECKS:
-            _CHECKS[args.experiment](ens, checked)
+        ens, rho = _resolved(config, args.experiment)
     except ConfigError as exc:
         print(f"trimlab: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        record = run(args.experiment, config)
+        record = run(args.experiment, config, ens, rho)
         csv_path, _ = emit(record, config["out"])
     except ConfigError as exc:
         # a hypothesis a runner decides before it samples (wegner's)

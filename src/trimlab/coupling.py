@@ -51,14 +51,14 @@ def s2w_identity_check(
     u = np.asarray(u)
     z = complex(z)
     hh = hedgehog_assemble(h0, u)
-    gh = green(hh.matrix, z).entries
+    gh = green(hh.matrix, z)
     if g0 is None:
-        g0 = green(h0.matrix, z).entries
+        g0 = green(h0.matrix, z)
     sharp = u_sharp(u, z).values
     base = gh[hh.base_slice(), hh.base_slice()]
     pend = gh[hh.pendant_slice(), hh.pendant_slice()]
-    rhs0 = green(h0.matrix.astype(complex) + np.diag(sharp), z).entries
-    rhs1 = green(np.diag(u.astype(complex)) - g0, z).entries
+    rhs0 = green(h0.matrix.astype(complex) + np.diag(sharp), z)
+    rhs1 = green(np.diag(u.astype(complex)) - g0, z)
     return {
         "residual0": float(np.max(np.abs(base - rhs0))),
         "residual1": float(np.max(np.abs(pend - rhs1))),
@@ -98,7 +98,7 @@ def weak_disorder_bound_check(
     z = complex(lam, eps)
     h0 = ens.split.h0
     if g0 is None:
-        g0 = green(h0, z).entries
+        g0 = green(h0, z)
     chi0 = chi_kernel(g0, ens.box.coords, rho, s).value
     g_inv_s = ens.g ** (-s)
     if g_inv_s <= c_mu * chi0:
@@ -121,11 +121,11 @@ def weak_disorder_bound_check(
     for v in potentials:
         u = z - 1.0 / (ens.g * v)
         hh = hedgehog_assemble(h0, u)
-        gh = green(hh.matrix, z).entries
+        gh = green(hh.matrix, z)
         base = gh[hh.base_slice(), hh.base_slice()]
         pend = gh[hh.pendant_slice(), hh.pendant_slice()]
         # base block must coincide with G_z[H(0) + gV] (exact identity)
-        direct = green(h0.matrix + np.diag(ens.g * v), z).entries
+        direct = green(h0.matrix + np.diag(ens.g * v), z)
         idents.append(float(np.max(np.abs(base - direct))))
         base_sums.append(np.sum(w_base * np.abs(base) ** s, axis=0))
         pend_sums.append(np.sum(w_base * np.abs(pend) ** s, axis=0))
@@ -171,7 +171,7 @@ def coupled_weak_operator(
     matrix = h0.matrix.astype(complex) + np.diag(sharp.values)
     return {
         "matrix": matrix,
-        "green": green(matrix, z).entries,
+        "green": green(matrix, z),
         "effective_strength": float(np.max(np.abs(sharp.values))),
         "bare_strength": float(np.max(np.abs(gv))),
         "z": z,

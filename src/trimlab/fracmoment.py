@@ -176,7 +176,7 @@ def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
         k = np.zeros(len(idx), dtype=int)
         while True:
             try:
-                gs = green(h, z).entries
+                gs = green(h, z)
                 break
             except SpectralParameterOnSpectrum as exc:
                 hits = np.flatnonzero(exc.hits)
@@ -469,7 +469,7 @@ def chi_resolvent_inequalities(
     xs, ix, xc, ixc = _index_split(ham, x_sites)
     kappa = 2 * ham.box.dim
     enorm = math.exp(rho.norm)
-    g = green(ham, z).entries
+    g = green(ham, z)
     chi_g = chi_kernel(g, ham.site_list(), rho, s).value
     chi_pgp_x = chi_kernel(g[np.ix_(ix, ix)], xs, rho, s).value
     chi_pgp_xc = chi_kernel(g[np.ix_(ixc, ixc)], xc, rho, s).value
@@ -584,9 +584,9 @@ def kernel_identity_residual(
     kd = split.kernel(z)
     gv = ens.g * ens.potential(sample_index)
     if g is None:
-        g = green(split.h0.matrix + np.diag(gv), z).entries
+        g = green(split.h0.matrix + np.diag(gv), z)
     lhs = g[np.ix_(split.gamma, split.gamma)]
-    rhs = green(np.diag(gv[split.gamma] - kd["D"]) - kd["K"], z).entries
+    rhs = green(np.diag(gv[split.gamma] - kd["D"]) - kd["K"], z)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -73,7 +73,7 @@ def test_criterion_1_exact_identities():
         n_x = int(rng.integers(1, len(sites)))
         x_sites = list(sites[:n_x])
         xs, comp = schur_green(ham, x_sites, z)
-        gz = green(ham, z).entries
+        gz = green(ham, z)
         idx = [box.index(s) for s in xs]
         worst = max(worst, float(np.max(np.abs(comp - gz[np.ix_(idx, idx)]))))
         for case in ("in-out", "out-in", "out-out"):

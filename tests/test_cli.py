@@ -588,6 +588,27 @@ def test_verify_solves_g_and_g_off_x_once_per_trial(tmp_path, monkeypatch):
     assert len(calls) <= 5 * 10
 
 
+def test_main_resolves_each_run_once(tmp_path, monkeypatch):
+    # main validates the config and its runner takes the resolved ensemble;
+    # no runner resolves the config a second time
+    import trimlab.cli as cli
+
+    assert cli.EXPERIMENTS == tuple(cli._RUNNERS)
+    resolved, calls = cli._resolved, Counter()
+
+    def counting(config, experiment):
+        calls[experiment] += 1
+        return resolved(config, experiment)
+
+    monkeypatch.setattr(cli, "_resolved", counting)
+    for experiment in cli.EXPERIMENTS:
+        gamma = "full" if experiment == "couple" else "gamma1:2,2"
+        args = [experiment, "--box", "1..3,1..1", "--gamma", gamma, "--g", "10"]
+        args += ["--energy", "4", "--epsilon", "0.4", "--samples", "4"]
+        assert run_cli(args + ["--out", str(tmp_path)]) == 0, experiment
+    assert calls == dict.fromkeys(cli.EXPERIMENTS, 1)
+
+
 def test_verify_builds_the_deterministic_half_once(monkeypatch):
     # the identities workload: one H(0) and one eigendecomposition of its
     # trimmed restriction serve all five trials, beside the five realizations
@@ -608,7 +629,8 @@ def test_verify_builds_the_deterministic_half_once(monkeypatch):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     argv = ["verify", "--box", "1..10,1..10", "--threads", "1", "--out", "unused"]
-    cli._run_verify(cli._load_config(cli._build_parser().parse_args(argv)))
+    config = cli._load_config(cli._build_parser().parse_args(argv))
+    cli._run_verify(config, *cli._resolved(config, "verify"))
     assert calls["assemble"] <= 6
     assert calls["eigendecompose"] == 1
 
@@ -622,9 +644,10 @@ def test_anomalous_trimmed_spectrum_matches_eigvalsh_of_the_restriction(gamma):
 
     argv = ["anomalous", "--gamma", gamma, "--out", "unused"]
     config = cli._load_config(cli._build_parser().parse_args(argv))
-    _, rows = cli._run_anomalous(dict(config))
+    checked = dict(config)
+    _, rows = cli._run_anomalous(checked, *cli._resolved(checked, "anomalous"))
     got = [row for row in rows if row[0] == "trimmed-spectrum"]
-    ens, _ = cli._resolved(dict(config))
+    ens, _ = cli._resolved(dict(config), "anomalous")
     spectrum = np.linalg.eigvalsh(trimmed_restriction(ens.deterministic_part()).matrix)
     expected = [
         ["trimmed-spectrum", float(lam), int(np.sum(np.abs(spectrum - lam) < 1e-9))]
@@ -645,7 +668,7 @@ def test_anomalous_trimmed_spectrum_matches_eigvalsh_of_the_restriction(gamma):
 def test_numeric_and_io_family_exits_3(tmp_path, monkeypatch, capsys, error):
     import trimlab.cli as cli
 
-    def failing(config):
+    def failing(config, ens, rho):
         raise error
 
     monkeypatch.setitem(cli._RUNNERS, "verify", failing)
@@ -673,7 +696,7 @@ def test_unexpected_exception_keeps_traceback_and_exits_1(tmp_path):
 
     script = (
         "import sys, trimlab.cli as cli\n"
-        "def broken(config):\n"
+        "def broken(config, ens, rho):\n"
         "    raise TypeError('a bug, not a numeric failure')\n"
         "cli._RUNNERS['verify'] = broken\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"

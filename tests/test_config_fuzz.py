@@ -38,7 +38,7 @@ class Dispatched(BaseException):
     """Raised in place of `couple`'s run: the config passed validation."""
 
 
-def _dispatched(config):
+def _dispatched(config, ens, rho):
     raise Dispatched
 
 

@@ -58,7 +58,7 @@ def test_hedgehog_green_complex_symmetric():
     rng = np.random.default_rng(3)
     h0 = assemble(make_box(1, (0,), (4,)), FullMask(), None, 0.0, None)
     hh = hedgehog_assemble(h0, rng.normal(size=5))
-    g = green(hh.matrix, 0.3 + 0.2j).entries
+    g = green(hh.matrix, 0.3 + 0.2j)
     np.testing.assert_allclose(g, g.T, atol=1e-12)
 
 
@@ -104,7 +104,7 @@ def test_weak_disorder_bound_reads_a_passed_g0(monkeypatch):
     ens = EnsembleSpec(make_box(1, (0,), (8,)), FullMask(), Uniform(), 0.01, samples=4)
     args = (ens, -1.0, 1e-4, 0.5, DecayMetric(0.1), c_mu)
     expected = weak_disorder_bound_check(*args)
-    g0 = coupling.green(ens.split.h0, complex(-1.0, 1e-4)).entries
+    g0 = coupling.green(ens.split.h0, complex(-1.0, 1e-4))
     calls = []
     real = coupling.green
     monkeypatch.setattr(coupling, "green", lambda h, z: calls.append(z) or real(h, z))

@@ -74,7 +74,7 @@ def test_p_validated_everywhere(p):
 
 def _lu_green_moment(ham, lam, eps, p, x):
     # eps^2 sum_y |G(x,y)|^2 ||x-y||^p from the pivoted-LU inverse
-    g = green(ham, complex(lam, eps)).entries[ham.box.index(x)]
+    g = green(ham, complex(lam, eps))[ham.box.index(x)]
     w = np.array(
         [float(sum(abs(a - b) for a, b in zip(x, y))) ** p for y in ham.box.sites()]
     )

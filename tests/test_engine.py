@@ -97,7 +97,7 @@ def _scalar_greens(ens, z):
         k = 0
         while True:
             try:
-                greens.append(green(ens.realization(i + k * n), z).entries)
+                greens.append(green(ens.realization(i + k * n), z))
                 break
             except SpectralParameterOnSpectrum:
                 k += 1
@@ -128,7 +128,7 @@ def test_stacked_values_match_scalar_oracle(geometry, seed, samples, re, im, upp
     gs, n_resampled = mc_map(_whole, ens, z=z)
     assert gs.shape == (samples, box.size, box.size) and n_resampled == 0
     for i in range(samples):
-        assert _close(gs[i], green(ens.realization(i), z).entries)
+        assert _close(gs[i], green(ens.realization(i), z))
 
 
 def _slice_entries(box) -> int:
@@ -173,7 +173,7 @@ def _lu_chi(ens, z, s, rho) -> tuple[float, float]:
     w = rho.weight_matrix(ens.box.coords)
     sums = np.array(
         [
-            np.sum(w * np.abs(green(ens.realization(i), z).entries) ** s, axis=0)
+            np.sum(w * np.abs(green(ens.realization(i), z)) ** s, axis=0)
             for i in range(ens.samples)
         ]
     )
@@ -328,7 +328,7 @@ def test_slice_rows_give_every_entry(geometry):
         gs[:, i * w : (i + 1) * w, : (i + 1) * w] = row
         gs[:, : i * w, i * w : (i + 1) * w] = row[:, :, : i * w].swapaxes(1, 2)
     for i in range(2):
-        assert _close(gs[i], green(ens.realization(i), z).entries)
+        assert _close(gs[i], green(ens.realization(i), z))
 
 
 @pytest.mark.parametrize("geometry", [GEOMETRIES[0], CHAINS[0]])
@@ -342,7 +342,7 @@ def test_one_site_slices_make_no_lapack_inverse(geometry):
     with mock.patch.object(np.linalg, "inv", side_effect=lapack):
         rows = [row.copy() for row in spectral.slice_green_rows(a, z)]
     for i in range(3):
-        g = green(ens.realization(i), z).entries
+        g = green(ens.realization(i), z)
         assert all(_close(row[i, 0], g[k, : k + 1]) for k, row in enumerate(rows))
 
 
@@ -627,7 +627,7 @@ def test_localize_routes_every_eps_to_the_slice_recursion():
                 counting(fracmoment, "sample_potential"),
                 counting(fracmoment, "slice_green_rows"),
             ):
-                cli._run_localize(config)
+                cli._run_localize(config, *cli._resolved(config, "localize"))
             expected = {"sample_potential": 1, "slice_green_rows": len(eps.split(","))}
             assert calls == expected, (gamma, eps)
 

@@ -342,7 +342,7 @@ def _kernel_K_loop(mask, box, v0, z):
         if complex(z).imag == 0 and np.min(np.abs(spectrum - complex(z).real)) <= 1e-10:
             raise SpectralParameterOnSpectrum("on the trimmed spectrum")
         t = adjacency_operator(gamma_sites, box).matrix
-        m += t @ green(h_gamma, z).entries @ t.T
+        m += t @ green(h_gamma, z) @ t.T
     d = np.diag(m).copy()
     return m - np.diag(d), d, gamma_sites, spectrum
 

@@ -76,7 +76,7 @@ import trimlab.cli as cli
 class Dispatched(BaseException):
     pass
 
-def at_dispatch(name, config):
+def at_dispatch(name, config, ens, rho):
     raise Dispatched("numpy.random" in sys.modules)
 
 experiment, out = sys.argv[1:]

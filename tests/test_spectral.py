@@ -61,7 +61,7 @@ def test_green_two_routes_agree():
     # LU solve against the eigen-expansion of the resolvent
     ham = _random_ham(1)
     z = 0.7 + 0.4j
-    g_lu = green(ham, z).entries
+    g_lu = green(ham, z)
     sd = eigendecompose(ham)
     g_eig = (sd.eigenvectors / (sd.eigenvalues - z)) @ sd.eigenvectors.T
     np.testing.assert_allclose(g_lu, g_eig, atol=1e-12)
@@ -71,7 +71,7 @@ def test_green_collision_raises():
     ham = assemble(make_box(1, (0,), (0,)), FullMask(), 1.0, 0.0, None)
     with pytest.raises(SpectralParameterOnSpectrum):
         green(ham, 3.0)  # H = (3), z exactly on the spectrum
-    g = green(ham, 2.0).entries  # off spectrum, real z fine
+    g = green(ham, 2.0)  # off spectrum, real z fine
     assert g[0, 0] == pytest.approx(1.0)
 
 
@@ -83,7 +83,7 @@ def test_green_complex_symmetric_at_real_z():
     h0 = assemble(make_box(1, (0,), (4,)), FullMask(), None, 0.0, None)
     hh = hedgehog_assemble(h0, rng.normal(size=5) + 1j * (0.5 + rng.random(5)))
     z = float(np.linalg.eigvalsh(hh.matrix)[3])
-    g = green(hh.matrix, z).entries
+    g = green(hh.matrix, z)
     np.testing.assert_allclose(
         g, np.linalg.inv(hh.matrix - z * np.eye(10)), rtol=1e-12, atol=1e-12
     )
@@ -94,7 +94,7 @@ def test_schur_green_matches_direct():
         ham = _random_ham(seed)
         sites = ham.site_list()
         xs, comp = schur_green(ham, sites[:7], 0.3 + 0.5j)
-        g = green(ham, 0.3 + 0.5j).entries
+        g = green(ham, 0.3 + 0.5j)
         idx = [ham.box.index(s) for s in xs]
         np.testing.assert_allclose(comp, g[np.ix_(idx, idx)], atol=1e-10)
 
@@ -120,7 +120,7 @@ def test_resolvent_identity_reuses_given_greens_bit_for_bit():
     ham = _random_ham(4)
     x_sites = [s for s in ham.site_list() if s[0] <= 2]
     z = -0.3 + 0.6j
-    g, gx = green(ham, z).entries, off_x_green(ham, x_sites, z)
+    g, gx = green(ham, z), off_x_green(ham, x_sites, z)
     for case in ("in-out", "out-in", "out-out"):
         assert resolvent_identity_residual(
             ham, x_sites, z, case, g, gx
@@ -141,8 +141,8 @@ def _identity_residual_loop(ham, x_sites, z, case, shift):
     sites = ham.site_list()
     pos = {s: i for i, s in enumerate(sites)}
     xc = [s for s in sites if s not in set(xs)]
-    g = green(ham, z).entries
-    gx = green(_shifted(restrict(ham, xc), shift), z).entries if xc else None
+    g = green(ham, z)
+    gx = green(_shifted(restrict(ham, xc), shift), z) if xc else None
     pos_x = {s: i for i, s in enumerate(xc)}
     pairs = [(up, u) for up in xs for u in xc if u in neighbors(up)]
     worst = 0.0
@@ -241,7 +241,7 @@ def test_combes_thomas_free_chain():
 
 def _combes_thomas_loop(ham, z, x0):
     # the per-site loop that combes_thomas_rate replaced
-    g = green(ham, z).entries
+    g = green(ham, z)
     sites = ham.site_list()
     pos = {s: i for i, s in enumerate(sites)}
     lo, hi = ham.box.lo, ham.box.hi
@@ -314,6 +314,6 @@ def test_green_in_place_shift_is_bitwise_identical(z):
     ]
     for m in matrices:
         expected = _green_with_identity(m, z)
-        got = green(m, z).entries
+        got = green(m, z)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
