@@ -240,9 +240,9 @@ def _slice_blocks(ens: EnsembleSpec):
     """The (S, L, W, W) diagonal blocks of H along axis 0 per chunk of the
     ensemble, in sample order, each chunk from one draw; the diagonal is
     formed as `assemble` forms it.  A sample holds about
-    2 L W**2 + 2 W n complex entries in `_slice_sums` (a complex copy of
-    its blocks, the gR_i, two rows) beside its L W**2 real blocks; the
-    chunks are sized by L W**2 + 2 W n, CHUNK_ENTRIES per chunk."""
+    L W**2 + 2 W n complex entries in `_slice_sums` (the gR_i and two
+    rows) beside its L W**2 real blocks; the chunks are sized by
+    L W**2 + 2 W n, CHUNK_ENTRIES per chunk."""
     box = ens.box
     n_l, n = box.shape[0], box.size
     w = n // n_l
@@ -692,12 +692,12 @@ def wegner_count(
             if vmax == 0:
                 continue
             bound = gap / (3.0 * ens.g * vmax)
-            for j in np.nonzero(di <= gap / 3)[0]:
-                phi = ui[:, j]
+            for phi in ui.T[di <= gap / 3]:  # a copy, no view of sd
                 if ker.size and np.linalg.norm(ker.T @ phi) > 1e-8:
                     continue  # not orthogonal to Ker(H(0)|_B - lam)
                 mass = float(np.linalg.norm(phi[gamma]))
                 checks.append(bool(mass >= bound - 1e-12))
+        del sd, ui  # free this chunk's eigenpairs before the next chunk is factored
     counts = np.concatenate(counts)
     s = 0.5  # reporting exponent for the comparison scaling
     reports = []

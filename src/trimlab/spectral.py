@@ -144,27 +144,29 @@ def slice_green_rows(a: np.ndarray, z: complex):
     """
     n_l, w = a.shape[1], a.shape[-1]
     inv = np.linalg.inv if w > 1 else _reciprocal
-    a = a.astype(complex)
-    d = np.arange(w)
-    a[..., d, d] -= z
+    # A_i - z is formed per slice as a[:, i] - zi: a complex block, bit for
+    # bit a complex copy of A_i with z subtracted from its diagonal
+    zi = np.zeros((w, w), dtype=complex)
+    np.fill_diagonal(zi, z)
     try:
         gr = [None] * n_l  # gR_i for i >= 1
         for i in range(n_l - 1, 0, -1):
-            gr[i] = inv(a[:, i] - gr[i + 1] if i + 1 < n_l else a[:, i])
+            m = a[:, i] - zi
+            gr[i] = inv(m - gr[i + 1] if i + 1 < n_l else m)
         # row i is written into bufs[i % 2] from row i - 1 in the other one
         bufs = np.empty((min(n_l, 2), len(a), w, n_l * w), dtype=complex)
         gl = None
         for i in range(n_l):
-            m = a[:, i] if i == 0 else a[:, i] - gl
-            if i + 1 < n_l:
-                m = m - gr[i + 1]
+            m = a[:, i] - zi
+            if i:
+                m -= gl  # A_i - z - gL_{i-1}, for G_ii and for gL_i
             row = bufs[i % 2, :, :, : (i + 1) * w]
             if i:
                 np.matmul(gr[i], bufs[1 - i % 2, :, :, : i * w], out=row[:, :, : i * w])
-            row[:, :, i * w :] = inv(m)
+            row[:, :, i * w :] = inv(m - gr[i + 1] if i + 1 < n_l else m)
             yield row
             if i + 1 < n_l:
-                gl = inv(a[:, i] if i == 0 else a[:, i] - gl)
+                gl = inv(m)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"{exc} at z = {z}, slice {i}") from exc
 

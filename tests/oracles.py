@@ -9,6 +9,9 @@ package neither compiles them nor loads numpy.random for them.
   site by site through `s in mask`.
 - `EvolutionKernel` and `evolve`: e^{itH} as a full matrix and applied
   to a vector, the reference for the amplitudes of `dynamics`.
+- `laplace_lhs`: the Laplace integral of M_p(x,t) in closed form, with
+  every n x n term formed at once, the reference for the row blocks of
+  `dynamics._Factored.laplace_lhs`.
 - `dense_fold`: the fold of a complement Gamma^c as dense products over
   all of Gamma^c, the reference for `spectral.fold_complement`, which
   multiplies only on the Gamma-boundary of Gamma^c.
@@ -74,6 +77,18 @@ def evolve(sd: SpectralData, psi0: np.ndarray, t: float) -> np.ndarray:
     return sd.eigenvectors @ (np.exp(1j * t * sd.eigenvalues) * coeff)
 
 
+def laplace_lhs(
+    e: np.ndarray, u: np.ndarray, ix: int, w: np.ndarray, eps: float
+) -> float:
+    """int_0^inf eps e^{-eps t} M_p(x,t) dt from the eigenpairs E, U of H,
+    seen from site index ix with distance weights w, in one shot."""
+    ux = u[ix]
+    # B_jk = psi_j(x) psi_k(x) sum_y psi_j(y) psi_k(y) w(y)
+    b = np.outer(ux, ux) * (u.T @ (w[:, None] * u))
+    omega = e[:, None] - e[None, :]
+    return float(np.sum(b * (eps**2 / (eps**2 + omega**2))))
+
+
 def dense_fold(h: np.ndarray, gamma: np.ndarray, comp: np.ndarray, z: complex):
     """(R, B, S) of the block comp of h folded out of its block gamma at z:
     R = (h_{comp comp} - z)^-1, B = R h_{comp gamma}, S = h_{gamma comp} B,
@@ -87,7 +102,14 @@ def eigen_sweep(ens, zs: Sequence[complex], s: float, rho) -> list:
     """`mc_chi_green` at every z of zs (non-real), from one
     eigendecomposition per realization, H = U diag(E) U^T: at every z,
     G_z = U diag(1 / (E - z)) U^T by two real products (real and imaginary
-    part)."""
+    part).
+
+    Its accuracy is absolute, not relative: every entry of G carries an
+    error of about machine epsilon times its largest entries, so where G
+    decays by many orders the far entries, lifted by the weights, are off.
+    On the 35-site cell:2:10 chain (g = 1, seed 0, z = i, s = 1/8) G decays
+    to 6e-13 and chi is off by 3e-8 relative; chains longer than about 30
+    sites therefore stay off this oracle."""
     w = rho.weight_matrix(ens.box.coords)
     sums: list[list[np.ndarray]] = [[] for _ in zs]
     for _, _, h, _ in _operator_stacks(ens):

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 
 from trimlab.disorder import Uniform
 from trimlab.dynamics import (
+    _distance_powers,
+    _Factored,
     laplace_moment_check,
     moment_Mp,
     moment_curve,
     pmoment_probe,
 )
-from trimlab.fracmoment import EnsembleSpec
+from trimlab.fracmoment import CHUNK_ENTRIES, EnsembleSpec
 from trimlab.lattice import FullMask, Gamma1Mask, make_box
 from trimlab.operators import assemble
 from trimlab.spectral import eigendecompose, green
 
-from oracles import EvolutionKernel, evolve
+from oracles import EvolutionKernel, evolve, laplace_lhs
 
 
 def _free_chain(n: int = 21):
@@ -167,6 +169,25 @@ def test_laplace_check_ensemble():
     out = laplace_moment_check(ens, 4.0, 0.05, 4.0, (3, 3))
     assert out["holds"]
     assert out["worst_realization_margin"] >= -1e-9
+
+
+@pytest.mark.parametrize("n", [1, 300, 441])
+def test_laplace_lhs_matches_one_shot_closed_form(n):
+    # the kernel goes in blocks of CHUNK_ENTRIES // n rows: 1, 2 and 3
+    # blocks at n = 1, 300 and 441, the last one short
+    step = CHUNK_ENTRIES // n
+    assert -(-n // step) == {1: 1, 300: 2, 441: 3}[n] and n % step
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, n))
+    sd = eigendecompose(m + m.T)
+    box, x = make_box(1, (0,), (n - 1,)), (n // 3,)
+    ix = box.index(x)
+    for p in (0.0, 2.0):
+        w = _distance_powers(box, x, p)
+        f = _Factored(sd.eigenvalues, sd.eigenvectors, ix, w)
+        for eps in (1e-6, 0.1, 10.0):
+            want = laplace_lhs(sd.eigenvalues, sd.eigenvectors, ix, w, eps)
+            assert abs(f.laplace_lhs(eps) - want) <= 1e-12 * abs(want), (p, eps)
 
 
 def test_pmoment_off_spectrum_decay():

@@ -589,6 +589,32 @@ def test_folded_route_peak_does_not_exceed_eigen_route(mask):
     assert sliced <= _numpy_peak(whole_lu)
 
 
+def test_dynamics_peak_holds_one_realization_working_set():
+    # numpy's arrays only (LAPACK's workspace is not traced): the stack,
+    # the eigenvectors, B of the Laplace step and its transient w U, with
+    # the kernel in row blocks and no chunk's eigenpairs kept past it
+    box = make_box(2, (1, 1), (21, 21))
+    ens = EnsembleSpec(box, Gamma1Mask(2, 2), Uniform(), 5.0, master_seed=3, samples=3)
+    x, n = box.site(box.size // 2), box.size
+    peak = _numpy_peak(
+        lambda: dynamics_samples(ens, x, 2.0, [0.5, 3.0], 4.0, 0.05, [0.1, 0.01])
+    )
+    assert peak <= 4.5 * n * n * 8
+
+
+def test_slice_sums_peak_holds_no_complex_copy_of_the_blocks():
+    # the gR_i and two rows of blocks, L W**2 + 2 W n complex entries,
+    # beside the real blocks, the weights and the reductions
+    box = make_box(2, (1, 1), (21, 21))
+    ens = EnsembleSpec(box, BernoulliMask(0.5, 3), Uniform(), 5.0, master_seed=3, samples=1)
+    n_l, n = box.shape[0], box.size
+    w = n // n_l
+    peak = _numpy_peak(
+        lambda: fracmoment._slice_sums(ens, [4.0 + 0.1j], 0.5, DecayMetric(0.1))
+    )
+    assert peak <= 2.15 * (n_l * w * w + 2 * w * n) * 16
+
+
 @pytest.mark.parametrize("zs", [[4.0, 4.0 + 0.1j], [4.0 + 0.1j, 3.0 - 0.1j], [4.0]])
 def test_sweep_refuses_z_off_the_upper_half_plane(zs):
     box, mask = GEOMETRIES[2]
