@@ -29,7 +29,7 @@ from .lattice import (
     neighbors,
 )
 from .operators import HamiltonianMatrix, assemble, restrict
-from .spectral import eigendecompose, gap_and_mult, point_projection
+from .spectral import _cluster_tol, eigendecompose, gap_and_mult, point_projection
 
 SUPPORT_TOL = 1e-10
 
@@ -63,7 +63,6 @@ def compact_eigenfunctions(
     h0: HamiltonianMatrix,
     mask: SublatticeMask,
     lam: float,
-    cluster_tol: float = 1e-9,
 ) -> CompactEigenReport:
     """Basis of the lam-eigenspace of H(0)|_B vanishing on Gamma.
 
@@ -72,7 +71,7 @@ def compact_eigenfunctions(
     """
     sites = h0.site_list()
     sd = eigendecompose(h0)
-    sel = np.abs(sd.eigenvalues - lam) <= cluster_tol
+    sel = np.abs(sd.eigenvalues - lam) <= _cluster_tol(sd)
     full_mult = int(np.sum(sel))
     if full_mult == 0:
         raise ValueError(f"lambda = {lam} is not an eigenvalue of the operator")
@@ -215,7 +214,6 @@ def assumption_scan(
     big_c: float,
     small_c: float,
     v0=None,
-    cluster_tol: float = 1e-9,
 ) -> list[dict]:
     """Audit candidate regions against the four structural assumptions.
 
@@ -254,11 +252,11 @@ def assumption_scan(
         report["assumption1"] = r_out <= r_in**big_c
         sd = eigendecompose(h0)
         try:
-            gm = gap_and_mult(sd, lam, cluster_tol)
+            gm = gap_and_mult(sd, lam)
             gap = gm["gap"]
         except ValueError:
             gap = 0.0
-        proj = point_projection(sd, lam, cluster_tol).p
+        proj = point_projection(sd, lam).p
         ix = h0.rows([x])[0]
         threshold_dist = r_in**small_c
         far = np.abs(proj[ix, dists >= threshold_dist])
@@ -270,7 +268,7 @@ def assumption_scan(
             "tested_sites": far.size,
         }
         try:
-            ce = compact_eigenfunctions(h0, mask, lam, cluster_tol)
+            ce = compact_eigenfunctions(h0, mask, lam)
             report["assumption3"] = {
                 "full_mult": ce.full_mult,
                 "supported_dim": ce.supported_dim,

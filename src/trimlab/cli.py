@@ -52,7 +52,7 @@ from .fracmoment import (
     DecayMetric,
     EnsembleSpec,
     kernel_identity_residual,
-    mc_chi_green_sweep,
+    mc_chi_green,
     sample_mean_stderr,
     wegner_count,
     wegner_preconditions,
@@ -285,7 +285,7 @@ def _run_verify(config: dict, ens: EnsembleSpec, rho: DecayMetric):
 
 def _run_localize(config: dict, ens: EnsembleSpec, rho: DecayMetric):
     zs = [complex(config["energy"], eps) for eps in config["epsilon"]]
-    reports = mc_chi_green_sweep(ens, zs, config["s"], rho)
+    reports = mc_chi_green(ens, zs, config["s"], rho)
     rows = [
         [
             ens.box.size,

@@ -36,6 +36,7 @@ from .operators import HamiltonianMatrix, assemble, laplacian_matrix, resolve_v0
 from .spectral import (
     SpectralData,
     SpectralParameterOnSpectrum,
+    _cluster_tol,
     _index_split,
     eigendecompose,
     fold_complement,
@@ -134,9 +135,6 @@ class EnsembleSpec:
             self.box, self.mask, self.v0, self.g, self.potential(sample_index)
         )
 
-    def deterministic_part(self) -> HamiltonianMatrix:
-        return assemble(self.box, self.mask, self.v0, 0.0, None)
-
     @functools.cached_property
     def split(self) -> TrimmedSplit:
         """H(0) and its split along Gamma, built on first use and kept."""
@@ -166,8 +164,9 @@ def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
     chunk's (S, n, n) stack of G_z to one row per sample; values holds
     the rows of all chunks in order.  A sample whose operator has a real
     z on its spectrum (SpectralParameterOnSpectrum) is replaced by sample
-    index i + k * samples, k = 1, 2, ...; at most 1% of the samples may
-    be resampled.
+    index i + k * samples, k = 1, 2, ...; at most max(1, samples // 100)
+    redraws in all (1% of the samples from 100 samples on, but one below:
+    2% at 50), and ResampleBudgetExceeded past that.
     """
     z = complex(z)
     budget = max(1, ens.samples // 100)
@@ -239,10 +238,11 @@ def _slice_laplacian(box: LatticeBox) -> np.ndarray:
 def _slice_blocks(ens: EnsembleSpec):
     """The (S, L, W, W) diagonal blocks of H along axis 0 per chunk of the
     ensemble, in sample order, each chunk from one draw; the diagonal is
-    formed as `assemble` forms it.  A sample holds about
-    L W**2 + 2 W n complex entries in `_slice_sums` (the gR_i and two
-    rows) beside its L W**2 real blocks; the chunks are sized by
-    L W**2 + 2 W n, CHUNK_ENTRIES per chunk."""
+    formed as `assemble` forms it.  The chunks are sized by
+    L W**2 + 2 W n complex entries per sample (the gR_i and two rows),
+    CHUNK_ENTRIES per chunk, but a sample holds about 2.05 times that in
+    `_slice_sums`: on a 21 x 21 box with 2 z, numpy's peak was 2.05 MiB
+    at 2 samples per chunk and 1.18 MiB at 1, 0.87 MiB per sample."""
     box = ens.box
     n_l, n = box.shape[0], box.size
     w = n // n_l
@@ -367,41 +367,31 @@ def _chi_report(
 
 
 def mc_chi_green(
-    ens: EnsembleSpec,
-    z: complex,
-    s: float,
-    rho: DecayMetric,
-) -> ChiReport:
-    """chi_rho(E |G_z[H(g)|_B]|^s) over the box, with a CI at the sup row.
+    ens: EnsembleSpec, zs: Sequence[complex], s: float, rho: DecayMetric
+) -> list[ChiReport]:
+    """chi_rho(E |G_z[H(g)|_B]|^s) over the box at every z of zs, in order,
+    each with a CI at the sup column.
 
-    At a non-real z, by recursion over the slices of the box
-    (`_slice_sums`): no n x n matrix per realization.  At a real z, one
-    LU inverse of the whole operator per realization through `mc_map`,
-    and a realization colliding with z is resampled.
+    The non-real z share one pass of the slice recursion (`_slice_sums`):
+    each chunk of realizations is drawn once and runs at every such z
+    before the next is drawn, and no n x n matrix is formed.  Each real z
+    takes one LU inverse of the whole operator per realization through
+    `mc_map`, and a realization colliding with z is resampled.
     """
     if not 0 < s <= 1:
         raise ValueError("need 0 < s <= 1")
-    z = complex(z)
-    if z.imag != 0.0:
-        return _chi_report(_slice_sums(ens, [z], s, rho)[0], ens, z, s, rho, 0)
-    w = rho.weight_matrix(ens.box.coords)
-    sums, n_resampled = mc_map(lambda g: _column_sums(w, np.abs(g) ** s), ens, z)
-    return _chi_report(sums, ens, z, s, rho, n_resampled)
-
-
-def mc_chi_green_sweep(
-    ens: EnsembleSpec, zs: Sequence[complex], s: float, rho: DecayMetric
-) -> list[ChiReport]:
-    """`mc_chi_green` at every z of zs, each with Im z > 0 (localize's
-    epsilon), from one draw per chunk: each chunk of realizations runs
-    the slice recursion at every z before the next chunk is drawn."""
-    if not 0 < s <= 1:
-        raise ValueError("need 0 < s <= 1")
     zs = [complex(z) for z in zs]
-    if not all(z.imag > 0 for z in zs):
-        raise ValueError("the sweep needs Im z > 0 at every z")
-    sums = _slice_sums(ens, zs, s, rho)
-    return [_chi_report(col, ens, z, s, rho, 0) for col, z in zip(sums, zs)]
+    off_axis = [z for z in zs if z.imag != 0.0]
+    sliced = iter(_slice_sums(ens, off_axis, s, rho) if off_axis else [])
+    reports = []
+    for z in zs:
+        if z.imag != 0.0:
+            sums, n_resampled = next(sliced), 0
+        else:
+            w = rho.weight_matrix(ens.box.coords)
+            sums, n_resampled = mc_map(lambda g: _column_sums(w, np.abs(g) ** s), ens, z)
+        reports.append(_chi_report(sums, ens, z, s, rho, n_resampled))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +428,7 @@ def am_contraction_check(
             "c_s": c_s,
         }
     rhs = c_s / (gs - threshold)
-    lhs = mc_chi_green(ens, z, s, rho)
+    (lhs,) = mc_chi_green(ens, [z], s, rho)
     holds = lhs.value <= rhs + 3 * lhs.stderr
     return {
         "applicable": True,
@@ -635,7 +625,6 @@ def wegner_preconditions(
     ens: EnsembleSpec,
     lam: float,
     eps_values: Sequence[float],
-    cluster_tol: float = 1e-9,
 ) -> dict:
     """The counting bound's hypotheses, decided from H(0)|_B alone.
 
@@ -645,14 +634,14 @@ def wegner_preconditions(
     an orthonormal basis of the lam-eigenspace.
     """
     sd = ens.split.spectrum
-    gm = gap_and_mult(sd, lam, cluster_tol)
+    gm = gap_and_mult(sd, lam)
     mult, gap = gm["mult"], gm["gap"]
     if mult == 0:
         raise ValueError(f"lambda = {lam} is not in sigma(H(0)|_B)")
     for eps in eps_values:
         if eps > gap / 3:
             raise ValueError(f"eps = {eps} exceeds gap/3 = {gap / 3:.6g}")
-    ker = sd.eigenvectors[:, np.abs(sd.eigenvalues - lam) <= cluster_tol]
+    ker = sd.eigenvectors[:, np.abs(sd.eigenvalues - lam) <= _cluster_tol(sd)]
     mass = np.linalg.norm(ker[ens.split.gamma], axis=0)
     if np.any(mass > 1e-8):
         raise ValueError(
@@ -666,7 +655,6 @@ def wegner_count(
     ens: EnsembleSpec,
     lam: float,
     eps_values: Sequence[float],
-    cluster_tol: float = 1e-9,
 ) -> list[dict]:
     """Excess eigenvalue counts N in (lam-eps, lam+eps) over the ensemble,
     one report per eps of eps_values from one eigendecomposition per
@@ -678,7 +666,7 @@ def wegner_count(
     report carries the same one.
     """
     eps_values = list(eps_values)
-    pre = wegner_preconditions(ens, lam, eps_values, cluster_tol)
+    pre = wegner_preconditions(ens, lam, eps_values)
     mult, gap, ker = pre["mult"], pre["gap"], pre["ker"]
     gamma = ens.split.gamma
     counts, checks = [], []

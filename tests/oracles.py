@@ -17,7 +17,7 @@ package neither compiles them nor loads numpy.random for them.
   multiplies only on the Gamma-boundary of Gamma^c.
 - `eigen_sweep`: chi_rho(E |G_z|^s) at several z from one
   eigendecomposition per realization, an oracle for the slice recursion
-  of `fracmoment.mc_chi_green_sweep` that shares none of its algebra.
+  of `fracmoment.mc_chi_green` that shares none of its algebra.
 - `relative_density`: |B(center, R) intersect Gamma| / |B(center, R)|
   read site by site through `s in mask`.
 """

@@ -82,7 +82,7 @@ def test_criterion_1_exact_identities():
             )
         if any(s not in mask for s in sites):
             worst = max(worst, kernel_identity_residual(ens, z, 0))
-        h0 = ens.deterministic_part()
+        h0 = ens.split.h0
         u = rng.normal(size=len(sites))
         if trial % 2:
             u = u + 1j * rng.random(len(sites))

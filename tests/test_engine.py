@@ -26,7 +26,6 @@ from trimlab.fracmoment import (
     EnsembleSpec,
     ResampleBudgetExceeded,
     mc_chi_green,
-    mc_chi_green_sweep,
     mc_map,
     wegner_count,
     wegner_preconditions,
@@ -152,12 +151,12 @@ def test_results_do_not_depend_on_chunk_size(geometry, seed, samples, im, per_ch
     z = complex(4.0, im)
     rho = DecayMetric(0.1)
     gs, _ = mc_map(_whole, ens, z=z)
-    chi = mc_chi_green(ens, z, 0.5, rho)
+    (chi,) = mc_chi_green(ens, [z], 0.5, rho)
     with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
         assert fracmoment.chunk_size(box.size) == per_chunk
         gs_small, _ = mc_map(_whole, ens, z=z)
     with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * _slice_entries(box)):
-        chi_small = mc_chi_green(ens, z, 0.5, rho)
+        (chi_small,) = mc_chi_green(ens, [z], 0.5, rho)
     np.testing.assert_array_equal(gs_small, gs)
     assert (chi_small.value, chi_small.stderr) == (chi.value, chi.stderr)
 
@@ -244,12 +243,12 @@ def test_slice_route_matches_per_realization_green(
     re = 2.0 * box.dim if energy == "2d" else energy
     rho = DecayMetric(0.1)
     z = complex(re, eps if upper else -eps)
-    report = mc_chi_green(ens, z, s, rho)
+    (report,) = mc_chi_green(ens, [z], s, rho)
     assert _chi_close(report, _lu_chi(ens, z, s, rho), 1e-10)
     assert report.params["z"] == z and report.samples == samples
-    if upper:
-        (swept,) = mc_chi_green_sweep(ens, [z], s, rho)
-        assert (swept.value, swept.stderr) == (report.value, report.stderr)
+    # the same z after another one in a list, sharing its draws
+    _, listed = mc_chi_green(ens, [z + 1.0, z], s, rho)
+    assert (listed.value, listed.stderr) == (report.value, report.stderr)
 
 
 # E = 2d is an eigenvalue of H(0) on every one-site component of Gamma^c,
@@ -271,7 +270,7 @@ def test_sweep_is_accurate_at_the_trimmed_spectrum(geometry):
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=3, samples=7)
     e = 2.0 * box.dim
     zs, s, rho = [e + 1e-6j, e + 1e-9j], 1.0 / 3.0, DecayMetric(0.1)
-    for report, z in zip(mc_chi_green_sweep(ens, zs, s, rho), zs, strict=True):
+    for report, z in zip(mc_chi_green(ens, zs, s, rho), zs, strict=True):
         assert _chi_close(report, _lu_chi(ens, z, s, rho), 1e-10)
 
 
@@ -298,7 +297,7 @@ def test_folded_results_do_not_depend_on_chunk_size(
         assert fracmoment.chunk_size(box.size) == per_chunk
         gs_small, _ = mc_map(_whole, ens, z=z)
     np.testing.assert_array_equal(gs_small, gs)
-    chi = mc_chi_green(ens, z, 0.5, rho)
+    (chi,) = mc_chi_green(ens, [z], 0.5, rho)
     draws = []
     real_draw = fracmoment.sample_potential
 
@@ -310,7 +309,7 @@ def test_folded_results_do_not_depend_on_chunk_size(
         mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * _slice_entries(box)),
         mock.patch.object(fracmoment, "sample_potential", counting),
     ):
-        chi_small = mc_chi_green(ens, z, 0.5, rho)
+        (chi_small,) = mc_chi_green(ens, [z], 0.5, rho)
     assert draws == [min(per_chunk, samples - k) for k in range(0, samples, per_chunk)]
     assert (chi_small.value, chi_small.stderr) == (chi.value, chi.stderr)
 
@@ -486,7 +485,7 @@ def test_sweep_matches_lu_oracle(geometry, seed, samples, re, ims, s, g):
     ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
     zs = [complex(re, im) for im in ims]
     rho = DecayMetric(0.1)
-    sweep = mc_chi_green_sweep(ens, zs, s, rho)
+    sweep = mc_chi_green(ens, zs, s, rho)
     assert all(
         _chi_close(r, _lu_chi(ens, z, s, rho), 1e-12) for r, z in zip(sweep, zs, strict=True)
     )
@@ -506,9 +505,9 @@ def test_sweep_does_not_depend_on_chunk_size(geometry, seed, samples, ims, per_c
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=seed, samples=samples)
     zs = [complex(4.0, im) for im in ims]
     rho = DecayMetric(0.1)
-    full = mc_chi_green_sweep(ens, zs, 0.5, rho)
+    full = mc_chi_green(ens, zs, 0.5, rho)
     with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * _slice_entries(box)):
-        small = mc_chi_green_sweep(ens, zs, 0.5, rho)
+        small = mc_chi_green(ens, zs, 0.5, rho)
     assert [(r.value, r.stderr) for r in small] == [(r.value, r.stderr) for r in full]
 
 
@@ -528,7 +527,7 @@ def test_eigen_oracle_matches_slice_route(geometry, seed, samples, re, ims, s, g
     ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
     zs = [complex(re, im) for im in ims]
     rho = DecayMetric(0.1)
-    assert _sweep_matches(mc_chi_green_sweep(ens, zs, s, rho), eigen_sweep(ens, zs, s, rho))
+    assert _sweep_matches(mc_chi_green(ens, zs, s, rho), eigen_sweep(ens, zs, s, rho))
 
 
 @settings(max_examples=30, deadline=None)
@@ -551,7 +550,7 @@ def test_eigen_sweep_on_trimmed_masks_matches_folded_lu(
     zs = [complex(re, im) for im in ims]
     rho = DecayMetric(0.1)
     sweep = eigen_sweep(ens, zs, s, rho)
-    assert _sweep_matches([mc_chi_green(ens, z, s, rho) for z in zs], sweep)
+    assert _sweep_matches([mc_chi_green(ens, [z], s, rho)[0] for z in zs], sweep)
 
 
 def _numpy_peak(fn) -> int:
@@ -584,7 +583,7 @@ def test_folded_route_peak_does_not_exceed_eigen_route(mask):
         for z in zs:
             mc_map(lambda g: fracmoment._column_sums(w, np.abs(g) ** 0.5), ens, z)
 
-    sliced = _numpy_peak(lambda: mc_chi_green_sweep(ens, zs, 0.5, rho))
+    sliced = _numpy_peak(lambda: mc_chi_green(ens, zs, 0.5, rho))
     assert sliced <= _numpy_peak(lambda: eigen_sweep(ens, zs, 0.5, rho))
     assert sliced <= _numpy_peak(whole_lu)
 
@@ -615,12 +614,43 @@ def test_slice_sums_peak_holds_no_complex_copy_of_the_blocks():
     assert peak <= 2.15 * (n_l * w * w + 2 * w * n) * 16
 
 
-@pytest.mark.parametrize("zs", [[4.0, 4.0 + 0.1j], [4.0 + 0.1j, 3.0 - 0.1j], [4.0]])
-def test_sweep_refuses_z_off_the_upper_half_plane(zs):
+@pytest.mark.parametrize(
+    "zs", [[3.3, 4.0 + 0.1j], [4.0 + 0.1j, 3.0 - 0.1j], [4.0 + 0.1j, 3.3, 3.0 - 0.1j]]
+)
+def test_mixed_z_match_one_z_at_a_time(zs):
+    # real z by whole-operator LU, non-real z by one shared slice pass; each
+    # report as from a call with its z alone
     box, mask = GEOMETRIES[2]
-    ens = EnsembleSpec(box, mask, Uniform(), 5.0, samples=3)
-    with pytest.raises(ValueError, match="Im z > 0"):
-        mc_chi_green_sweep(ens, zs, 0.5, DecayMetric(0.1))
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, samples=12)
+    rho = DecayMetric(0.1)
+    reports = mc_chi_green(ens, zs, 0.5, rho)
+    assert [r.params["z"] for r in reports] == zs
+    for report, z in zip(reports, zs, strict=True):
+        (alone,) = mc_chi_green(ens, [z], 0.5, rho)
+        assert (report.value, report.stderr, report.params) == (
+            alone.value,
+            alone.stderr,
+            alone.params,
+        )
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the slice recursion loses accuracy near a deterministic pole"
+)
+def test_slice_route_is_accurate_near_a_deterministic_pole():
+    # `localize --box 1..11,1..11 --gamma gamma2:3 --epsilon 1e-9 --samples 20`
+    # (g 5, s 1/3, eta 0.1, E 4, seed 0) gives chi = 28328.963197687488
+    # against 28329.265547661555 from per-realization LU and exits 0;
+    # ROADMAP item 2 is the mend that must make this pass
+    from trimlab import cli
+
+    argv = ["localize", "--box", "1..11,1..11", "--gamma", "gamma2:3"]
+    argv += ["--epsilon", "1e-9", "--samples", "20", "--out", "unused"]
+    config = cli._load_config(cli._build_parser().parse_args(argv))
+    ens, rho = cli._resolved(config, "localize")
+    z, s = complex(config["energy"], 1e-9), config["s"]
+    (report,) = mc_chi_green(ens, [z], s, rho)
+    assert _chi_close(report, _lu_chi(ens, z, s, rho), 1e-10)
 
 
 def test_localize_routes_every_eps_to_the_slice_recursion():

@@ -140,7 +140,7 @@ def test_non_finite_chi_raises_on_both_routes(monkeypatch, z):
         monkeypatch.setattr(fracmoment, name, poisoned(getattr(fracmoment, name)))
     ens = EnsembleSpec(make_box(1, (0,), (3,)), FullMask(), Uniform(), 2.0, samples=4)
     with pytest.raises(ArithmeticError, match=re.escape(f"z = {complex(z)}")):
-        fracmoment.mc_chi_green(ens, z, 0.5, RHO)
+        fracmoment.mc_chi_green(ens, [z], 0.5, RHO)
 
 
 def test_one_site_closed_form():
@@ -385,7 +385,7 @@ def test_split_is_cached_read_only_and_serves_kernel_K(mask):
     ens = EnsembleSpec(box, mask, Uniform(), 3.0, v0=v0, samples=2)
     split = ens.split
     assert ens.split is split
-    np.testing.assert_array_equal(split.h0.matrix, ens.deterministic_part().matrix)
+    np.testing.assert_array_equal(split.h0.matrix, assemble(box, mask, v0, 0.0, None).matrix)
     arrays = [split.h0.matrix, split.h0.v0, split.h0.v, split.gamma, split.comp]
     if split.sd is not None:
         arrays += [split.sd.eigenvalues, split.sd.eigenvectors]
@@ -441,7 +441,7 @@ def test_restriction_and_gamma_checks_read_gamma_as_arrays(mask):
         assert expected["applicable"]
         assert weak_disorder_bound_check(ens, 1.0, 0.1, 0.5, RHO, 1e-3) == expected
     # wegner_preconditions: Gamma mass of every lambda-eigenvector
-    h0 = ens.deterministic_part()
+    h0 = ens.split.h0
     vals, vecs = np.linalg.eigh(h0.matrix)
     for lam in vals:
         ker = vecs[:, np.abs(vals - lam) <= 1e-9]

@@ -225,8 +225,8 @@ def test_point_projection_and_gap():
     gm = gap_and_mult(sd, 4.0)
     assert gm["mult"] == 3
     assert gm["gap"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
-    with pytest.raises(ValueError):
-        gap_and_mult(sd, 4.0, cluster_tol=100.0)
+    with pytest.raises(ValueError, match="all eigenvalues inside the cluster"):
+        gap_and_mult(eigendecompose(4.0 * np.eye(3)), 4.0)
 
 
 def test_combes_thomas_free_chain():
