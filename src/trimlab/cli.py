@@ -160,7 +160,11 @@ def _resolved(config: dict, experiment: str):
     """Coerce the config in place, build the ensemble and decay metric
     the experiment consumes, then run its entry of _CHECKS.
 
-    Every experiment but lattice-info builds dense operators on the box,
+    localize takes the slice recursion, which holds L W**2 + W n complex
+    entries per realization (the gR_i and one row of blocks, L slices of
+    W sites along axis 0 of an n-site box): they must not exceed
+    DENSE_LIMIT**2, the entries of one dense operator at the limit.  Every
+    other experiment but lattice-info builds dense operators on the box,
     so the box must not exceed DENSE_LIMIT sites.
     """
     try:
@@ -174,7 +178,16 @@ def _resolved(config: dict, experiment: str):
             f"gamma {config['gamma']!r} is {mask.dim}-dimensional, "
             f"the box is {box.dim}-dimensional"
         )
-    if experiment != "lattice-info" and box.size > DENSE_LIMIT:
+    if experiment == "localize":
+        n_l = box.shape[0]
+        w = box.size // n_l
+        entries = n_l * w * w + w * box.size
+        if entries > DENSE_LIMIT**2:
+            raise ConfigError(
+                f"box needs L*W**2 + W*n = {entries} entries on the slice "
+                f"route, over the limit DENSE_LIMIT**2 = {DENSE_LIMIT**2}"
+            )
+    elif experiment != "lattice-info" and box.size > DENSE_LIMIT:
         raise ConfigError(
             f"box has {box.size} sites, over the dense limit {DENSE_LIMIT}"
         )

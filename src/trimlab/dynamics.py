@@ -18,8 +18,10 @@ its eigenvectors (n^2 doubles each), `eigh`'s workspace while it runs
 beside the transient w U while B is formed), with the kernel formed
 CHUNK_ENTRIES entries at a time.  A chunk's eigenpairs are freed before
 the next chunk is factored.  The `dynamics` CLI run (gamma1:2,2, three
-eps, --threads 1) peaks at about 42 MiB on a 21 x 21 box (10 samples),
-72 MiB on 31 x 31 (3 samples) and 147 MiB on 41 x 41 (2 samples).
+eps) peaks at about 42 MiB on a 21 x 21 box (10 samples), 72 MiB on
+31 x 31 (3 samples) and 147 MiB on 41 x 41 (2 samples), taken with
+OPENBLAS_NUM_THREADS=1: `--threads` sets no BLAS thread count, and under
+OpenBLAS's own count the peaks move between identical runs.
 """
 
 from __future__ import annotations

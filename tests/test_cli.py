@@ -107,11 +107,36 @@ def test_box_size_past_int64_exits_2_at_the_dense_limit(tmp_path, capsys, box):
     assert not (tmp_path / "verify.csv").exists()
 
 
+def test_localize_admits_a_box_by_its_slice_working_set(tmp_path, capsys):
+    # 3001 slices of 2 sites: 6002 sites, over the site limit of the dense
+    # experiments, but L W**2 + W n = 24008 entries on the slice route
+    args = ["localize", "--box", "1..3001,1..2", "--samples", "1"]
+    assert run_cli(args + ["--out", str(tmp_path / "long")]) == 0
+    # 2 slices of 3001 sites: 4 * 3001**2 = 36024004 entries, just over the
+    # limit of 6000**2; and 2**64 sites, past int64
+    for box, gamma in (("1..2,1..3001", "gamma1:2,2"), ("0..65535," * 3 + "0..65535", "full")):
+        args = ["localize", "--box", box, "--gamma", gamma, "--samples", "1"]
+        assert run_cli(args + ["--out", str(tmp_path / "over")]) == 2
+        assert "over the limit DENSE_LIMIT**2 = 36000000" in capsys.readouterr().err
+    assert not (tmp_path / "over" / "localize.csv").exists()
+
+
 def test_malformed_gamma_exits_2(tmp_path):
     assert run_cli(["localize", "--gamma", "bogus:1", "--out", str(tmp_path)]) == 2
 
 
 WEGNER = ["wegner", "--box", "1..3,1..1", "--gamma", "gamma1:2,2", "--samples", "5"]
+
+
+def test_wegner_defaults_fail_its_hypotheses_where_its_example_runs(tmp_path, capsys):
+    # at the CLI defaults (box 1..5,1..5, gamma1:2,2, E = 4) an eigenvector
+    # of H(0) at E lives mostly on Gamma; README's example box does not
+    assert run_cli(["wegner", "--samples", "50", "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert "support precondition fails" in err and "Gamma mass 0.987" in err
+    example = ["wegner", "--box", "1..3,1..1", "--gamma", "gamma1:2,2", "--g", "10"]
+    example += ["--energy", "4.0", "--epsilon", "0.4,0.2,0.1", "--samples", "200"]
+    assert run_cli(example + ["--out", str(tmp_path / "e")]) == 0
 
 
 def test_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -371,6 +371,51 @@ def test_one_site_overflow_is_silent():
     assert not np.isfinite(row).any()
 
 
+def _rows_by_whole_products(a, z):
+    # the recursion with a fresh array per row and one product for the
+    # whole of it, as the rows were made before each was written over the
+    # last one slab of columns at a time
+    n_l, w = a.shape[1], a.shape[-1]
+    inv = np.linalg.inv if w > 1 else spectral._reciprocal
+    zi = np.zeros((w, w), dtype=complex)
+    np.fill_diagonal(zi, z)
+    gr = [None] * n_l
+    for i in range(n_l - 1, 0, -1):
+        m = a[:, i] - zi
+        gr[i] = inv(m - gr[i + 1] if i + 1 < n_l else m)
+    rows = []
+    for i in range(n_l):
+        m = a[:, i] - zi
+        row = np.empty((len(a), w, (i + 1) * w), dtype=complex)
+        if i:
+            m -= gl
+            np.matmul(gr[i], rows[-1], out=row[:, :, : i * w])
+        row[:, :, i * w :] = inv(m - gr[i + 1] if i + 1 < n_l else m)
+        rows.append(row)
+        gl = inv(m)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n_l, w, samples",
+    # one slice; a chain; one slab per row; rows of two and of four slabs
+    # (samples 2); a row of two slabs and one column, which the last slab
+    # takes, because numpy hands a one-column product to gemv
+    [(1, 4, 1), (7, 1, 2), (5, 3, 1), (40, 13, 1), (30, 21, 2), (44, 19, 1)],
+)
+def test_slice_rows_are_those_of_one_product_per_row(n_l, w, samples):
+    # bit for bit: BLAS tiles each slab's product as it tiles the whole row's
+    rng = np.random.default_rng(n_l * w)
+    a = rng.uniform(-3.0, 8.0, (samples, n_l, w, w))
+    a = (a + a.swapaxes(-1, -2)) / 2
+    z = 4.0 + 1e-3j
+    rows = [row.copy() for row in spectral.slice_green_rows(a, z)]
+    expected = _rows_by_whole_products(a, z)
+    assert len(rows) == n_l
+    for row, want in zip(rows, expected, strict=True):
+        assert row.shape == want.shape and np.array_equal(row, want)
+
+
 # The eigenpair fold that `TrimmedSplit.kernel` reads against the dense
 # oracle: Gamma meets each box without covering it.  FOLD_GEOMETRIES'
 # trimmed boxes, plus an all-singleton Gamma^c (gamma1), one large component
@@ -602,8 +647,9 @@ def test_dynamics_peak_holds_one_realization_working_set():
 
 
 def test_slice_sums_peak_holds_no_complex_copy_of_the_blocks():
-    # the gR_i and two rows of blocks, L W**2 + 2 W n complex entries,
-    # beside the real blocks, the weights and the reductions
+    # the gR_i and one row of blocks with its slab, L W**2 + W n complex
+    # entries and a quarter row, beside the real blocks, the weights and
+    # the reductions: 2.32 units here, where two rows of blocks read 3.06
     box = make_box(2, (1, 1), (21, 21))
     ens = EnsembleSpec(box, BernoulliMask(0.5, 3), Uniform(), 5.0, master_seed=3, samples=1)
     n_l, n = box.shape[0], box.size
@@ -611,7 +657,23 @@ def test_slice_sums_peak_holds_no_complex_copy_of_the_blocks():
     peak = _numpy_peak(
         lambda: fracmoment._slice_sums(ens, [4.0 + 0.1j], 0.5, DecayMetric(0.1))
     )
-    assert peak <= 2.15 * (n_l * w * w + 2 * w * n) * 16
+    assert peak <= 2.5 * (n_l * w * w + w * n) * 16
+
+
+def test_slice_sums_peak_does_not_grow_with_the_z():
+    # each z's row and |G|^s are gone before the next z's pass begins, so
+    # a second z adds only the first z's column sums, S n floats (3.7 kB
+    # here with their objects), where a row and |G|^s kept alive added
+    # 114 kB; the box's cached coordinates and mask are made beforehand
+    box = make_box(2, (1, 1), (21, 21))
+    ens = EnsembleSpec(box, BernoulliMask(0.5, 3), Uniform(), 5.0, master_seed=3, samples=1)
+    rho = DecayMetric(0.1)
+    fracmoment._slice_sums(ens, [4.0 + 0.1j], 0.5, rho)
+    one = _numpy_peak(lambda: fracmoment._slice_sums(ens, [4.0 + 0.1j], 0.5, rho))
+    two = _numpy_peak(
+        lambda: fracmoment._slice_sums(ens, [4.0 + 0.1j, 4.0 + 0.01j], 0.5, rho)
+    )
+    assert two <= one + 2 * ens.samples * box.size * 8
 
 
 @pytest.mark.parametrize(
