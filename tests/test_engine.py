@@ -662,9 +662,9 @@ def test_slice_sums_peak_holds_no_complex_copy_of_the_blocks():
 
 def test_slice_sums_peak_does_not_grow_with_the_z():
     # each z's row and |G|^s are gone before the next z's pass begins, so
-    # a second z adds only the first z's column sums, S n floats (3.7 kB
+    # a second z adds only the first z's column sums, S n floats (3.8 kB
     # here with their objects), where a row and |G|^s kept alive added
-    # 114 kB; the box's cached coordinates and mask are made beforehand
+    # 116 kB; the box's cached coordinates and mask are made beforehand
     box = make_box(2, (1, 1), (21, 21))
     ens = EnsembleSpec(box, BernoulliMask(0.5, 3), Uniform(), 5.0, master_seed=3, samples=1)
     rho = DecayMetric(0.1)
