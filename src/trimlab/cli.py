@@ -13,7 +13,10 @@ experiment's own checks, and every runner receives (config, ens, rho).
 The thread count (--threads, TRIMLAB_THREADS, default os.cpu_count()) is
 validated and recorded in the JSON config echo, and nothing else reads
 it: the Monte Carlo engine is serial and takes no thread count, so
-outputs cannot depend on it.
+outputs cannot depend on it.  Their last bits can depend on OpenBLAS's
+own thread count (101 x 101 `localize`, 2 samples: stderr ...7967e+06
+under one thread, ...8007e+06 under two); OPENBLAS_NUM_THREADS=1 gives
+reproducible bits on large boxes.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric, memory or I/O error
 (a ValueError, ArithmeticError, RuntimeError, MemoryError or OSError
@@ -54,6 +57,7 @@ from .fracmoment import (
     kernel_identity_residual,
     mc_chi_green,
     sample_mean_stderr,
+    slice_geometry,
     wegner_count,
     wegner_preconditions,
 )
@@ -161,11 +165,10 @@ def _resolved(config: dict, experiment: str):
     the experiment consumes, then run its entry of _CHECKS.
 
     localize takes the slice recursion, which holds L W**2 + W n complex
-    entries per realization (the gR_i and one row of blocks, L slices of
-    W sites along axis 0 of an n-site box): they must not exceed
-    DENSE_LIMIT**2, the entries of one dense operator at the limit.  Every
-    other experiment but lattice-info builds dense operators on the box,
-    so the box must not exceed DENSE_LIMIT sites.
+    entries per realization (`fracmoment.slice_geometry`): they must not
+    exceed DENSE_LIMIT**2, the entries of one dense operator at the
+    limit.  Every other experiment but lattice-info builds dense
+    operators on the box, so the box must not exceed DENSE_LIMIT sites.
     """
     try:
         box = _parse_box(config["box"])
@@ -179,9 +182,7 @@ def _resolved(config: dict, experiment: str):
             f"the box is {box.dim}-dimensional"
         )
     if experiment == "localize":
-        n_l = box.shape[0]
-        w = box.size // n_l
-        entries = n_l * w * w + w * box.size
+        entries = slice_geometry(box)[2]
         if entries > DENSE_LIMIT**2:
             raise ConfigError(
                 f"box needs L*W**2 + W*n = {entries} entries on the slice "

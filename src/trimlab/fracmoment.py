@@ -44,7 +44,6 @@ from .spectral import (
     green,
     off_x_green,
     slice_green_rows,
-    slice_row_buffer,
 )
 
 
@@ -226,6 +225,15 @@ def _operator_stacks(ens: EnsembleSpec):
         yield idx, v, h, redraw
 
 
+def slice_geometry(box: LatticeBox) -> tuple[int, int, int]:
+    """The slice recursion's cut of the box, L slices x_1 = const of W sites
+    along axis 0, and the complex entries it holds per realization, the gR_i
+    and one row of blocks: (L, W, L W**2 + W n) as Python ints."""
+    n_l = box.shape[0]
+    w = box.size // n_l
+    return n_l, w, n_l * w * w + w * box.size
+
+
 def _slice_laplacian(box: LatticeBox) -> np.ndarray:
     """The W x W block of -Delta on one slice x_1 = const of the box, with
     the full-lattice diagonal 2d: every diagonal block of H(0) but V0."""
@@ -240,19 +248,18 @@ def _slice_blocks(ens: EnsembleSpec):
     """The (S, L, W, W) diagonal blocks of H along axis 0 per chunk of the
     ensemble, in sample order, each chunk from one draw; the diagonal is
     formed as `assemble` forms it.  The chunks are sized by
-    L W**2 + 2 W n complex entries per sample, CHUNK_ENTRIES per chunk.
-    The recursion holds the gR_i and one row of blocks, L W**2 + W n and
-    a slab, and `_slice_sums` adds the real blocks, |G|^s of one row and
-    the weights: on a 21 x 21 box with 30 samples and 2 z, numpy's peak
-    was 1.28 MiB at 2 samples per chunk and 0.86 MiB at 1, 0.43 MiB per
-    sample, 1.5 times L W**2 + W n complex entries."""
+    L W**2 + 2 W n complex entries per sample, CHUNK_ENTRIES per chunk: a
+    sizing constant, kept so that chunks do not move, and not the working
+    set.  The recursion holds L W**2 + W n of them (`slice_geometry`), and
+    `_slice_sums` adds the real blocks, |G|^s of one row and the weights:
+    on a 21 x 21 box with 30 samples and 2 z, numpy's peak was 1.16 MiB at
+    2 samples per chunk."""
     box = ens.box
-    n_l, n = box.shape[0], box.size
-    w = n // n_l
+    n_l, w, entries = slice_geometry(box)
     t = _slice_laplacian(box)
     v0 = resolve_v0(ens.v0, box)
     d = np.arange(w)
-    step = max(1, CHUNK_ENTRIES // (n_l * w * w + 2 * w * n))
+    step = max(1, CHUNK_ENTRIES // (entries + w * box.size))
     stream = ens.stream()
     for start in range(0, ens.samples, step):
         idx = np.arange(start, min(start + step, ens.samples))
@@ -275,19 +282,18 @@ def _slice_sums(
     the columns of slice i get its row sums over slices 0..i-1.  The
     weights of slice i against slice j are those of the last slice
     against slice L-1-i+j, so one (W, n) block of `weight_matrix` serves
-    every row.  One row buffer serves every chunk and z: allocated per
-    pass, it was given back to the system and faulted in again each time,
-    three times the page faults and 12% more time on a 21 x 21 box.
+    every row.  One (S, W, n) row buffer serves every chunk and z: allocated
+    per pass, it was given back to the system and faulted in again each
+    time, three times the page faults and 12% more time on a 21 x 21 box.
     """
     box = ens.box
-    n_l = box.shape[0]
-    w = box.size // n_l
+    n_l, w, _ = slice_geometry(box)
     weights = rho.weight_matrix(box.coords[-w:], box.coords)
     sums: list[list[np.ndarray]] = [[] for _ in zs]
     buf = None
     for a in _slice_blocks(ens):
         if buf is None:  # the first chunk is the largest
-            buf = slice_row_buffer(len(a), n_l, w)
+            buf = np.empty((len(a), w, box.size), dtype=complex)
         for out, z in zip(sums, zs):
             col = np.zeros((len(a), box.size))
             for i, row in enumerate(slice_green_rows(a, z, buf)):

@@ -114,24 +114,14 @@ def _reciprocal(m: np.ndarray) -> np.ndarray:
         return np.reciprocal(m)
 
 
-def _slabs(n_l: int, w: int) -> tuple[int, int]:
+def _slabs(n_l: int, w: int) -> int:
     """Columns per slab of the row products of `slice_green_rows` on n_l
-    slices of w sites, and the shift between rows i - 1 and i in its
-    buffer.  A slab is a quarter row (at least one block) and at least
-    2**16 / w**2 columns, so that each product's work outweighs the cost
-    of its call, rounded up to 64 columns so that BLAS tiles each product
-    as it would tile the whole row's; no product is one column, which
-    numpy hands to gemv.  Either would change the last bits.  So a
-    product spans at most slab + 1 columns, and the shift is that."""
-    slab = -(-max(max(1, n_l // 4) * w, 2**16 // w**2) // 64) * 64
-    return slab, min(slab + 1, (n_l - 1) * w)
-
-
-def slice_row_buffer(samples: int, n_l: int, w: int) -> np.ndarray:
-    """An empty buffer for the rows of blocks of `slice_green_rows` on up
-    to `samples` matrices of n_l slices of w sites: (samples, w,
-    n_l w + shift) complex, the shift about a quarter row."""
-    return np.empty((samples, w, n_l * w + _slabs(n_l, w)[1]), dtype=complex)
+    slices of w sites.  A slab is a quarter row (at least one block) and
+    at least 2**16 / w**2 columns, so that each product's work outweighs
+    the cost of its call, rounded up to 64 columns so that BLAS tiles each
+    product as it would tile the whole row's; no product is one column,
+    which numpy hands to gemv.  Either would change the last bits."""
+    return -(-max(max(1, n_l // 4) * w, 2**16 // w**2) // 64) * 64
 
 
 def slice_green_rows(a: np.ndarray, z: complex, buf: np.ndarray | None = None):
@@ -151,12 +141,11 @@ def slice_green_rows(a: np.ndarray, z: complex, buf: np.ndarray | None = None):
     (S, W, (i+1) W) array, the columns of slices 0..i in order, and is
     overwritten once the next row is taken; G is complex symmetric, so
     the rows give every entry.  Per matrix the recursion holds the gR_i,
-    each freed once its row is made, and one buffer of W (n + shift)
-    complex entries, n = L W, in which each row is written over the last
-    one slab of columns at a time: L W**2 + W n entries and the shift,
-    about a quarter row (more where L W**3 < 2**18, whose rows are small).
-    The rows are bit for bit those of one product per row.  buf, from
-    `slice_row_buffer` for at least S matrices, is that buffer; a caller
+    each freed once its row is made, and one row of W n complex entries,
+    n = L W: L W**2 + W n entries.  Row i is written over row i - 1 in
+    place, one slab of columns at a time (`_slabs`), bit for bit as one
+    product per row would make it; numpy copies a slab per product.
+    buf, complex and (S', W, n) with S' >= S, holds the row; a caller
     that runs several z or stacks passes one, since a buffer freed and
     allocated again per call is given back to the system and faulted in
     again each time.  The Dyson update
@@ -184,26 +173,22 @@ def slice_green_rows(a: np.ndarray, z: complex, buf: np.ndarray | None = None):
         for i in range(n_l - 1, 0, -1):
             m = a[:, i] - zi
             gr[i] = inv(m - gr[i + 1] if i + 1 < n_l else m)
-        # the buffer holds row i - 1 at column src and row i at dst, shift
-        # columns apart, to the right and back in turn; row i's products go
-        # slab by slab onto columns that no later slab reads
-        slab, shift = _slabs(n_l, w)
+        slab = _slabs(n_l, w)
         if buf is None:
-            buf = slice_row_buffer(len(a), n_l, w)
+            buf = np.empty((len(a), w, n_l * w), dtype=complex)
         buf = buf[: len(a)]
         gl = None
         for i in range(n_l):
             m = a[:, i] - zi
-            src, dst = (0, shift) if i % 2 else (shift, 0)
             if i:
                 m -= gl  # A_i - z - gL_{i-1}, for G_ii and for gL_i
                 cuts = [0, *range(slab, i * w - 1, slab), i * w]
-                pieces = zip(cuts, cuts[1:])
-                for c, d in reversed([*pieces]) if dst > src else pieces:
-                    out = buf[:, :, dst + c : dst + d]
-                    np.matmul(gr[i], buf[:, :, src + c : src + d], out=out)
+                for c, d in zip(cuts, cuts[1:]):
+                    # numpy takes a copy where out overlaps an input: all of it is read
+                    piece = buf[:, :, c:d]
+                    np.matmul(gr[i], piece, out=piece)
                 gr[i] = None  # read for the last time
-            row = buf[:, :, dst : dst + (i + 1) * w]
+            row = buf[:, :, : (i + 1) * w]
             row[:, :, i * w :] = inv(m - gr[i + 1] if i + 1 < n_l else m)
             yield row
             if i + 1 < n_l:
