@@ -289,6 +289,7 @@ def _run_verify(config: dict, ens: EnsembleSpec, rho: DecayMetric):
             )
         if ens.split.comp.size:
             record(f"kernel[{trial}]", kernel_identity_residual(ens, z, trial, g))
+        del ham, schur, g, gx  # freed before the doubled operator is inverted
         g0 = green(h0, z)
         for tag, u in (("real", u_real), ("complex", u_cplx)):
             res = s2w_identity_check(h0, u, z, g0)

@@ -4,8 +4,11 @@ identities, the weak-disorder chi bound with its proof-chain audit, and
 the exploratory coupled operator.
 
 All resolvents here may be non-self-adjoint (complex diagonal blocks);
-everything goes through the pivoted LU of `spectral.green`, never a
-spectral decomposition.
+everything goes through a pivoted LU, never a spectral decomposition.
+The doubled (2n x 2n) operator is shifted and inverted in place, in one
+complex buffer, by `spectral._inverse`; a real one is first checked
+against its spectrum, as `spectral.green` checks it.  The n x n
+resolvents go through `spectral.green`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .fracmoment import DecayMetric, EnsembleSpec, _chi_sup, chi_kernel
 from .operators import HamiltonianMatrix, hedgehog_assemble
-from .spectral import green
+from .spectral import _inverse, _refuse_spectrum, green
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,24 @@ def s2w_identity_check(
 
     The base block of the doubled resolvent equals G_z[H(0) + U_z^#];
     the pendant block equals G_z[U - G_z[H(0)]].  g0 is G_z[H(0)] when
-    the caller has it already; otherwise it is solved here.
+    the caller has it already; otherwise it is solved here.  The doubled
+    operator is held once, as one complex buffer that is shifted and
+    inverted in place.
     """
     u = np.asarray(u)
     z = complex(z)
     hh = hedgehog_assemble(h0, u)
-    gh = green(hh.matrix, z)
+    base_s, pend_s = hh.base_slice(), hh.pendant_slice()
+    _refuse_spectrum(hh.matrix, z)
+    m = hh.matrix.astype(complex, copy=False)
+    del hh  # a real assembled matrix is freed before the inverse is made
+    gh = _inverse(m, z)
+    del m
     if g0 is None:
         g0 = green(h0.matrix, z)
     sharp = u_sharp(u, z).values
-    base = gh[hh.base_slice(), hh.base_slice()]
-    pend = gh[hh.pendant_slice(), hh.pendant_slice()]
+    base = gh[base_s, base_s]
+    pend = gh[pend_s, pend_s]
     rhs0 = green(h0.matrix.astype(complex) + np.diag(sharp), z)
     rhs1 = green(np.diag(u.astype(complex)) - g0, z)
     return {
@@ -121,9 +131,12 @@ def weak_disorder_bound_check(
     for v in potentials:
         u = z - 1.0 / (ens.g * v)
         hh = hedgehog_assemble(h0, u)
-        gh = green(hh.matrix, z)
-        base = gh[hh.base_slice(), hh.base_slice()]
-        pend = gh[hh.pendant_slice(), hh.pendant_slice()]
+        base_s, pend_s = hh.base_slice(), hh.pendant_slice()
+        # u, hence the matrix, is complex (z is not real): inverted in place
+        gh = _inverse(hh.matrix, z)
+        del hh
+        base = gh[base_s, base_s]
+        pend = gh[pend_s, pend_s]
         # base block must coincide with G_z[H(0) + gV] (exact identity)
         direct = green(h0.matrix + np.diag(ens.g * v), z)
         idents.append(float(np.max(np.abs(base - direct))))

@@ -398,12 +398,13 @@ def mc_chi_green(
     zs = [complex(z) for z in zs]
     off_axis = [z for z in zs if z.imag != 0.0]
     sliced = iter(_slice_sums(ens, off_axis, s, rho) if off_axis else [])
-    reports = []
+    reports, w = [], None
     for z in zs:
         if z.imag != 0.0:
             sums, n_resampled = next(sliced), 0
         else:
-            w = rho.weight_matrix(ens.box.coords)
+            if w is None:  # one weight matrix for every real z
+                w = rho.weight_matrix(ens.box.coords)
             sums, n_resampled = mc_map(lambda g: _column_sums(w, np.abs(g) ** s), ens, z)
         reports.append(_chi_report(sums, ens, z, s, rho, n_resampled))
     return reports

@@ -85,6 +85,15 @@ def green(h, z: complex) -> np.ndarray:
     """
     m = _matrix(h)
     z = complex(z)
+    _refuse_spectrum(m, z)
+    return _inverse(m.astype(complex), z)
+
+
+def _refuse_spectrum(m: np.ndarray, z: complex) -> None:
+    """`green`'s refusal: raise SpectralParameterOnSpectrum when z is real,
+    m is real and z lies within 1e-12 * max(||m||, 1) of an eigenvalue of
+    some matrix of the stack m.  A caller that inverts a real matrix in a
+    buffer of its own checks it here first."""
     if z.imag == 0.0 and np.isrealobj(m):
         vals = np.linalg.eigvalsh(m)
         scale = np.maximum(np.max(np.abs(vals), axis=-1), 1.0)
@@ -93,7 +102,6 @@ def green(h, z: complex) -> np.ndarray:
             raise SpectralParameterOnSpectrum(
                 f"z = {z} lies on the spectrum (within 1e-12 * ||H||)", hits
             )
-    return _inverse(m.astype(complex), z)
 
 
 def _inverse(a: np.ndarray, z: complex) -> np.ndarray:
@@ -233,7 +241,9 @@ def schur_green(ham: HamiltonianMatrix, x_sites: Sequence[Site], z: complex):
     m = _matrix(ham)
     z = complex(z)
     xs, ix, xc, ixc = _index_split(ham, x_sites)
-    a = m.astype(complex) - z * np.eye(m.shape[0])
+    a = m.astype(complex)
+    d = np.arange(m.shape[0])
+    a[d, d] -= z  # A - z: one complex copy, shifted on its diagonal
     axx = a[np.ix_(ix, ix)]
     if not ixc.size:
         return xs, np.linalg.inv(axx)

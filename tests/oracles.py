@@ -20,10 +20,13 @@ package neither compiles them nor loads numpy.random for them.
   of `fracmoment.mc_chi_green` that shares none of its algebra.
 - `relative_density`: |B(center, R) intersect Gamma| / |B(center, R)|
   read site by site through `s in mask`.
+- `_numpy_peak`: the peak of numpy's buffers during one call, the
+  measure of the memory tests.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,3 +139,20 @@ def relative_density(mask: SublatticeMask, radius: int, center: Site):
 
     sites = ball(center, radius)
     return Fraction(sum(1 for s in sites if s in mask), len(sites))
+
+
+def _numpy_peak(fn) -> int:
+    """Peak traced bytes (numpy reports its buffers to tracemalloc) of
+    one call of fn, after a warm-up call."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

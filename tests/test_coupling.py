@@ -13,6 +13,9 @@ from trimlab.disorder import Uniform, estimate_decoupling_constants
 from trimlab.fracmoment import DecayMetric, EnsembleSpec
 from trimlab.lattice import FullMask, Gamma1Mask, make_box
 from trimlab.operators import assemble, hedgehog_assemble
+from trimlab.spectral import SpectralParameterOnSpectrum, green
+
+from oracles import _numpy_peak
 
 
 def test_u_sharp_scalar():
@@ -62,6 +65,52 @@ def test_hedgehog_green_complex_symmetric():
     np.testing.assert_allclose(g, g.T, atol=1e-12)
 
 
+def _gamma1_h0():
+    """H(0) of the 10 x 10 gamma1:2,2 box of `verify`'s benchmark config."""
+    box = make_box(2, (1, 1), (10, 10))
+    return EnsembleSpec(box, Gamma1Mask(2, 2), Uniform(), 5.0).split.h0
+
+
+def _trial_u(n: int, rng):
+    u_real = 4.0 * rng.random(n) - 2.0
+    return u_real, u_real + 1j * rng.random(n)
+
+
+def test_s2w_peak_holds_the_doubled_operator_once():
+    # the shifted operator and its inverse, 2 units of 16 (2n)^2 bytes;
+    # a complex copy beside the assembled operator read 2.51 (real u) and
+    # 3.01 (complex u)
+    h0 = _gamma1_h0()
+    g0 = green(h0, 0.5 + 0.7j)
+    unit = 16 * (2 * h0.n) ** 2
+    for u in _trial_u(h0.n, np.random.default_rng(2)):
+        peak = _numpy_peak(lambda: s2w_identity_check(h0, u, 0.5 + 0.7j, g0))
+        assert peak <= 2.2 * unit
+
+
+def test_s2w_residuals_match_the_whole_doubled_green():
+    h0 = _gamma1_h0()
+    z = -1.2 + 0.4j
+    g0 = green(h0, z)
+    for u in _trial_u(h0.n, np.random.default_rng(8)):
+        gh = green(hedgehog_assemble(h0, u).matrix, z)
+        n = h0.n
+        rhs0 = green(h0.matrix.astype(complex) + np.diag(u_sharp(u, z).values), z)
+        rhs1 = green(np.diag(u.astype(complex)) - g0, z)
+        assert s2w_identity_check(h0, u, z, g0) == {
+            "residual0": float(np.max(np.abs(gh[n:, n:] - rhs0))),
+            "residual1": float(np.max(np.abs(gh[:n, :n] - rhs1))),
+        }
+
+
+def test_s2w_refuses_a_real_z_on_the_doubled_spectrum():
+    h0 = _gamma1_h0()
+    u, _ = _trial_u(h0.n, np.random.default_rng(4))
+    z = np.linalg.eigvalsh(hedgehog_assemble(h0, u).matrix)[7]
+    with pytest.raises(SpectralParameterOnSpectrum, match="lies on the spectrum"):
+        s2w_identity_check(h0, u, z)
+
+
 def test_weak_disorder_bound():
     c_mu = estimate_decoupling_constants(Uniform(), 0.5, 200, 0)["C_s"]
     box = make_box(1, (0,), (20,))
@@ -106,8 +155,11 @@ def test_weak_disorder_bound_reads_a_passed_g0(monkeypatch):
     expected = weak_disorder_bound_check(*args)
     g0 = coupling.green(ens.split.h0, complex(-1.0, 1e-4))
     calls = []
-    real = coupling.green
-    monkeypatch.setattr(coupling, "green", lambda h, z: calls.append(z) or real(h, z))
+    for name in ("green", "_inverse"):
+        real = getattr(coupling, name)
+        monkeypatch.setattr(
+            coupling, name, lambda h, z, real=real: calls.append(z) or real(h, z)
+        )
     assert weak_disorder_bound_check(*args, g0) == expected
     # the hedgehog operator and G_z[H(0) + gV] of each sample, nothing more
     assert expected["applicable"] and len(calls) == 2 * ens.samples

@@ -8,7 +8,6 @@ probe and the dynamics rows against per-realization `eigh` and SVD."""
 from __future__ import annotations
 
 import math
-import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
@@ -49,7 +48,7 @@ from trimlab.spectral import (
     green,
 )
 
-from oracles import dense_fold, eigen_sweep, eigenvector_gamma_mass
+from oracles import _numpy_peak, dense_fold, eigen_sweep, eigenvector_gamma_mass
 
 GEOMETRIES = [
     (make_box(1, (0,), (0,)), FullMask()),
@@ -607,23 +606,6 @@ def test_eigen_sweep_on_trimmed_masks_matches_folded_lu(
     assert _sweep_matches([mc_chi_green(ens, [z], s, rho)[0] for z in zs], sweep)
 
 
-def _numpy_peak(fn) -> int:
-    """Peak traced bytes (numpy reports its buffers to tracemalloc) of
-    one call of fn, after a warm-up call."""
-    fn()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 @pytest.mark.parametrize("mask", [Gamma1Mask(2, 2), BernoulliMask(0.5, 3)])
 def test_folded_route_peak_does_not_exceed_eigen_route(mask):
     # the slice route, which took over from the folded route, against the
@@ -703,6 +685,29 @@ def test_mixed_z_match_one_z_at_a_time(zs):
             alone.value,
             alone.stderr,
             alone.params,
+        )
+
+
+def test_real_z_share_one_weight_matrix(monkeypatch):
+    # two real z, two LU passes through `mc_map`, one n x n weight matrix;
+    # each report as from a call with its z alone
+    box, mask = GEOMETRIES[2]
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, samples=12)
+    rho, zs = DecayMetric(0.1), [3.3, 2.9]
+    alone = [mc_chi_green(ens, [z], 0.5, rho)[0] for z in zs]
+    calls = []
+    real = DecayMetric.weight_matrix
+    monkeypatch.setattr(
+        DecayMetric, "weight_matrix", lambda *a: calls.append(a) or real(*a)
+    )
+    reports = mc_chi_green(ens, zs, 0.5, rho)
+    assert len(calls) == 1
+    for report, one in zip(reports, alone, strict=True):
+        assert (report.value, report.stderr, report.samples, report.params) == (
+            one.value,
+            one.stderr,
+            one.samples,
+            one.params,
         )
 
 
