@@ -48,11 +48,9 @@ def _null_space(a: np.ndarray, rcond: float | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompactEigenReport:
-    lam: float
     basis: np.ndarray  # orthonormal columns supported on the complement
     full_mult: int
     supported_dim: int
-    sites: tuple[Site, ...]
 
     @property
     def assumption3(self) -> bool:
@@ -69,7 +67,6 @@ def compact_eigenfunctions(
     The intersection is computed as the null space of the Gamma-site
     rows of the eigenbasis, which keeps the result orthonormal.
     """
-    sites = h0.site_list()
     sd = eigendecompose(h0)
     sel = np.abs(sd.eigenvalues - lam) <= _cluster_tol(sd)
     full_mult = int(np.sum(sel))
@@ -82,7 +79,7 @@ def compact_eigenfunctions(
     else:
         block = eig_basis[gamma_rows, :]
         coeff = _null_space(block, rcond=SUPPORT_TOL)
-    basis = eig_basis @ coeff if coeff.size else np.zeros((len(sites), 0))
+    basis = eig_basis @ coeff if coeff.size else np.zeros((h0.n, 0))
     for j in range(basis.shape[1]):
         mass = np.linalg.norm(basis[gamma_rows, j])
         resid = np.linalg.norm(h0.matrix @ basis[:, j] - lam * basis[:, j])
@@ -91,7 +88,7 @@ def compact_eigenfunctions(
                 f"basis vector {j} fails support/residual check "
                 f"(mass {mass:.3g}, residual {resid:.3g})"
             )
-    return CompactEigenReport(lam, basis, full_mult, basis.shape[1], sites)
+    return CompactEigenReport(basis, full_mult, basis.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +103,6 @@ class PeriodicEigenfunction:
     lam: float
     mask: SublatticeMask
     sampler: Callable[[Site], float]
-    period: tuple[int, int]
 
     def window_residual(self, window: LatticeBox) -> float:
         """Max eigen-equation residual over the interior of a window."""
@@ -145,7 +141,7 @@ def gamma1_eigenfunction(k: int, m: int, a: int, b: int) -> PeriodicEigenfunctio
             return 0.0
         return math.sin(math.pi * a * x1 / k) * math.sin(math.pi * b * x2 / m)
 
-    return PeriodicEigenfunction(lam, Gamma1Mask(k, m), sampler, (2 * k, 2 * m))
+    return PeriodicEigenfunction(lam, Gamma1Mask(k, m), sampler)
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +189,7 @@ def gamma2_eigenfunction(k: int, index: int = 0) -> PeriodicEigenfunction:
     def sampler(x: Site) -> float:
         return values.get((x[0] % l1, x[1] % l2), 0.0)
 
-    fn = PeriodicEigenfunction(4.0, Gamma2Mask(k), sampler, (l1, l2))
+    fn = PeriodicEigenfunction(4.0, Gamma2Mask(k), sampler)
     window = LatticeBox((0, 0), (2 * l1, 2 * l2))
     resid = fn.window_residual(window)
     if resid > 1e-10:

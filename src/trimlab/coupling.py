@@ -5,16 +5,17 @@ the exploratory coupled operator.
 
 All resolvents here may be non-self-adjoint (complex diagonal blocks);
 everything goes through a pivoted LU, never a spectral decomposition.
-The doubled (2n x 2n) operator is shifted and inverted in place, in one
-complex buffer, by `spectral._inverse`; a real one is first checked
-against its spectrum, as `spectral.green` checks it.  The n x n
-resolvents go through `spectral.green`.
+The doubled (2n x 2n) operator is the plain array of
+`operators.hedgehog_assemble`, whose pendant block is [:n, :n] and base
+block [n:, n:].  It is shifted and inverted in place, in one complex
+buffer, by `spectral._inverse`; a real one is first checked against its
+spectrum, as `spectral.green` checks it.  The n x n resolvents go
+through `spectral.green`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +24,15 @@ from .operators import HamiltonianMatrix, hedgehog_assemble
 from .spectral import _inverse, _refuse_spectrum, green
 
 
-@dataclass(frozen=True)
-class SharpPotential:
+def u_sharp(u: np.ndarray, z: complex) -> np.ndarray:
     """Pointwise reciprocal potential (z - U)^{-1}."""
-
-    z: complex
-    u: np.ndarray
-    values: np.ndarray
-
-
-def u_sharp(u: np.ndarray, z: complex) -> SharpPotential:
     u = np.asarray(u)
     z = complex(z)
     diff = z - u
     if np.any(diff == 0):
         site = int(np.argmax(diff == 0))
         raise ZeroDivisionError(f"z = {z} equals the potential at index {site}")
-    return SharpPotential(z, u, 1.0 / diff)
+    return 1.0 / diff
 
 
 def s2w_identity_check(
@@ -49,26 +42,25 @@ def s2w_identity_check(
 
     The base block of the doubled resolvent equals G_z[H(0) + U_z^#];
     the pendant block equals G_z[U - G_z[H(0)]].  g0 is G_z[H(0)] when
-    the caller has it already; otherwise it is solved here.  The doubled
-    operator is held once, as one complex buffer that is shifted and
-    inverted in place.
+    the caller has it already; otherwise it is solved here, once the
+    doubled inverse is freed.  The doubled operator is held once, as one
+    complex buffer that is shifted and inverted in place.
     """
     u = np.asarray(u)
     z = complex(z)
-    hh = hedgehog_assemble(h0, u)
-    base_s, pend_s = hh.base_slice(), hh.pendant_slice()
-    _refuse_spectrum(hh.matrix, z)
-    m = hh.matrix.astype(complex, copy=False)
-    del hh  # a real assembled matrix is freed before the inverse is made
+    n = h0.n
+    m = hedgehog_assemble(h0, u)
+    _refuse_spectrum(m, z)
+    # a real assembled matrix is freed before the inverse is made
+    m = m.astype(complex, copy=False)
     gh = _inverse(m, z)
     del m
+    base, pend = gh[n:, n:].copy(), gh[:n, :n].copy()
+    del gh
     if g0 is None:
         g0 = green(h0.matrix, z)
-    sharp = u_sharp(u, z).values
-    base = gh[base_s, base_s]
-    pend = gh[pend_s, pend_s]
-    rhs0 = green(h0.matrix.astype(complex) + np.diag(sharp), z)
-    rhs1 = green(np.diag(u.astype(complex)) - g0, z)
+    rhs0 = green(h0.matrix + np.diag(u_sharp(u, z)), z)
+    rhs1 = green(np.diag(u) - g0, z)
     return {
         "residual0": float(np.max(np.abs(base - rhs0))),
         "residual1": float(np.max(np.abs(pend - rhs1))),
@@ -109,7 +101,7 @@ def weak_disorder_bound_check(
     h0 = ens.split.h0
     if g0 is None:
         g0 = green(h0, z)
-    chi0 = chi_kernel(g0, ens.box.coords, rho, s).value
+    chi0 = chi_kernel(g0, ens.box.coords, rho, s)
     g_inv_s = ens.g ** (-s)
     if g_inv_s <= c_mu * chi0:
         return {
@@ -127,16 +119,13 @@ def weak_disorder_bound_check(
     potentials = ens.potential(np.arange(ens.samples))
     if np.any(potentials == 0):
         raise ValueError("zero potential value; reciprocal undefined")
+    n = h0.n
     base_sums, pend_sums, idents = [], [], []
     for v in potentials:
         u = z - 1.0 / (ens.g * v)
-        hh = hedgehog_assemble(h0, u)
-        base_s, pend_s = hh.base_slice(), hh.pendant_slice()
         # u, hence the matrix, is complex (z is not real): inverted in place
-        gh = _inverse(hh.matrix, z)
-        del hh
-        base = gh[base_s, base_s]
-        pend = gh[pend_s, pend_s]
+        gh = _inverse(hedgehog_assemble(h0, u), z)
+        base, pend = gh[n:, n:], gh[:n, :n]
         # base block must coincide with G_z[H(0) + gV] (exact identity)
         direct = green(h0.matrix + np.diag(ens.g * v), z)
         idents.append(float(np.max(np.abs(base - direct))))
@@ -181,11 +170,11 @@ def coupled_weak_operator(
         raise ValueError("potential length does not match the operator")
     z = complex(lam, eps)
     sharp = u_sharp(gv, z)
-    matrix = h0.matrix.astype(complex) + np.diag(sharp.values)
+    matrix = h0.matrix + np.diag(sharp)
     return {
         "matrix": matrix,
         "green": green(matrix, z),
-        "effective_strength": float(np.max(np.abs(sharp.values))),
+        "effective_strength": float(np.max(np.abs(sharp))),
         "bare_strength": float(np.max(np.abs(gv))),
         "z": z,
     }

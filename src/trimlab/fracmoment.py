@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,18 +81,17 @@ class DecayMetric:
 
 @dataclass(frozen=True)
 class ChiReport:
-    """Value of a chi functional, deterministic or Monte Carlo."""
+    """Monte Carlo estimate of a chi functional."""
 
     value: float
-    mode: str  # "deterministic" | "monte-carlo"
-    samples: int = 0
-    stderr: float = 0.0
-    params: dict = field(default_factory=dict)
+    samples: int
+    stderr: float
+    params: dict
 
 
 def chi_kernel(
     a: np.ndarray, sites: Sequence[Site], rho: DecayMetric, s: float = 1.0
-) -> ChiReport:
+) -> float:
     """sup_x sum_y e^{rho(y,x)} |A(y,x)|^s, evaluated exactly."""
     if s <= 0:
         raise ValueError("s must be positive")
@@ -100,10 +99,9 @@ def chi_kernel(
     if a.shape != (len(sites), len(sites)):
         raise ValueError("kernel shape does not match site list")
     if a.size == 0:
-        return ChiReport(0.0, "deterministic", params={"s": s, "eta": rho.eta})
+        return 0.0
     weighted = rho.weight_matrix(sites) * np.abs(a) ** s
-    value = float(np.max(np.sum(weighted, axis=0)))
-    return ChiReport(value, "deterministic", params={"s": s, "eta": rho.eta})
+    return float(np.max(np.sum(weighted, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +372,6 @@ def _chi_report(
         )
     return ChiReport(
         value,
-        "monte-carlo",
         samples=ens.samples,
         stderr=se,
         params={"s": s, "eta": rho.eta, "z": z, "resampled": n_resampled},
@@ -433,7 +430,7 @@ def am_contraction_check(
         raise ValueError("contraction check requires Gamma = Full on the box")
     a = ens.split.h0.matrix
     a_off = a - np.diag(np.diag(a))
-    chi_off = chi_kernel(a_off, ens.box.coords, rho, s).value
+    chi_off = chi_kernel(a_off, ens.box.coords, rho, s)
     gs = ens.g**s
     threshold = c_s * chi_off
     if gs <= threshold:
@@ -476,10 +473,10 @@ def chi_resolvent_inequalities(
     kappa = 2 * ham.box.dim
     enorm = math.exp(rho.norm)
     g = green(ham, z)
-    chi_g = chi_kernel(g, ham.site_list(), rho, s).value
-    chi_pgp_x = chi_kernel(g[np.ix_(ix, ix)], xs, rho, s).value
-    chi_pgp_xc = chi_kernel(g[np.ix_(ixc, ixc)], xc, rho, s).value
-    chi_gx = chi_kernel(off_x_green(ham, xs, z), xc, rho, s).value
+    chi_g = chi_kernel(g, ham.site_list(), rho, s)
+    chi_pgp_x = chi_kernel(g[np.ix_(ix, ix)], xs, rho, s)
+    chi_pgp_xc = chi_kernel(g[np.ix_(ixc, ixc)], xc, rho, s)
+    chi_gx = chi_kernel(off_x_green(ham, xs, z), xc, rho, s)
     star_lhs = chi_pgp_xc
     star_rhs = kappa**2 * enorm**2 * chi_gx**2 * chi_pgp_x
     chain_lhs = chi_g
@@ -560,7 +557,7 @@ def trimmed_split(box: LatticeBox, mask: SublatticeMask, v0) -> TrimmedSplit:
     h0 = assemble(box, mask, v0, 0.0, None)
     on_gamma = mask_vector(mask, box)
     gamma, comp = np.flatnonzero(on_gamma), np.flatnonzero(~on_gamma)
-    for a in (h0.matrix, h0.v0, h0.v, gamma, comp):
+    for a in (h0.matrix, gamma, comp):
         a.flags.writeable = False
     return TrimmedSplit(h0, gamma, comp, tuple(map(tuple, box.coords[gamma].tolist())))
 
@@ -622,7 +619,7 @@ def loc1_threshold(
                 "trimmed_spectrum_distance": dist,
             }
     kd = split.kernel(lam)
-    chi = chi_kernel(kd["K"], kd["sites"], rho, s).value
+    chi = chi_kernel(kd["K"], kd["sites"], rho, s)
     return {
         "applicable": True,
         "chi_K": chi,

@@ -2,7 +2,8 @@
 
 The restriction convention is literal coordinate projection P_B H P_B*:
 the diagonal keeps the full-lattice value 2d + V0 + gV, only hopping
-entries leaving the region are dropped.
+entries leaving the region are dropped.  The doubled ("hedgehog")
+operator is returned as a plain 2N x 2N array.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ DENSE_LIMIT = 6000
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Real-symmetric P_B H(g) P_B* with its generating data attached."""
+    """Real-symmetric P_B H(g) P_B* with the box, mask and sites of its rows."""
 
     box: LatticeBox
     matrix: np.ndarray
     mask: SublatticeMask
-    g: float
-    v0: np.ndarray  # background potential per site
-    v: np.ndarray  # realized random potential per site (zero off Gamma)
     #: subset of box sites the matrix acts on, in index order (None = all)
     sites: tuple[Site, ...] | None = None
 
@@ -113,7 +111,7 @@ def assemble(
             )
     h = laplacian_matrix(box)
     h[np.diag_indices_from(h)] += v0_vec + g * v_vec
-    return HamiltonianMatrix(box, h, mask, float(g), v0_vec, v_vec)
+    return HamiltonianMatrix(box, h, mask)
 
 
 def restrict(ham: HamiltonianMatrix, sites: Sequence[Site]) -> HamiltonianMatrix:
@@ -121,16 +119,7 @@ def restrict(ham: HamiltonianMatrix, sites: Sequence[Site]) -> HamiltonianMatrix
     (which may itself be a restriction)."""
     sites = tuple(sorted(sites))
     idx = ham.rows(sites)
-    sub = ham.matrix[np.ix_(idx, idx)]
-    return HamiltonianMatrix(
-        ham.box,
-        sub,
-        ham.mask,
-        ham.g,
-        ham.v0[idx],
-        ham.v[idx],
-        sites=sites,
-    )
+    return HamiltonianMatrix(ham.box, ham.matrix[np.ix_(idx, idx)], ham.mask, sites)
 
 
 def trimmed_restriction(ham: HamiltonianMatrix) -> HamiltonianMatrix:
@@ -168,30 +157,13 @@ def adjacency_operator(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HedgehogOperator:
-    """Block operator [[U, -1], [-1, H(0)]] on Lambda x {1, 0}.
+def hedgehog_assemble(h0: HamiltonianMatrix, u: np.ndarray) -> np.ndarray:
+    """Block operator [[U, -1], [-1, H(0)]] on Lambda x {1, 0}, complex
+    when u is.
 
-    Index order: the N pendant sites (Lambda x {1}) first, then the N
-    base sites (Lambda x {0}).
+    Index order: rows 0..N-1 are the pendant sites (Lambda x {1}), rows
+    N..2N-1 the base sites (Lambda x {0}).
     """
-
-    base: HamiltonianMatrix
-    u: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def n_base(self) -> int:
-        return self.base.n
-
-    def pendant_slice(self) -> slice:
-        return slice(0, self.n_base)
-
-    def base_slice(self) -> slice:
-        return slice(self.n_base, 2 * self.n_base)
-
-
-def hedgehog_assemble(h0: HamiltonianMatrix, u: np.ndarray) -> HedgehogOperator:
     u = np.asarray(u)
     n = h0.n
     if u.shape != (n,):
@@ -202,4 +174,4 @@ def hedgehog_assemble(h0: HamiltonianMatrix, u: np.ndarray) -> HedgehogOperator:
     m[:n, n:] = -np.eye(n)
     m[n:, :n] = -np.eye(n)
     m[n:, n:] = h0.matrix
-    return HedgehogOperator(h0, u, m)
+    return m

@@ -1,9 +1,10 @@
 """Guards on the package surface: the functions the benchmark's tracer
 wraps by name still exist, no public function takes a `threads`
 argument (the engine is serial; only the CLI records a thread count),
-and no numpy generator is used outside the per-site reference
+no numpy generator is used outside the per-site reference
 `BernoulliMask.__contains__` (every other draw goes through
-`lattice.philox_uniforms`)."""
+`lattice.philox_uniforms`), and no module imports a name it never
+uses."""
 
 from __future__ import annotations
 
@@ -121,3 +122,43 @@ def test_numpy_random_guard_sees_every_form():
     )
     uses = _numpy_random_uses(ast.parse(source))
     assert uses == [("", 1), ("", 2), ("", 3), ("f", 5), ("C.g", 8)]
+
+
+def _unused_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(bound name, line) of every import in tree whose name is never
+    read; `from __future__` imports bind nothing to read."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+            bound += [(name, node.lineno) for name in names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+            bound += [(name, node.lineno) for name in names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((name, line) for name, line in bound if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        path.name: _unused_imports(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_unused_import_guard_sees_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import Sequence as Seq\n"
+        "def f(x: Seq) -> float:\n"
+        "    return np.pi * os.path.sep.count(x)\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    pass\n"
+    )
+    assert _unused_imports(ast.parse(source)) == [("field", 5), ("math", 2)]

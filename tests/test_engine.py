@@ -790,7 +790,7 @@ def _wegner_loop(ens, lam, eps):
         ham = ens.realization(i)
         vals, vecs = np.linalg.eigh(ham.matrix)
         counts.append(int(np.sum(np.abs(vals - lam) < eps)) - mult)
-        vmax = float(np.max(np.abs(ham.v)))
+        vmax = float(np.max(np.abs(ens.potential(i))))
         if vmax > 0:
             bound = gap / (3.0 * ens.g * vmax)
             for j in np.nonzero(np.abs(vals - lam) <= gap / 3)[0]:

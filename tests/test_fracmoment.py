@@ -36,6 +36,7 @@ from trimlab.operators import (
     adjacency_operator,
     assemble,
     laplacian_matrix,
+    resolve_v0,
     restrict,
     trimmed_restriction,
 )
@@ -94,14 +95,16 @@ def test_chi_kernel_chain_oracle():
     a_off = a - np.diag(np.diag(a))
     sites = tuple(box.sites())
     for s in (1.0, 0.5):
-        rep = chi_kernel(a_off, sites, RHO, s)
-        assert rep.value == pytest.approx(2.0 * math.exp(0.1), abs=1e-12)
+        chi = chi_kernel(a_off, sites, RHO, s)
+        assert chi == pytest.approx(2.0 * math.exp(0.1), abs=1e-12)
+        # the empty kernel (X^c of X = the whole box) reads 0
+        assert chi_kernel(np.zeros((0, 0)), (), RHO, s) == 0.0
     # d = 2 hopping gives 4 e^eta
     box2 = make_box(2, (0, 0), (4, 4))
     a2 = assemble(box2, FullMask(), None, 0.0, None).matrix
     a2_off = a2 - np.diag(np.diag(a2))
-    rep2 = chi_kernel(a2_off, tuple(box2.sites()), RHO, 1.0)
-    assert rep2.value == pytest.approx(4.0 * math.exp(0.1), abs=1e-12)
+    chi2 = chi_kernel(a2_off, tuple(box2.sites()), RHO, 1.0)
+    assert chi2 == pytest.approx(4.0 * math.exp(0.1), abs=1e-12)
 
 
 def test_chi_kernel_validates():
@@ -215,11 +218,13 @@ def test_chi_resolvent_inequalities_hold():
         assert out["res_chi_star"]["holds"]
         assert out["res_chi"]["holds"]
         assert not out["degenerate"]
-    # X = whole box is degenerate but reported, not an error
+    # X = whole box is degenerate but reported, not an error: X^c is empty,
+    # so the star side reads the empty kernel's 0
     deg = chi_resolvent_inequalities(
         ens.realization(0), list(box.sites()), 4.0 + 0.3j, RHO
     )
-    assert deg["degenerate"]
+    assert deg["degenerate"] and deg["res_chi_star"]["lhs"] == 0.0
+    assert deg["res_chi_star"]["holds"] and deg["res_chi"]["holds"]
 
 
 def test_kernel_identity_exact():
@@ -333,7 +338,7 @@ def _kernel_K_loop(mask, box, v0, z):
     gamma_sites = tuple(s for s in box.sites() if s in mask)
     idx = [box.index(s) for s in gamma_sites]
     m = -laplacian_matrix(box)[np.ix_(idx, idx)].astype(complex)
-    m -= np.diag(h0.v0[idx])
+    m -= np.diag(resolve_v0(v0, box)[idx])
     comp_sites = [s for s in box.sites() if s not in mask]
     spectrum = np.array([])
     if comp_sites:
@@ -375,7 +380,7 @@ def test_kernel_and_threshold_read_gamma_as_arrays(mask, z):
         far = spectrum.size == 0 or np.min(np.abs(spectrum - lam)) > 1e-6
         assert out["applicable"] == far
         if far:
-            chi = chi_kernel(k, sites, RHO, 0.5).value
+            chi = chi_kernel(k, sites, RHO, 0.5)
             assert abs(out["chi_K"] - chi) <= 1e-12 * chi
 
 
@@ -386,7 +391,7 @@ def test_split_is_cached_read_only_and_serves_kernel_K(mask):
     split = ens.split
     assert ens.split is split
     np.testing.assert_array_equal(split.h0.matrix, assemble(box, mask, v0, 0.0, None).matrix)
-    arrays = [split.h0.matrix, split.h0.v0, split.h0.v, split.gamma, split.comp]
+    arrays = [split.h0.matrix, split.gamma, split.comp]
     if split.sd is not None:
         arrays += [split.sd.eigenvalues, split.sd.eigenvectors]
     for a in arrays:

@@ -82,10 +82,10 @@ def test_green_complex_symmetric_at_real_z():
     rng = np.random.default_rng(11)
     h0 = assemble(make_box(1, (0,), (4,)), FullMask(), None, 0.0, None)
     hh = hedgehog_assemble(h0, rng.normal(size=5) + 1j * (0.5 + rng.random(5)))
-    z = float(np.linalg.eigvalsh(hh.matrix)[3])
-    g = green(hh.matrix, z)
+    z = float(np.linalg.eigvalsh(hh)[3])
+    g = green(hh, z)
     np.testing.assert_allclose(
-        g, np.linalg.inv(hh.matrix - z * np.eye(10)), rtol=1e-12, atol=1e-12
+        g, np.linalg.inv(hh - z * np.eye(10)), rtol=1e-12, atol=1e-12
     )
 
 
@@ -309,7 +309,7 @@ def test_green_in_place_shift_is_bitwise_identical(z):
         ham.matrix,
         np.stack([ham.matrix, 0.5 * ham.matrix, ham.matrix + 1.0]),
         -ham.matrix,  # off-diagonal -0.0 entries
-        hedgehog_assemble(_random_ham(4, n=3, g=0.0), u).matrix,  # complex
+        hedgehog_assemble(_random_ham(4, n=3, g=0.0), u),  # complex
         np.array([[-0.0, 1.0], [1.0, -0.0]]),
     ]
     for m in matrices:
