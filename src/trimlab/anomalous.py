@@ -252,7 +252,7 @@ def assumption_scan(
             gap = gm["gap"]
         except ValueError:
             gap = 0.0
-        proj = point_projection(sd, lam).p
+        proj = point_projection(sd, lam)
         ix = h0.rows([x])[0]
         threshold_dist = r_in**small_c
         far = np.abs(proj[ix, dists >= threshold_dist])

@@ -155,8 +155,6 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(
                 f"TRIMLAB_THREADS must be an integer, not {env!r}"
             ) from exc
-    if isinstance(config["epsilon"], (int, float)):
-        config["epsilon"] = [float(config["epsilon"])]
     return config
 
 
@@ -192,6 +190,11 @@ def _resolved(config: dict, experiment: str):
         raise ConfigError(
             f"box has {box.size} sites, over the dense limit {DENSE_LIMIT}"
         )
+    # a JSON boolean passes float(), int() and isinstance(x, int)
+    for key in "v0 g s eta energy p epsilon times samples seed threads".split():
+        values = config[key] if isinstance(config[key], list) else [config[key]]
+        if any(isinstance(v, bool) for v in values):
+            raise ConfigError(f"field {key!r} must hold numbers, not booleans")
     try:
         resolve_v0(config["v0"], box)
     except (TypeError, ValueError) as exc:
@@ -213,7 +216,9 @@ def _resolved(config: dict, experiment: str):
             raise ConfigError(f"field {key!r} must be an integer") from exc
     if config["samples"] < 1:
         raise ConfigError("samples must be >= 1")
-    if not all(
+    if isinstance(config["epsilon"], (int, float)):
+        config["epsilon"] = [float(config["epsilon"])]
+    if not isinstance(config["epsilon"], list) or not all(
         isinstance(e, (int, float)) and 0 < e < math.inf for e in config["epsilon"]
     ):
         raise ConfigError("epsilon values must be positive finite numbers")
@@ -223,8 +228,7 @@ def _resolved(config: dict, experiment: str):
         raise ConfigError("p must be a nonnegative finite number")
     times = config["times"]
     if not isinstance(times, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
-        for t in times
+        isinstance(t, (int, float)) and math.isfinite(t) for t in times
     ):
         raise ConfigError("times must be a list of finite numbers")
     try:

@@ -1,7 +1,9 @@
 """Strong-to-weak disorder coupling through the hedgehog doubling: the
 reciprocal potential transform, the exact two-block resolvent
-identities, the weak-disorder chi bound with its proof-chain audit, and
-the exploratory coupled operator.
+identities, and the weak-disorder chi bound with its proof-chain audit.
+With U = gV the base block is G_z[H(0) + (gV)_z^#], and (gV)_z^# =
+(z - gV)^{-1} is small wherever gV is large: the sense in which strong
+disorder couples to a weak-disorder operator.
 
 All resolvents here may be non-self-adjoint (complex diagonal blocks);
 everything goes through a pivoted LU, never a spectral decomposition.
@@ -152,29 +154,4 @@ def weak_disorder_bound_check(
             "block_identity_residual": worst_ident,
         },
         "samples": ens.samples,
-    }
-
-
-def coupled_weak_operator(
-    h0: HamiltonianMatrix, gv: np.ndarray, lam: float, eps: float
-) -> dict:
-    """H(0) + (gV)_z^# at z = lam + i eps; exploratory only.
-
-    The reciprocal potential is small wherever gV is large, which is
-    the sense in which strong disorder couples to a weak-disorder
-    operator.  Returns the complex-symmetric matrix, its Green function
-    at z, and the effective disorder strength sup_x |(gV)_z^#(x)|.
-    """
-    gv = np.asarray(gv, dtype=float)
-    if gv.shape != (h0.n,):
-        raise ValueError("potential length does not match the operator")
-    z = complex(lam, eps)
-    sharp = u_sharp(gv, z)
-    matrix = h0.matrix + np.diag(sharp)
-    return {
-        "matrix": matrix,
-        "green": green(matrix, z),
-        "effective_strength": float(np.max(np.abs(sharp))),
-        "bare_strength": float(np.max(np.abs(gv))),
-        "z": z,
     }

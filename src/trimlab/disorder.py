@@ -338,13 +338,6 @@ def regularity_check(spec: DisorderSpec, n: int, seed: int) -> dict:
     }
 
 
-def window_mass(spec: DisorderSpec, t: float, eps: float) -> float:
-    """Exact mu[t-eps, t+eps] by quadrature (oracle for regularity tests)."""
-    return spec.expect(
-        lambda v: float(abs(v - t) <= eps), points=(t - eps, t, t + eps)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Decoupling inequality of the rational-function lemma
 # ---------------------------------------------------------------------------

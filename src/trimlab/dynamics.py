@@ -27,7 +27,6 @@ OpenBLAS's own count the peaks move between identical runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -130,28 +129,6 @@ def dynamics_samples(
 def moment_Mp(target, x: Site, t: float, p: float) -> float:
     """M_p(x,t) = sum_y |e^{itH}(x,y)|^2 ||x-y||^p, averaged for ensembles."""
     return float(np.mean(dynamics_samples(target, x, p, [t])))
-
-
-@dataclass(frozen=True)
-class MomentCurve:
-    p: float
-    x: Site
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-    #: time after which finite volume saturates the moment; fits should
-    #: be restricted to earlier times
-    saturation_time: float | None = None
-
-
-def moment_curve(
-    target, x: Site, times: Sequence[float], p: float
-) -> MomentCurve:
-    means, _ = sample_mean_stderr(dynamics_samples(target, x, p, times))
-    box = target.box
-    diameter = sum(b - a for a, b in zip(box.lo, box.hi))
-    # ballistic front reaches the box edge at roughly t ~ diameter / 2
-    sat = next((t for t in times if t >= diameter / 2.0), None)
-    return MomentCurve(p, x, tuple(times), tuple(map(float, means)), sat)
 
 
 def laplace_summary(lhs: np.ndarray, rhs: np.ndarray) -> dict:

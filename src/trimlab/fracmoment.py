@@ -66,9 +66,6 @@ class DecayMetric:
     def norm(self) -> float:
         return self.eta
 
-    def evaluate(self, x: Site, y: Site) -> float:
-        return self.eta * int(l1_distances([x], [y])[0, 0])
-
     def weight_matrix(
         self, sites: Sequence[Site], others: Sequence[Site] | None = None
     ) -> np.ndarray:
@@ -532,7 +529,14 @@ class TrimmedSplit:
         return sd
 
     def kernel(self, z: complex) -> dict:
-        """`kernel_K` at z, from this split."""
+        """Diagonal D and off-diagonal K of S - H(0)|_Gamma at z, where
+        S = H_{Gamma Gamma^c} G_z[H_Gamma] H_{Gamma^c Gamma} (`fold_complement`,
+        off the eigenpairs of the trimmed restriction H_Gamma = H(0)|_{Gamma^c}),
+        so that P_Gamma G_z[H] P_Gamma* = G_z[gV|_Gamma - D - K] exactly.
+
+        Returns K, D, the Gamma sites and the trimmed spectrum; a real z
+        within 1e-10 of that spectrum raises SpectralParameterOnSpectrum.
+        """
         if not self.gamma.size:
             raise ValueError("Gamma does not meet the box")
         z, h0, gamma, sd = complex(z), self.h0.matrix, self.gamma, self.sd
@@ -560,19 +564,6 @@ def trimmed_split(box: LatticeBox, mask: SublatticeMask, v0) -> TrimmedSplit:
     for a in (h0.matrix, gamma, comp):
         a.flags.writeable = False
     return TrimmedSplit(h0, gamma, comp, tuple(map(tuple, box.coords[gamma].tolist())))
-
-
-def kernel_K(mask: SublatticeMask, box: LatticeBox, v0, z: complex) -> dict:
-    """Diagonal D and off-diagonal K of S - H(0)|_Gamma at z, where
-    S = H_{Gamma Gamma^c} G_z[H_Gamma] H_{Gamma^c Gamma} (`fold_complement`,
-    off the eigenpairs of the trimmed restriction H_Gamma = H(0)|_{Gamma^c}),
-    so that P_Gamma G_z[H] P_Gamma* = G_z[gV|_Gamma - D - K] exactly.
-
-    Returns K, D, the Gamma sites and the trimmed spectrum, from a fresh
-    `trimmed_split`; a real z within 1e-10 of that spectrum raises
-    SpectralParameterOnSpectrum.
-    """
-    return trimmed_split(box, mask, v0).kernel(z)
 
 
 def kernel_identity_residual(

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeBox, Site, SublatticeMask, l1_distances, mask_vector
+from .lattice import LatticeBox, Site, SublatticeMask, mask_vector
 
 DENSE_LIMIT = 6000
 
@@ -129,27 +129,6 @@ def trimmed_restriction(ham: HamiltonianMatrix) -> HamiltonianMatrix:
         raise ValueError("empty complement: Gamma covers the whole region")
     sites = ham.site_list()
     return restrict(ham, [sites[i] for i in np.flatnonzero(off_gamma)])
-
-
-@dataclass(frozen=True)
-class AdjacencyOperator:
-    """T_X(x, y) = 1 for x ~ y, rows on X, columns on X^c (within a box)."""
-
-    rows: tuple[Site, ...]
-    cols: tuple[Site, ...]
-    matrix: np.ndarray
-
-
-def adjacency_operator(
-    x_sites: Sequence[Site], box: LatticeBox
-) -> AdjacencyOperator:
-    rows = tuple(sorted(x_sites))
-    idx = box.indices(rows)
-    if (idx < 0).any():
-        raise ValueError(f"site {rows[int(np.argmin(idx))]} outside the ambient box")
-    cols = tuple(map(tuple, np.delete(box.coords, idx, axis=0).tolist()))
-    t = (l1_distances(rows, cols) == 1).astype(float)
-    return AdjacencyOperator(rows, cols, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Dense spectral machinery: eigendecomposition, Green functions, the
 slice recursion of a box's Green function, Schur complements and the
-fold of a deterministic block, resolvent-identity residuals,
-projections and decay fits.
+fold of a deterministic block, resolvent-identity residuals, the
+eigenvalue-cluster rule (`point_projection`, `gap_and_mult`) and decay
+fits.
 
 Green functions are computed by pivoted complex LU (LAPACK gesv through
 `numpy.linalg`), independent of the eigendecomposition (`numpy.linalg.eigh`,
@@ -300,26 +301,13 @@ def resolvent_identity_residual(
     return float(np.max(np.abs(diff), initial=0.0))
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    p: np.ndarray
-    q: np.ndarray
-    rank: int
-
-
-def spectral_projection(
-    sd: SpectralData, lo: float, hi: float
-) -> ProjectionPair:
-    """P = sum over eigenvalues in [lo, hi] of the eigenprojections."""
-    sel = (sd.eigenvalues >= lo) & (sd.eigenvalues <= hi)
-    vecs = sd.eigenvectors[:, sel]
-    p = vecs @ vecs.T
-    return ProjectionPair(p, np.eye(sd.n) - p, int(np.sum(sel)))
-
-
-def point_projection(sd: SpectralData, lam: float) -> ProjectionPair:
+def point_projection(sd: SpectralData, lam: float) -> np.ndarray:
+    """P = sum of the eigenprojections of the eigenvalues within
+    `_cluster_tol` of lam."""
     tol = _cluster_tol(sd)
-    return spectral_projection(sd, lam - tol, lam + tol)
+    sel = (sd.eigenvalues >= lam - tol) & (sd.eigenvalues <= lam + tol)
+    vecs = sd.eigenvectors[:, sel]
+    return vecs @ vecs.T
 
 
 def _cluster_tol(sd: SpectralData) -> float:

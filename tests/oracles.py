@@ -5,6 +5,8 @@ package neither compiles them nor loads numpy.random for them.
 
 - `draw_vector` and `draw`: one realization's draws from numpy's own
   `Philox` generator, the reference for `SampleStream.draw_block`.
+- `window_mass`: the exact mass mu[t-eps, t+eps] of a disorder
+  distribution by quadrature, the oracle for regularity tests.
 - `eigenvector_gamma_mass`: the l^2 mass of a vector on Gamma, read
   site by site through `s in mask`.
 - `EvolutionKernel` and `evolve`: e^{itH} as a full matrix and applied
@@ -32,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from trimlab.disorder import SampleStream, _stream_key
+from trimlab.disorder import DisorderSpec, SampleStream, _stream_key
 from trimlab.fracmoment import _chi_report, _operator_stacks
 from trimlab.lattice import Site, SublatticeMask, ball
 from trimlab.spectral import SpectralData, eigendecompose
@@ -50,6 +52,13 @@ def draw_vector(stream: SampleStream, n_sites: int, sample_index: int) -> np.nda
 def draw(stream: SampleStream, site_index: int, sample_index: int) -> float:
     """Single draw; identical to draw_vector(...)[site_index]."""
     return float(draw_vector(stream, site_index + 1, sample_index)[site_index])
+
+
+def window_mass(spec: DisorderSpec, t: float, eps: float) -> float:
+    """Exact mu[t-eps, t+eps] by quadrature (oracle for regularity tests)."""
+    return spec.expect(
+        lambda v: float(abs(v - t) <= eps), points=(t - eps, t, t + eps)
+    )
 
 
 def eigenvector_gamma_mass(

@@ -3,8 +3,9 @@ wraps by name still exist, no public function takes a `threads`
 argument (the engine is serial; only the CLI records a thread count),
 no numpy generator is used outside the per-site reference
 `BernoulliMask.__contains__` (every other draw goes through
-`lattice.philox_uniforms`), and no module imports a name it never
-uses."""
+`lattice.philox_uniforms`), no module imports a name it never uses,
+and every public module-level function and class is read by package
+code or named, with its reason, in `UNREAD_BY_SRC`."""
 
 from __future__ import annotations
 
@@ -162,3 +163,105 @@ def test_unused_import_guard_sees_every_form():
         "    pass\n"
     )
     assert _unused_imports(ast.parse(source)) == [("field", 5), ("math", 2)]
+
+
+#: public module-level names that no code of the package reads, each with
+#: why it stays; a name leaves this table once package code reads it
+AWAITS_READER = "a paper condition awaiting its reader, the conditions table"
+UNREAD_BY_SRC = {
+    "anomalous.assumption_scan": AWAITS_READER,
+    "disorder.regularity_check": AWAITS_READER,
+    "fracmoment.loc1_threshold": AWAITS_READER,
+    "fracmoment.chi_resolvent_inequalities": AWAITS_READER,
+    "disorder.decoupling_ratio": (
+        "not a duplicate of decoupling_pair_ratio: it enforces q >= 2s/(1-s) "
+        "and integrates in another order"
+    ),
+    "fracmoment.am_contraction_check": "acceptance criterion 4",
+    "spectral.combes_thomas_rate": "acceptance criterion 3",
+    "operators.trimmed_restriction": "acceptance criterion 1",
+    "dynamics.pmoment_probe": "acceptance criterion 6",
+    "dynamics.laplace_moment_check": "acceptance criterion 7",
+    "fracmoment.g_scaling_exponent": "acceptance criterion 8",
+    "fracmoment.wegner_uniform_bound_probe": (
+        "test convenience: the stacked eigen route's engine test reads it"
+    ),
+    "dynamics.moment_Mp": "test convenience: one M_p(x, t) as a float",
+    "lattice.make_box": "test convenience: a box from dim, lo and hi",
+    "lattice.components_of_complement": (
+        "test convenience: the components of Gamma^c in a window"
+    ),
+}
+
+
+def _unread_public_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each public module-level function and class of the
+    modules in sources (module name -> source) that no code reads outside
+    its own definition: neither its own module nor a sibling module, under
+    the name a relative `from .module import name` binds."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def loads(tree, skip=None) -> set[str]:
+        inside = {id(n) for n in ast.walk(skip)} if skip else set()
+        return {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and id(n) not in inside
+        }
+
+    def bound(tree, module, name) -> set[str]:
+        return {
+            alias.asname or alias.name
+            for imp in ast.walk(tree)
+            if isinstance(imp, ast.ImportFrom) and imp.level == 1 and imp.module == module
+            for alias in imp.names
+            if alias.name == name
+        }
+
+    read_in = {module: loads(tree) for module, tree in trees.items()}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            read = node.name in loads(tree, node) or any(
+                bound(other, module, node.name) & read_in[name]
+                for name, other in trees.items()
+                if name != module
+            )
+            if not read:
+                unread.append(f"{module}.{node.name}")
+    return sorted(unread)
+
+
+def test_every_public_name_is_read_by_the_package_or_listed():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unread_public_names(sources) == sorted(UNREAD_BY_SRC)
+
+
+def test_unread_name_guard_sees_every_form():
+    sources = {
+        "a": (
+            "def used_here(): pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def imported(): pass\n"
+            "def imported_as(): pass\n"
+            "def imported_unread(): pass\n"
+            "class Annotated: pass\n"
+            "class Shadowed: pass\n"
+            "def _private(): pass\n"
+            "x = used_here()\n"
+        ),
+        "b": (
+            "from .a import Annotated, imported, imported_unread\n"
+            "from .a import imported_as as alias\n"
+            "def f(y: Annotated):\n"
+            "    return imported() + alias()\n"
+            "Shadowed = 1\n"
+            "print(Shadowed)\n"
+        ),
+    }
+    assert _unread_public_names(sources) == [
+        "a.Shadowed", "a.imported_unread", "a.recursive", "b.f",
+    ]

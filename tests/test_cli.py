@@ -380,6 +380,7 @@ def test_dynamics_run_matches_library(tmp_path):
         ({"p": float("inf")}, []),
         ({}, ["--box", "1..80,1..80"]),
         ({}, ["--epsilon", "0.1,inf"]),
+        ({"epsilon": None}, []),
     ],
     ids=[
         "times-nan",
@@ -388,6 +389,7 @@ def test_dynamics_run_matches_library(tmp_path):
         "p-infinite",
         "box-over-limit",
         "epsilon-infinite",
+        "epsilon-null",
     ],
 )
 def test_bad_dynamics_config_exits_2(tmp_path, capsys, config, flags):
@@ -594,9 +596,10 @@ def test_couple_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_verify_solves_g_and_g_off_x_once_per_trial(tmp_path, monkeypatch):
     # G_z[H] and G_z[A_X] feed the Schur, resolvent and kernel checks, and
-    # the kernel identity solves G_z[gV|_G - D - K] (kernel_K reads its fold
-    # off an eigendecomposition): 3 solves per trial there; the hedgehog
-    # checks add G_z[H(0)] once and 3 solves for each of their two potentials
+    # the kernel identity solves G_z[gV|_G - D - K] (`TrimmedSplit.kernel`
+    # reads its fold off an eigendecomposition): 3 solves per trial there;
+    # the hedgehog checks add G_z[H(0)] once and 3 solves for each of their
+    # two potentials
     from trimlab import coupling, fracmoment, spectral
     import trimlab.cli as cli
 

@@ -1,6 +1,8 @@
 """Config fuzz of the CLI: every experiment, on tiny boxes, at edge values
 of g, s, eta, energy and epsilon, ends in exit 0 (ok), 2 (config error)
-or 3 (numeric failure).  An uncaught exception, exit 1, is a bug.
+or 3 (numeric failure).  An uncaught exception, exit 1, is a bug.  A
+JSON boolean in a numeric field of the config file, which float(), int()
+and isinstance(x, int) all accept, ends in exit 2.
 
 `couple` is fuzzed up to dispatch only: its 200-quadrature search for
 the decoupling constant takes about 0.5 s per run, too long for a fuzz
@@ -10,6 +12,7 @@ once the config has passed every check made before dispatch.
 
 from __future__ import annotations
 
+import json
 import math
 from unittest import mock
 
@@ -32,6 +35,11 @@ GAMMAS_BY_DIM = {
     2: GAMMAS + ("gamma1:2,2", "gamma2:3", "cell:2x2:1001"),
     3: GAMMAS + ("cell:2x1x2:1001",),
 }
+BOOLEAN_EDGES = (
+    ("g", True), ("s", False), ("samples", True), ("seed", False),
+    ("threads", True), ("v0", True), ("epsilon", True),
+    ("epsilon", [True, 0.5]), ("times", [1.0, True]),
+)  # fmt: skip
 
 
 class Dispatched(BaseException):
@@ -43,7 +51,11 @@ def _dispatched(config, ens, rho):
 
 
 @st.composite
-def _argv(draw):
+def _case(draw):
+    """(argv, config file contents): the file holds at most one boolean
+    edge, whose field then gets no flag (a flag would override it)."""
+    boolean = draw(st.none() | st.none() | st.sampled_from(BOOLEAN_EDGES))
+    config = dict([boolean]) if boolean else {}
     experiment = draw(st.sampled_from(EXPERIMENTS))
     sides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     lo = draw(st.lists(st.integers(-2, 2), min_size=len(sides), max_size=len(sides)))
@@ -52,19 +64,21 @@ def _argv(draw):
     # "--box=": after a bare --box, a box starting at a negative coordinate
     # reads as a flag
     argv = [experiment, f"--box={box}", f"--gamma={gamma}"]
-    argv.append(f"--samples={draw(st.integers(1, 4))}")
+    samples = draw(st.integers(1, 4))
+    if "samples" not in config:
+        argv.append(f"--samples={samples}")
     # most fields keep their default, so each edge also meets valid values
     for field in ("g", "s", "eta", "energy"):
         value = draw(st.none() | st.none() | st.sampled_from(EDGES))
-        if value is not None:
+        if value is not None and field not in config:
             argv.append(f"--{field}={value!r}")
     eps = draw(
         st.none()
         | st.lists(st.sampled_from(EPSILON_EDGES), min_size=1, max_size=3, unique=True)
     )
-    if eps is not None:
+    if eps is not None and "epsilon" not in config:
         argv.append("--epsilon=" + ",".join(repr(e) for e in eps))
-    return argv
+    return argv, config
 
 
 @settings(
@@ -74,12 +88,18 @@ def _argv(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(_argv())
-def test_edge_configs_exit_0_2_or_3(tmp_path_factory, argv):
-    out = str(tmp_path_factory.getbasetemp() / "fuzz")
+@given(_case())
+def test_edge_configs_exit_0_2_or_3(tmp_path_factory, case):
+    argv, config = case
+    base = tmp_path_factory.getbasetemp()
+    if config:
+        path = base / "fuzz-config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, f"--config={path}"]
     with mock.patch.dict(cli._RUNNERS, couple=_dispatched):
         try:
-            code = cli.main([*argv, "--out", out])
+            code = cli.main([*argv, "--out", str(base / "fuzz")])
         except Dispatched:
+            assert not config
             return
-    assert code in (0, 2, 3)
+    assert code == 2 if config else code in (0, 2, 3)

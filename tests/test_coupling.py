@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from trimlab.coupling import (
-    coupled_weak_operator,
     s2w_identity_check,
     u_sharp,
     weak_disorder_bound_check,
@@ -32,6 +31,11 @@ def test_u_sharp_reciprocal_of_shifted_potential():
     z = 1.0 + 1e-4j
     u = z - 1.0 / gv
     np.testing.assert_allclose(u_sharp(u, z), gv, atol=1e-12)
+    # the reciprocal potential shrinks as g grows: weak disorder from strong
+    v = np.random.default_rng(5).random(11) + 0.05
+    weak100 = np.max(np.abs(u_sharp(100.0 * v, 2.0 + 1e-3j)))
+    weak_big = np.max(np.abs(u_sharp(1e6 * v, 2.0 + 1e-3j)))
+    assert weak_big < weak100 and weak_big < 1e-4
 
 
 def test_s2w_scalar_identity():
@@ -174,19 +178,3 @@ def test_weak_disorder_bound_requires_full_disorder():
     with pytest.raises(ValueError):
         weak_disorder_bound_check(ens, -1.0, 1e-4, 0.5, DecayMetric(0.1), 2.5)
 
-
-def test_coupled_weak_operator():
-    box = make_box(1, (0,), (10,))
-    h0 = assemble(box, FullMask(), None, 0.0, None)
-    rng = np.random.default_rng(5)
-    v = rng.random(11) + 0.05
-    out100 = coupled_weak_operator(h0, 100.0 * v, 2.0, 1e-3)
-    out_big = coupled_weak_operator(h0, 1e6 * v, 2.0, 1e-3)
-    # reciprocal potential shrinks as g grows: weak disorder from strong
-    assert out_big["effective_strength"] < out100["effective_strength"]
-    assert out_big["effective_strength"] < 1e-4
-    np.testing.assert_allclose(out100["matrix"], out100["matrix"].T, atol=0)
-    with pytest.raises(ZeroDivisionError):
-        coupled_weak_operator(h0, np.full(11, 2.0), 2.0, 0.0)
-    with pytest.raises(ValueError):
-        coupled_weak_operator(h0, np.ones(3), 2.0, 1e-3)

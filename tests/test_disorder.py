@@ -18,11 +18,10 @@ from trimlab.disorder import (
     regularity_check,
     sample_potential,
     spec_from_descriptor,
-    window_mass,
 )
 from trimlab.lattice import PHILOX_PAIRS, Gamma1Mask, make_box, mask_vector
 
-from oracles import draw, draw_vector
+from oracles import draw, draw_vector, window_mass
 
 
 def test_uniform_normalization_and_moment():

@@ -9,9 +9,9 @@ from trimlab.disorder import Uniform
 from trimlab.dynamics import (
     _distance_powers,
     _Factored,
+    dynamics_samples,
     laplace_moment_check,
     moment_Mp,
-    moment_curve,
     pmoment_probe,
 )
 from trimlab.fracmoment import CHUNK_ENTRIES, EnsembleSpec
@@ -66,8 +66,6 @@ def test_p_validated_everywhere(p):
     ham = _free_chain(9)
     with pytest.raises(ValueError, match="p must be"):
         moment_Mp(ham, (4,), 1.0, p)
-    with pytest.raises(ValueError, match="p must be"):
-        moment_curve(ham, (4,), [1.0, 2.0], p)
     with pytest.raises(ValueError, match="p must be"):
         laplace_moment_check(ham, 0.0, 0.1, p, (4,))
     with pytest.raises(ValueError, match="p must be"):
@@ -139,11 +137,10 @@ def test_moment_order_monotone_beyond_unit_distance():
 def test_ballistic_growth_exponent():
     ham = assemble(make_box(1, (0,), (40,)), FullMask(), None, 0.0, None)
     ts = [1.0, 2.0, 3.0, 4.0, 5.0]
-    curve = moment_curve(ham, (20,), ts, 2.0)
+    values = dynamics_samples(ham, (20,), 2.0, ts)[0]
     a = np.vstack([np.log(ts), np.ones(len(ts))]).T
-    coef, *_ = np.linalg.lstsq(a, np.log(curve.values), rcond=None)
+    coef, *_ = np.linalg.lstsq(a, np.log(values), rcond=None)
     assert coef[0] == pytest.approx(2.0, abs=0.1)
-    assert curve.saturation_time is None  # front has not hit the edge
 
 
 def test_laplace_check_one_site():
@@ -206,7 +203,7 @@ def test_pmoment_projection_limit():
     sd = eigendecompose(ham)
     from trimlab.spectral import point_projection
 
-    p4 = point_projection(sd, 4.0).p
+    p4 = point_projection(sd, 4.0)
     sites = tuple(box.sites())
     x = (3, 3)
     ix = box.index(x)

@@ -17,10 +17,10 @@ from trimlab.fracmoment import (
     chi_kernel,
     chi_resolvent_inequalities,
     g_scaling_exponent,
-    kernel_K,
     kernel_identity_residual,
     loc1_threshold,
     mc_fractional_moment,
+    trimmed_split,
     wegner_count,
     wegner_preconditions,
     wegner_uniform_bound_probe,
@@ -30,10 +30,10 @@ from trimlab.lattice import (
     FullMask,
     Gamma1Mask,
     PeriodicCellMask,
+    l1_distances,
     make_box,
 )
 from trimlab.operators import (
-    adjacency_operator,
     assemble,
     laplacian_matrix,
     resolve_v0,
@@ -48,7 +48,8 @@ RHO = DecayMetric(0.1)
 
 
 def test_decay_metric():
-    assert DecayMetric(0.1).evaluate((0, 0), (2, 3)) == pytest.approx(0.5)
+    w = DecayMetric(0.1).weight_matrix([(0, 0)], [(2, 3)])
+    assert math.log(w[0, 0]) == pytest.approx(0.5)
     assert DecayMetric(0.2).norm == 0.2
     with pytest.raises(ValueError):
         DecayMetric(-1.0)
@@ -240,7 +241,7 @@ def test_kernel_K_rejects_trimmed_spectrum_point():
 
     box = make_box(2, (1, 1), (5, 5))
     with pytest.raises(SpectralParameterOnSpectrum):
-        kernel_K(Gamma1Mask(2, 2), box, None, 4.0)
+        trimmed_split(box, Gamma1Mask(2, 2), None).kernel(4.0)
 
 
 def test_loc1_threshold():
@@ -332,8 +333,9 @@ ARRAY_BOX = make_box(2, (1, 1), (6, 5))
 
 
 def _kernel_K_loop(mask, box, v0, z):
-    """(K, D, sites, trimmed spectrum) as `kernel_K` computed them site by
-    site: Delta|_G - V0|_G + T G_z[H_G] T^T with T from `adjacency_operator`."""
+    """(K, D, sites, trimmed spectrum) as `TrimmedSplit.kernel` computed
+    them site by site: Delta|_G - V0|_G + T G_z[H_G] T^T with T the
+    adjacency of Gamma and Gamma^c sites."""
     h0 = assemble(box, mask, v0, 0.0, None)
     gamma_sites = tuple(s for s in box.sites() if s in mask)
     idx = [box.index(s) for s in gamma_sites]
@@ -346,7 +348,7 @@ def _kernel_K_loop(mask, box, v0, z):
         spectrum = np.linalg.eigvalsh(h_gamma.matrix)
         if complex(z).imag == 0 and np.min(np.abs(spectrum - complex(z).real)) <= 1e-10:
             raise SpectralParameterOnSpectrum("on the trimmed spectrum")
-        t = adjacency_operator(gamma_sites, box).matrix
+        t = (l1_distances(gamma_sites, comp_sites) == 1).astype(float)
         m += t @ green(h_gamma, z) @ t.T
     d = np.diag(m).copy()
     return m - np.diag(d), d, gamma_sites, spectrum
@@ -368,9 +370,9 @@ def test_kernel_and_threshold_read_gamma_as_arrays(mask, z):
         k, d, sites, spectrum = _kernel_K_loop(mask, box, v0, z)
     except SpectralParameterOnSpectrum:
         with pytest.raises(SpectralParameterOnSpectrum):
-            kernel_K(mask, box, v0, z)
+            trimmed_split(box, mask, v0).kernel(z)
         return
-    kd = kernel_K(mask, box, v0, z)
+    kd = trimmed_split(box, mask, v0).kernel(z)
     assert kd["sites"] == sites
     assert _near(kd["K"], k) and _near(kd["D"], d)
     assert _near(kd["trimmed_spectrum"], spectrum)
@@ -400,7 +402,7 @@ def test_split_is_cached_read_only_and_serves_kernel_K(mask):
     assert v0.flags.writeable  # the caller's v0 is left as it was
     assert split.sites == tuple(s for s in box.sites() if s in mask)
     for z in (0.5 + 0.3j, -1.0):
-        kd, ref = ens.split.kernel(z), kernel_K(mask, box, v0, z)
+        kd, ref = ens.split.kernel(z), trimmed_split(box, mask, v0).kernel(z)
         assert kd["sites"] == ref["sites"]
         for key in ("K", "D", "trimmed_spectrum"):
             assert kd[key].tobytes() == ref[key].tobytes()

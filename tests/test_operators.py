@@ -9,7 +9,6 @@ from trimlab.disorder import SampleStream, Uniform, sample_potential
 from trimlab.lattice import FullMask, Gamma1Mask, Gamma2Mask, make_box
 from trimlab.operators import (
     DENSE_LIMIT,
-    adjacency_operator,
     assemble,
     hedgehog_assemble,
     laplacian_matrix,
@@ -127,33 +126,6 @@ def test_trimmed_restriction_full_mask_errors():
     ham = assemble(box, FullMask(), None, 0.0, None)
     with pytest.raises(ValueError, match="empty complement"):
         trimmed_restriction(ham)
-
-
-def test_adjacency_operator():
-    box = make_box(2, (0, 0), (2, 2))
-    x_sites = [(0, 0), (0, 1)]
-    t = adjacency_operator(x_sites, box)
-    assert t.matrix.shape == (2, 7)
-    total = 0
-    for i, x in enumerate(t.rows):
-        for j, y in enumerate(t.cols):
-            expected = 1.0 if sum(abs(a - b) for a, b in zip(x, y)) == 1 else 0.0
-            assert t.matrix[i, j] == expected
-            total += t.matrix[i, j]
-    assert total == 3.0  # boundary edges of the two-site block
-
-
-def test_adjacency_operator_3d_and_out_of_box():
-    box = make_box(3, (0, 0, 0), (2, 2, 1))
-    x_sites = [(1, 1, 0), (0, 0, 1), (2, 1, 1)]
-    t = adjacency_operator(x_sites, box)
-    assert t.matrix.shape == (3, box.size - 3)
-    for i, x in enumerate(t.rows):
-        for j, y in enumerate(t.cols):
-            expected = 1.0 if sum(abs(a - b) for a, b in zip(x, y)) == 1 else 0.0
-            assert t.matrix[i, j] == expected
-    with pytest.raises(ValueError, match="outside the ambient box"):
-        adjacency_operator([(3, 0, 0)], box)
 
 
 def test_assemble_off_gamma_error_names_site():

@@ -20,7 +20,6 @@ from trimlab.spectral import (
     point_projection,
     resolvent_identity_residual,
     schur_green,
-    spectral_projection,
 )
 
 
@@ -174,7 +173,7 @@ def _identity_residual_loop(ham, x_sites, z, case, shift):
 
 
 @pytest.mark.parametrize("case", ["in-out", "out-in", "out-out"])
-@pytest.mark.parametrize("region", ["box", "restricted", "empty-complement"])
+@pytest.mark.parametrize("region", ["box", "restricted", "empty-complement", "3d"])
 @pytest.mark.parametrize("shift", [0.0, 0.3])
 def test_resolvent_identity_matches_loop(monkeypatch, case, region, shift):
     # shift != 0 perturbs A_X, so both residuals are O(1), not round-off
@@ -183,7 +182,12 @@ def test_resolvent_identity_matches_loop(monkeypatch, case, region, shift):
     if region == "restricted":
         ham = restrict(ham, [s for s in sites if s != (2, 2) and s[1] != 4])
         sites = ham.site_list()
-    if region == "empty-complement":
+    if region == "3d":
+        box = make_box(3, (0, 0, 0), (2, 2, 1))
+        v = sample_potential(SampleStream(Uniform(), 4), FullMask(), box, 0)
+        ham = assemble(box, FullMask(), None, 2.0, v)
+        x_sites = [(1, 1, 0), (0, 0, 1), (2, 1, 1)]
+    elif region == "empty-complement":
         x_sites = sites
     else:
         x_sites = [s for s in sites if s[0] <= 2]
@@ -209,19 +213,20 @@ def test_resolvent_identity_unknown_case():
 def test_spectral_projection_idempotent():
     ham = _random_ham(2)
     sd = eigendecompose(ham)
-    mid = float(np.median(sd.eigenvalues))
-    pp = spectral_projection(sd, sd.eigenvalues[0], mid)
-    np.testing.assert_allclose(pp.p @ pp.p, pp.p, atol=1e-12)
-    np.testing.assert_allclose(pp.p + pp.q, np.eye(sd.n), atol=1e-12)
-    assert pp.rank == int(round(np.trace(pp.p)))
+    p = point_projection(sd, float(sd.eigenvalues[sd.n // 2]))
+    np.testing.assert_allclose(p @ p, p, atol=1e-12)
+    q = np.eye(sd.n) - p
+    np.testing.assert_allclose(q @ q, q, atol=1e-12)
+    assert int(round(np.trace(p))) == 1
 
 
 def test_point_projection_and_gap():
     box = make_box(2, (1, 1), (3, 3))
     ham = assemble(box, Gamma1Mask(2, 2), None, 0.0, None)
     sd = eigendecompose(ham)
-    pp = point_projection(sd, 4.0)
-    assert pp.rank == 3  # tensor degeneracy of the 3x3 grid at the middle
+    p = point_projection(sd, 4.0)
+    # tensor degeneracy of the 3x3 grid at the middle
+    assert int(round(np.trace(p))) == 3
     gm = gap_and_mult(sd, 4.0)
     assert gm["mult"] == 3
     assert gm["gap"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
