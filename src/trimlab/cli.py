@@ -6,9 +6,10 @@ JSON file plus flag overrides (flags win).  Each run writes
 fields are printed with 17 significant digits in lowercase scientific
 notation so that reruns are byte-identical.
 
-`main` validates the config once, before dispatch: `_resolved` coerces
-it in place, builds the ensemble and the decay metric and runs the
-experiment's own checks, and every runner receives (config, ens, rho).
+`main` raises every config error before dispatch: `_load_config` checks
+each field once against its kind in `_FIELDS`, and `_resolved` applies
+the range rules and the experiment's own checks (wegner's hypotheses
+among them) and builds the (ens, rho) every runner receives with config.
 
 The thread count (--threads, TRIMLAB_THREADS, default os.cpu_count()) is
 validated and recorded in the JSON config echo, and nothing else reads
@@ -81,27 +82,62 @@ from .spectral import (
 #: residual at or below which an exact identity row passes (verify, couple)
 IDENTITY_TOL = 1e-10
 
-_DEFAULTS = {
-    "box": "1..5,1..5",
-    "gamma": "gamma1:2,2",
-    "disorder": "uniform:0,1",
-    "v0": None,
-    "g": 5.0,
-    "s": 1.0 / 3.0,
-    "eta": 0.1,
-    "energy": 4.0,
-    "epsilon": [0.1],
-    "p": 2.0,
-    "times": [0.5, 1.0, 2.0, 4.0],
-    "samples": 100,
-    "seed": 0,
-    "threads": None,
-    "out": "trimlab-out",
+
+def _floats(text: str) -> list:
+    """The --epsilon flag: comma-separated numbers."""
+    return [float(v) for v in text.split(",")]
+
+
+#: field -> (default, kind); a kind is the parse function of the field's
+#: flag, and v0's, None, takes null, one number or a list of numbers
+_FIELDS = {
+    "box": ("1..5,1..5", str),
+    "gamma": ("gamma1:2,2", str),
+    "disorder": ("uniform:0,1", str),
+    "v0": (None, None),
+    "g": (5.0, float),
+    "s": (1.0 / 3.0, float),
+    "eta": (0.1, float),
+    "energy": (4.0, float),
+    "epsilon": ([0.1], _floats),
+    "p": (2.0, float),
+    "times": ([0.5, 1.0, 2.0, 4.0], _floats),
+    "samples": (100, int),
+    "seed": (0, int),
+    "threads": (None, int),
+    "out": ("trimlab-out", str),
+}
+_KINDS = {
+    str: "a string",
+    float: "a finite number",
+    int: "an integer",
+    _floats: "a list of finite numbers",
+    None: "null, a finite number or a list of finite numbers",
 }
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _finite(value) -> bool:
+    # type(), not isinstance(): a JSON boolean is an int; abs() compares
+    # an int too large for a float without converting it
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _checked(key: str, value):
+    """`value` (a number as a float) if it is of `key`'s kind, else ConfigError."""
+    kind = _FIELDS[key][1]
+    if kind in (str, int):
+        ok = type(value) is kind
+    elif type(value) is list and kind in (_floats, None):
+        ok = all(map(_finite, value))
+    else:  # one number; v0's kind, None, also takes null
+        ok = kind in (float, None) and (_finite(value) or value is kind)
+    if not ok:
+        raise ConfigError(f"field {key!r} must be {_KINDS[kind]}")
+    return float(value) if kind is float else value
 
 
 def _parse_box(text: str) -> LatticeBox:
@@ -112,7 +148,7 @@ def _parse_box(text: str) -> LatticeBox:
             lo.append(int(a))
             hi.append(int(b))
         return LatticeBox(tuple(lo), tuple(hi))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"malformed box descriptor {text!r}: {exc}") from exc
 
 
@@ -127,26 +163,21 @@ def _fmt(value) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    config = dict(_DEFAULTS)
+    """Defaults, then the config file, then flags; each field checked."""
+    config = {key: default for key, (default, _) in _FIELDS.items()}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        unknown = set(loaded) - set(_DEFAULTS)
+        unknown = set(loaded) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
     # every flag but --config overrides the config key of its name
-    overrides = {
-        k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None
-    }
-    if "epsilon" in overrides:
-        try:
-            overrides["epsilon"] = [float(v) for v in overrides["epsilon"].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"malformed epsilon list: {exc}") from exc
-    config.update(overrides)
+    config.update(
+        (k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None
+    )
     if config["threads"] is None:
         env = os.environ.get("TRIMLAB_THREADS")
         try:
@@ -155,12 +186,13 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(
                 f"TRIMLAB_THREADS must be an integer, not {env!r}"
             ) from exc
-    return config
+    return {key: _checked(key, value) for key, value in config.items()}
 
 
 def _resolved(config: dict, experiment: str):
-    """Coerce the config in place, build the ensemble and decay metric
-    the experiment consumes, then run its entry of _CHECKS.
+    """Build the ensemble and decay metric the experiment consumes from
+    a config `_load_config` has checked, holding each field to its range
+    rules, then run the experiment's entry of _CHECKS.
 
     localize takes the slice recursion, which holds L W**2 + W n complex
     entries per realization (`fracmoment.slice_geometry`): they must not
@@ -190,47 +222,16 @@ def _resolved(config: dict, experiment: str):
         raise ConfigError(
             f"box has {box.size} sites, over the dense limit {DENSE_LIMIT}"
         )
-    # a JSON boolean passes float(), int() and isinstance(x, int)
-    for key in "v0 g s eta energy p epsilon times samples seed threads".split():
-        values = config[key] if isinstance(config[key], list) else [config[key]]
-        if any(isinstance(v, bool) for v in values):
-            raise ConfigError(f"field {key!r} must hold numbers, not booleans")
     try:
         resolve_v0(config["v0"], box)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"field 'v0' must be null, a number or one number per site "
-            f"({box.size} sites): {exc}"
-        ) from exc
-    for key in ("g", "s", "eta", "energy", "p"):
-        try:
-            config[key] = float(config[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field {key!r} must be a number") from exc
-        if not math.isfinite(config[key]):
-            raise ConfigError(f"field {key!r} must be a finite number")
-    for key in ("samples", "seed", "threads"):
-        try:
-            config[key] = int(config[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field {key!r} must be an integer") from exc
-    if config["samples"] < 1:
-        raise ConfigError("samples must be >= 1")
-    if isinstance(config["epsilon"], (int, float)):
-        config["epsilon"] = [float(config["epsilon"])]
-    if not isinstance(config["epsilon"], list) or not all(
-        isinstance(e, (int, float)) and 0 < e < math.inf for e in config["epsilon"]
-    ):
-        raise ConfigError("epsilon values must be positive finite numbers")
-    if len(set(config["epsilon"])) != len(config["epsilon"]):
-        raise ConfigError("epsilon values must be distinct")
-    if config["p"] < 0:
-        raise ConfigError("p must be a nonnegative finite number")
-    times = config["times"]
-    if not isinstance(times, list) or not all(
-        isinstance(t, (int, float)) and math.isfinite(t) for t in times
-    ):
-        raise ConfigError("times must be a list of finite numbers")
+    except ValueError as exc:
+        raise ConfigError(f"field 'v0' on {box.size} sites: {exc}") from exc
+    for key, low in (("samples", 1), ("threads", 1), ("p", 0)):
+        if config[key] < low:
+            raise ConfigError(f"field {key!r} must be >= {low}")
+    eps = config["epsilon"]
+    if not eps or min(eps) <= 0 or len(set(eps)) != len(eps):
+        raise ConfigError("epsilon values must be distinct and positive, one or more")
     try:
         rho = DecayMetric(config["eta"])
     except ValueError as exc:
@@ -329,12 +330,6 @@ def _run_localize(config: dict, ens: EnsembleSpec, rho: DecayMetric):
 
 
 def _run_wegner(config: dict, ens: EnsembleSpec, rho: DecayMetric):
-    try:
-        # the counting bound's hypotheses, decided from H(0) before sampling;
-        # wegner_count reads the same cached eigenpairs of H(0)
-        wegner_preconditions(ens, config["energy"], config["epsilon"])
-    except ValueError as exc:
-        raise ConfigError(f"wegner: {exc}") from exc
     reports = wegner_count(ens, config["energy"], config["epsilon"])
     rows = [
         [
@@ -516,21 +511,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--g", type=float, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--energy", type=float, default=None)
-        p.add_argument("--epsilon", default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument(
-            "--box",
-            default=None,
-            help="lo..hi[,lo..hi]; write --box=lo..hi when lo is negative",
-        )
-        p.add_argument("--gamma", default=None)
+        for key in "seed threads out g s eta energy epsilon samples gamma".split():
+            p.add_argument(f"--{key}", type=_FIELDS[key][1])
+        box_help = "lo..hi[,lo..hi]; write --box=lo..hi when lo is negative"
+        p.add_argument("--box", type=_FIELDS["box"][1], help=box_help)
     return parser
 
 
@@ -538,6 +522,15 @@ def _check_localize(ens: EnsembleSpec, config: dict) -> None:
     """chi_rho(E|G|^s) is estimated for 0 < s <= 1 only."""
     if not 0 < config["s"] <= 1:
         raise ConfigError("field 's' must satisfy 0 < s <= 1 for localize")
+
+
+def _check_wegner(ens: EnsembleSpec, config: dict) -> None:
+    """The counting bound's hypotheses, decided from H(0) before sampling;
+    wegner_count reads the same cached eigenpairs of H(0)."""
+    try:
+        wegner_preconditions(ens, config["energy"], config["epsilon"])
+    except ValueError as exc:
+        raise ConfigError(f"wegner: {exc}") from exc
 
 
 def _check_dynamics(ens: EnsembleSpec, config: dict) -> None:
@@ -564,6 +557,7 @@ def _check_couple(ens: EnsembleSpec, config: dict) -> None:
 #: per-experiment checks that `_resolved` runs last
 _CHECKS = {
     "localize": _check_localize,
+    "wegner": _check_wegner,
     "dynamics": _check_dynamics,
     "couple": _check_couple,
 }
@@ -580,10 +574,6 @@ def main(argv=None) -> int:
     try:
         record = run(args.experiment, config, ens, rho)
         csv_path, _ = emit(record, config["out"])
-    except ConfigError as exc:
-        # a hypothesis a runner decides before it samples (wegner's)
-        print(f"trimlab: config error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, RuntimeError, MemoryError, OSError) as exc:
         # numeric, memory or I/O failure after validation (a window whose
         # arrays do not fit); anything else is a bug and keeps its traceback

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 
 from trimlab.anomalous import compact_eigenfunctions, gamma1_eigenfunction
 from trimlab.coupling import s2w_identity_check
@@ -30,9 +29,7 @@ from trimlab.lattice import (
     FullMask,
     Gamma1Mask,
     Gamma2Mask,
-    LatticeBox,
     make_box,
-    mask_from_descriptor,
 )
 from trimlab.operators import assemble, trimmed_restriction
 from trimlab.spectral import (

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from trimlab.anomalous import (
 from trimlab.lattice import (
     FullMask,
     Gamma1Mask,
-    Gamma2Mask,
     ball,
     make_box,
 )

@@ -141,9 +141,10 @@ def _unused_imports(tree: ast.AST) -> list[tuple[str, int]]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
+    paths = [*SRC.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]
     unused = {
-        path.name: _unused_imports(ast.parse(path.read_text()))
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}": _unused_imports(ast.parse(path.read_text()))
+        for path in sorted(paths)
     }
     assert {name: found for name, found in unused.items() if found} == {}
 

@@ -291,11 +291,21 @@ def test_config_roundtrip(tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", " "])
-def test_non_integer_trimlab_threads_exits_2(tmp_path, monkeypatch, capsys, value):
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "TRIMLAB_THREADS"),
+        ("1.5", "TRIMLAB_THREADS"),
+        (" ", "TRIMLAB_THREADS"),
+        ("0", "field 'threads' must be >= 1"),
+    ],
+    ids=["abc", "1.5", " ", "0"],
+)
+def test_bad_trimlab_threads_exits_2(tmp_path, monkeypatch, capsys, value, message):
+    # a thread count of 0 is an integer, and as bad as one from --threads
     monkeypatch.setenv("TRIMLAB_THREADS", value)
     assert run_cli(["lattice-info", "--out", str(tmp_path)]) == 2
-    assert "TRIMLAB_THREADS" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "lattice-info.csv").exists()
 
 
@@ -381,6 +391,7 @@ def test_dynamics_run_matches_library(tmp_path):
         ({}, ["--box", "1..80,1..80"]),
         ({}, ["--epsilon", "0.1,inf"]),
         ({"epsilon": None}, []),
+        ({"epsilon": []}, []),
     ],
     ids=[
         "times-nan",
@@ -390,6 +401,7 @@ def test_dynamics_run_matches_library(tmp_path):
         "box-over-limit",
         "epsilon-infinite",
         "epsilon-null",
+        "epsilon-empty",
     ],
 )
 def test_bad_dynamics_config_exits_2(tmp_path, capsys, config, flags):
@@ -477,10 +489,12 @@ def test_repeated_epsilon_exits_2(tmp_path, capsys, experiment):
         ("dynamics", ["--epsilon", "1e-320"], "field 'epsilon'"),
         ("dynamics", ["--epsilon", "0.1,1e-200"], "field 'epsilon'"),
         ("dynamics", ["--epsilon", "1e200"], "field 'epsilon'"),
+        ("localize", ["--threads", "0"], "field 'threads' must be >= 1"),
     ],
     ids=[
         "localize-eta", "couple-eta", "dynamics-eta", "localize-s0", "localize-s1.5",
         "couple-s1", "dynamics-eps-1e-320", "dynamics-eps-1e-200", "dynamics-eps-1e200",
+        "localize-threads0",
     ],
 )
 def test_out_of_range_field_exits_2_before_dispatch(
@@ -488,7 +502,8 @@ def test_out_of_range_field_exits_2_before_dispatch(
 ):
     # a negative eta escaped as a traceback (exit 1), s outside (0, 1] exited
     # 3 from localize's engine, an eps whose square underflows wrote a NaN
-    # Laplace row with exit 0, and one whose square overflows exited 3
+    # Laplace row with exit 0, and one whose square overflows exited 3; a
+    # thread count of 0 ran
     import trimlab.cli as cli
 
     def dispatched(*args):
