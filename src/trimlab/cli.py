@@ -170,6 +170,9 @@ def _load_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(loaded, dict):
+            kind = type(loaded).__name__
+            raise ConfigError(f"config file must hold a JSON object, not {kind}")
         unknown = set(loaded) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

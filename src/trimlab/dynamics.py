@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracmoment import CHUNK_ENTRIES, _operator_stacks, sample_mean_stderr
+from .fracmoment import _operator_stacks, chunk_size, sample_mean_stderr
 from .lattice import LatticeBox, Site, l1_distances
 from .operators import HamiltonianMatrix
 from .spectral import eigendecompose
@@ -66,7 +66,7 @@ class _Factored:
         b = self.u.T @ (self.w[:, None] * self.u)
         b *= self.ux[:, None]
         b *= self.ux
-        step = max(1, CHUNK_ENTRIES // len(self.e))
+        step = chunk_size(len(self.e))
         total = 0.0
         for lo in range(0, len(self.e), step):
             k = np.subtract.outer(self.e[lo : lo + step], self.e)

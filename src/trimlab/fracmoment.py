@@ -4,21 +4,22 @@ threshold kernel, and eigenvalue-counting (Wegner) statistics.
 
 All Monte Carlo loops are serial, draw disorder through counter-based
 streams and reduce in sample-index order, so estimates are reproducible
-bit for bit.  The chi estimates at a non-real z (`localize`) never form
-an n x n matrix: H couples only adjacent slices x_1 = const of the box,
-so `_slice_sums` draws each chunk of realizations once and, at every z,
+bit for bit; every loop draws its chunks of realizations from
+`_chunks`.  The chi estimates at a non-real z (`localize`) never form an
+n x n matrix: H couples only adjacent slices x_1 = const of the box, so
+`_slice_sums` takes each chunk of `_slice_blocks` once and, at every z,
 reads the weighted column sums of |G_z|^s off the rows of blocks that
 `spectral.slice_green_rows` yields, a few W x W inversions per slice.
-Every other loop takes its operators from one generator of chunked
-(S, n, n) stacks, `_operator_stacks`: `mc_map` inverts them by LU, one
-inverse per realization and z, and resamples a realization that
-collides with a real z; the Wegner statistics and `dynamics` factor
-them by `eigh` once for every eps or t.
+Every other loop takes its operators from the chunked (S, n, n) stacks
+of `_operator_stacks`: `mc_map` inverts them by LU, one inverse per
+realization and z, and resamples a realization that collides with a
+real z; the Wegner statistics and `dynamics` factor them by `eigh` once
+for every eps or t.
 
 H(0) is built once per ensemble: `EnsembleSpec.split` caches a
 `TrimmedSplit` (H(0), the Gamma/Gamma^c indices and sites, the eigenpairs
-of H(0)|_{Gamma^c} and of H(0)) for the kernel K, the identity checks and the
-deterministic side of every other check.
+of H(0)|_{Gamma^c} and of H(0)) for `realization`, the kernel K, the
+identity checks and the deterministic side of every other check.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .disorder import DisorderSpec, SampleStream, sample_potential
 from .lattice import LatticeBox, Site, SublatticeMask, l1_distances, mask_vector
-from .operators import HamiltonianMatrix, assemble, laplacian_matrix, resolve_v0
+from .operators import HamiltonianMatrix, assemble, diagonal, laplacian_matrix, resolve_v0
 from .spectral import (
     SpectralData,
     SpectralParameterOnSpectrum,
@@ -118,17 +119,17 @@ class EnsembleSpec:
     master_seed: int = 0
     samples: int = 100
 
-    def stream(self) -> SampleStream:
-        return SampleStream(self.dist, self.master_seed)
-
     def potential(self, sample_index) -> np.ndarray:
         """V of one sample index; a sequence of indices gives one row each."""
-        return sample_potential(self.stream(), self.mask, self.box, sample_index)
+        stream = SampleStream(self.dist, self.master_seed)
+        return sample_potential(stream, self.mask, self.box, sample_index)
 
     def realization(self, sample_index: int) -> HamiltonianMatrix:
-        return assemble(
-            self.box, self.mask, self.v0, self.g, self.potential(sample_index)
-        )
+        """H(g)|_B of one sample index: a copy of split.h0, diagonal rewritten."""
+        h = self.split.h0.matrix.copy()
+        v0, v = resolve_v0(self.v0, self.box), self.potential(sample_index)
+        h[np.diag_indices_from(h)] = diagonal(self.box, v0, self.g, v)
+        return HamiltonianMatrix(self.box, h, self.mask)
 
     @functools.cached_property
     def split(self) -> TrimmedSplit:
@@ -144,16 +145,26 @@ class ResampleBudgetExceeded(RuntimeError):
 CHUNK_ENTRIES = 1 << 16
 
 
-def chunk_size(n: int) -> int:
-    """Samples per chunk for n-site operators: max(1, 2**16 // n**2)."""
-    return max(1, CHUNK_ENTRIES // (n * n))
+def chunk_size(entries: int) -> int:
+    """Samples (or rows) per chunk for `entries` entries per sample (or
+    row): max(1, CHUNK_ENTRIES // entries)."""
+    return max(1, CHUNK_ENTRIES // entries)
+
+
+def _chunks(ens: EnsembleSpec, entries: int):
+    """(sample indices, potentials (S, n) from one draw) per chunk of
+    chunk_size(entries) samples, in sample order: every engine's draws."""
+    step = chunk_size(entries)
+    for start in range(0, ens.samples, step):
+        idx = np.arange(start, min(start + step, ens.samples))
+        yield idx, ens.potential(idx)
 
 
 def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
     """Evaluate the ensemble at z in sample-index order; returns
     (values, n_resampled).
 
-    The samples go through in chunks (chunk_size of the box): the
+    The samples go through the chunks of `_operator_stacks`: the
     potentials are drawn as one (S, n) array, the operators built as one
     stack and inverted by `green` at once, and per_chunk(gs) maps the
     chunk's (S, n, n) stack of G_z to one row per sample; values holds
@@ -187,36 +198,26 @@ def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
 
 
 def _operator_stacks(ens: EnsembleSpec):
-    """(sample indices, potentials, stack, redraw) per chunk of the
-    ensemble, in sample order; no linear algebra.
-
-    The potentials are (S, n) and the stack (S, n, n), for the chunk's
-    sample indices; redraw(rows, samples) overwrites the given rows of
-    both with those of other sample indices.  The diagonal is formed as
-    `assemble` forms it, so every matrix equals ens.realization(i).matrix
-    bit for bit.
-    """
+    """(sample indices, potentials, stack, redraw) per chunk of `_chunks`
+    at n**2 entries per sample; no linear algebra.  The (S, n, n) stack is
+    one buffer, given H(0)'s neighbour couplings once per pass and only
+    new diagonals (`operators.diagonal`) per chunk, so each matrix equals
+    ens.realization(i).matrix bit for bit, and the next chunk overwrites
+    it.  redraw(rows, samples) overwrites the given rows of the potentials
+    and the stack with those of other sample indices."""
     box = ens.box
-    stream = ens.stream()
-    lap = laplacian_matrix(box)
-    hops = np.nonzero(lap)
-    lap_hops, lap_diag = lap[hops], np.diag(lap).copy()
-    del lap  # only its nonzeros are needed, not n**2 floats beside each stack
     v0 = resolve_v0(ens.v0, box)
-    n = box.size
-    diag = np.arange(n)
-    step = chunk_size(n)
-    for start in range(0, ens.samples, step):
-        idx = np.arange(start, min(start + step, ens.samples))
-        v = np.empty((len(idx), n))
-        h = np.zeros((len(idx), n, n))
-        h[:, hops[0], hops[1]] = lap_hops
+    d = np.arange(box.size)
+    buf = np.empty((min(chunk_size(box.size**2), ens.samples), box.size, box.size))
+    buf[:] = laplacian_matrix(box)
+    for idx, v in _chunks(ens, box.size**2):
+        h = buf[: len(idx)]
 
         def redraw(rows: np.ndarray, samples: np.ndarray, v=v, h=h) -> None:
-            v[rows] = sample_potential(stream, ens.mask, box, samples)
-            h[rows[:, None], diag, diag] = lap_diag + (v0 + ens.g * v[rows])
+            v[rows] = ens.potential(samples)
+            h[rows[:, None], d, d] = diagonal(box, v0, ens.g, v[rows])
 
-        redraw(np.arange(len(idx)), idx)
+        h[:, d, d] = diagonal(box, v0, ens.g, v)
         yield idx, v, h, redraw
 
 
@@ -229,39 +230,25 @@ def slice_geometry(box: LatticeBox) -> tuple[int, int, int]:
     return n_l, w, n_l * w * w + w * box.size
 
 
-def _slice_laplacian(box: LatticeBox) -> np.ndarray:
-    """The W x W block of -Delta on one slice x_1 = const of the box, with
-    the full-lattice diagonal 2d: every diagonal block of H(0) but V0."""
-    if box.dim == 1:
-        return np.full((1, 1), 2.0)
-    t = laplacian_matrix(LatticeBox(box.lo[1:], box.hi[1:]))
-    t[np.diag_indices_from(t)] += 2.0
-    return t
-
-
 def _slice_blocks(ens: EnsembleSpec):
-    """The (S, L, W, W) diagonal blocks of H along axis 0 per chunk of the
-    ensemble, in sample order, each chunk from one draw; the diagonal is
-    formed as `assemble` forms it.  The chunks are sized by
-    L W**2 + 2 W n complex entries per sample, CHUNK_ENTRIES per chunk: a
-    sizing constant, kept so that chunks do not move, and not the working
-    set.  The recursion holds L W**2 + W n of them (`slice_geometry`), and
-    `_slice_sums` adds the real blocks, |G|^s of one row and the weights:
-    on a 21 x 21 box with 30 samples and 2 z, numpy's peak was 1.16 MiB at
-    2 samples per chunk."""
+    """The (S, L, W, W) diagonal blocks of H along axis 0 per chunk of
+    `_chunks` at L W**2 + 2 W n complex entries per sample: a sizing
+    constant that keeps the chunks where they were, not the working set,
+    which is L W**2 + W n (`slice_geometry`) plus what `_slice_sums` adds
+    (on 21 x 21 with 30 samples and 2 z, numpy's peak was 1.16 MiB at 2
+    samples per chunk).  The blocks are one buffer, given the slice
+    Laplacian once per pass and only new diagonals (`operators.diagonal`)
+    per chunk, so the next chunk overwrites them."""
     box = ens.box
-    n_l, w, entries = slice_geometry(box)
-    t = _slice_laplacian(box)
+    n_l, w, held = slice_geometry(box)
     v0 = resolve_v0(ens.v0, box)
-    d = np.arange(w)
-    step = max(1, CHUNK_ENTRIES // (entries + w * box.size))
-    stream = ens.stream()
-    for start in range(0, ens.samples, step):
-        idx = np.arange(start, min(start + step, ens.samples))
-        v = sample_potential(stream, ens.mask, box, idx)
-        a = np.empty((len(idx), n_l, w, w))
-        a[:] = t
-        a[..., d, d] += (v0 + ens.g * v).reshape(len(idx), n_l, w)
+    d, entries = np.arange(w), held + w * box.size
+    buf = np.zeros((min(chunk_size(entries), ens.samples), n_l, w, w))
+    if box.dim > 1:  # -Delta on one slice x_1 = const
+        buf[:] = laplacian_matrix(LatticeBox(box.lo[1:], box.hi[1:]))
+    for idx, v in _chunks(ens, entries):
+        a = buf[: len(idx)]
+        a[..., d, d] = diagonal(box, v0, ens.g, v).reshape(len(idx), n_l, w)
         yield a
 
 
@@ -572,13 +559,14 @@ def kernel_identity_residual(
     """Max-norm residual of P_G G_z[H] P_G* - G_z[gV|_G - D - K].
 
     D + K come from `ens.split`.  g = G_z[H] of the realization may be
-    passed in when already computed; otherwise G_z[H(0) + gV] is solved.
+    passed in when already computed; otherwise G_z of
+    `ens.realization(sample_index)` is solved.
     """
     split = ens.split
     kd = split.kernel(z)
     gv = ens.g * ens.potential(sample_index)
     if g is None:
-        g = green(split.h0.matrix + np.diag(gv), z)
+        g = green(ens.realization(sample_index), z)
     lhs = g[np.ix_(split.gamma, split.gamma)]
     rhs = green(np.diag(gv[split.gamma] - kd["D"]) - kd["K"], z)
     return float(np.max(np.abs(lhs - rhs)))

@@ -110,8 +110,14 @@ def assemble(
                 f"potential nonzero off Gamma at {box.site(int(bad[0]))}"
             )
     h = laplacian_matrix(box)
-    h[np.diag_indices_from(h)] += v0_vec + g * v_vec
+    h[np.diag_indices_from(h)] = diagonal(box, v0_vec, g, v_vec)
     return HamiltonianMatrix(box, h, mask)
+
+
+def diagonal(box: LatticeBox, v0: np.ndarray, g: float, v: np.ndarray) -> np.ndarray:
+    """2d + (V0 + gV), the diagonal of H(g) for v0 of `resolve_v0` and one
+    potential per row of v: every build of H(g) takes its diagonal here."""
+    return 2.0 * box.dim + (v0 + g * v)
 
 
 def restrict(ham: HamiltonianMatrix, sites: Sequence[Site]) -> HamiltonianMatrix:

@@ -193,7 +193,9 @@ def slice_green_rows(a: np.ndarray, z: complex, buf: np.ndarray | None = None):
                 m -= gl  # A_i - z - gL_{i-1}, for G_ii and for gL_i
                 cuts = [0, *range(slab, i * w - 1, slab), i * w]
                 for c, d in zip(cuts, cuts[1:]):
-                    # numpy takes a copy where out overlaps an input: all of it is read
+                    # numpy copies a piece that out overlaps (all of it is read);
+                    # two alternating row buffers would not, but moved 21 x 21
+                    # `localize` by -10% to +2% and hold W n more entries a matrix
                     piece = buf[:, :, c:d]
                     np.matmul(gr[i], piece, out=piece)
                 gr[i] = None  # read for the last time

@@ -1,8 +1,8 @@
 """Guards on the package surface: the functions the benchmark's tracer
-wraps by name still exist, no public function takes a `threads`
-argument (the engine is serial; only the CLI records a thread count),
-no numpy generator is used outside the per-site reference
-`BernoulliMask.__contains__` (every other draw goes through
+wraps by name still exist and are still called by the package, no public
+function takes a `threads` argument (the engine is serial; only the CLI
+records a thread count), no numpy generator is used outside the per-site
+reference `BernoulliMask.__contains__` (every other draw goes through
 `lattice.philox_uniforms`), no module imports a name it never uses,
 and every public module-level function and class is read by package
 code or named, with its reason, in `UNREAD_BY_SRC`."""
@@ -40,6 +40,39 @@ def test_tracer_targets_exist_and_are_callable():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def _called_names(tree: ast.AST) -> set[str]:
+    """The name of every function a call in tree calls, as `f(...)` or
+    `obj.f(...)`."""
+    return {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_tracer_targets_are_called_by_the_package():
+    # a target that is defined but never called times nothing: its span
+    # would read 0 while the work it named runs elsewhere
+    called = set().union(
+        *(_called_names(ast.parse(path.read_text())) for path in SRC.glob("*.py"))
+    )
+    idle = [
+        f"{module}.{attr}" for module, attr, _ in _explicit_spans() if attr not in called
+    ]
+    assert idle == []
+
+
+def test_called_name_guard_sees_every_form():
+    source = (
+        "import m\n"
+        "def defined_only(): pass\n"
+        "def f(g):\n"
+        "    m.by_attribute(plain(), g)\n"
+        "    return [nested(x) for x in g]\n"
+    )
+    assert _called_names(ast.parse(source)) == {"by_attribute", "plain", "nested"}
 
 
 def _public_functions():

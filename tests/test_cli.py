@@ -77,6 +77,24 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run_cli(["localize", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("5", "int"),
+        ("null", "NoneType"),
+        ("[[1]]", "list"),
+        ('"ab"', "str"),
+        ("[1]", "list"),
+    ],
+)
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, text, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_cli(["lattice-info", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config file must hold a JSON object, not {kind}" in err
+
+
 def test_negative_box_start_needs_the_equals_form(tmp_path, capsys):
     # argparse takes the -2..0 of `--box -2..0` for an option; the help
     # names the form that works

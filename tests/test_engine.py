@@ -152,7 +152,7 @@ def test_results_do_not_depend_on_chunk_size(geometry, seed, samples, im, per_ch
     gs, _ = mc_map(_whole, ens, z=z)
     (chi,) = mc_chi_green(ens, [z], 0.5, rho)
     with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
-        assert fracmoment.chunk_size(box.size) == per_chunk
+        assert fracmoment.chunk_size(box.size**2) == per_chunk
         gs_small, _ = mc_map(_whole, ens, z=z)
     with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * _slice_entries(box)):
         (chi_small,) = mc_chi_green(ens, [z], 0.5, rho)
@@ -250,6 +250,32 @@ def test_slice_route_matches_per_realization_green(
     assert (listed.value, listed.stderr) == (report.value, report.stderr)
 
 
+@pytest.mark.parametrize("v0", ["none", "number", "vector", "callable"])
+@pytest.mark.parametrize("geometry", SLICE_GEOMETRIES)
+def test_realization_builds_agree_bit_for_bit(geometry, v0):
+    # every build of H(g) on a box: the dense stacks, the slice blocks and
+    # the kernel identity's own H, against `ens.realization`, two samples
+    # per chunk so that a later chunk reuses what an earlier one wrote
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, v0=_v0(v0, box, 3), master_seed=3, samples=5)
+    hs = np.array([ens.realization(i).matrix for i in range(ens.samples)])
+    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", 2 * box.size**2):
+        stacks = [h.copy() for _, _, h, _ in fracmoment._operator_stacks(ens)]
+    np.testing.assert_array_equal(np.concatenate(stacks), hs)
+    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", 2 * _slice_entries(box)):
+        blocks = np.concatenate([a.copy() for a in fracmoment._slice_blocks(ens)])
+    w = box.size // box.shape[0]
+    for k in range(box.shape[0]):
+        cut = slice(k * w, (k + 1) * w)
+        np.testing.assert_array_equal(blocks[:, k], hs[:, cut, cut])
+    z = 4.0 + 0.1j
+    for i in range(ens.samples):
+        own = fracmoment.kernel_identity_residual(ens, z, i)
+        assert own == fracmoment.kernel_identity_residual(
+            ens, z, i, green(ens.realization(i), z)
+        )
+
+
 # E = 2d is an eigenvalue of H(0) on every one-site component of Gamma^c,
 # and of every realization on the gamma1 box and the first chain.  Folding
 # Gamma^c out of G_z there divided by eps and cancelled: on the gamma2 and
@@ -293,7 +319,7 @@ def test_folded_results_do_not_depend_on_chunk_size(
     rho = DecayMetric(0.1)
     gs, _ = mc_map(_whole, ens, z=z)
     with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
-        assert fracmoment.chunk_size(box.size) == per_chunk
+        assert fracmoment.chunk_size(box.size**2) == per_chunk
         gs_small, _ = mc_map(_whole, ens, z=z)
     np.testing.assert_array_equal(gs_small, gs)
     (chi,) = mc_chi_green(ens, [z], 0.5, rho)
