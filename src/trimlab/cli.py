@@ -394,6 +394,9 @@ def _run_dynamics(config: dict, ens: EnsembleSpec, rho: DecayMetric):
     rows = [[float(t), p, m, s] for t, m, s in zip(times, mean[:nt], se[:nt])]
     rows.append([-1.0, p, chk["margin"], 1.0 if chk["holds"] else 0.0])
     rows += [[-2.0, p, m, s] for m, s in zip(mean[nt + 2 :], se[nt + 2 :])]
+    for t, _, m, s in rows:  # nan once t E overflows e^{itE}; inf: one sample
+        if not math.isfinite(m) or math.isnan(s):
+            raise ArithmeticError(f"Mp at t = {t} is not finite (mean {m}, stderr {s})")
     return ["t", "p", "Mp", "stderr"], rows
 
 
@@ -528,8 +531,10 @@ def _check_localize(ens: EnsembleSpec, config: dict) -> None:
 
 
 def _check_wegner(ens: EnsembleSpec, config: dict) -> None:
-    """The counting bound's hypotheses, decided from H(0) before sampling;
-    wegner_count reads the same cached eigenpairs of H(0)."""
+    """g > 0 and the counting bound's hypotheses, decided from H(0) before
+    sampling; wegner_count reads the same cached eigenpairs of H(0)."""
+    if not config["g"] > 0:
+        raise ConfigError("field 'g' must satisfy g > 0 for wegner")
     try:
         wegner_preconditions(ens, config["energy"], config["epsilon"])
     except ValueError as exc:
@@ -551,6 +556,8 @@ def _check_couple(ens: EnsembleSpec, config: dict) -> None:
         raise ConfigError("couple needs samples >= 2")
     if not 0 < config["s"] < 1:
         raise ConfigError("field 's' must satisfy 0 < s < 1 for couple")
+    if not config["g"] > 0:  # g^-s of the weak bound
+        raise ConfigError("field 'g' must satisfy g > 0 for couple")
     if not mask_vector(ens.mask, ens.box).all():
         raise ConfigError(
             "couple needs disorder on every site: gamma must cover the box"

@@ -12,7 +12,8 @@ The doubled (2n x 2n) operator is the plain array of
 block [n:, n:].  It is shifted and inverted in place, in one complex
 buffer, by `spectral._inverse`; a real one is first checked against its
 spectrum, as `spectral.green` checks it.  The n x n resolvents go
-through `spectral.green`.
+through `spectral.green`.  The weak bound's realizations are those of
+`fracmoment._operator_stacks`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .fracmoment import DecayMetric, EnsembleSpec, _chi_sup, chi_kernel
+from .fracmoment import DecayMetric, EnsembleSpec, _chi_sup, _operator_stacks, chi_kernel
 from .operators import HamiltonianMatrix, hedgehog_assemble
 from .spectral import _inverse, _refuse_spectrum, green
 
@@ -97,6 +98,8 @@ def weak_disorder_bound_check(
         raise ValueError("need 0 < s < 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if not ens.g > 0:
+        raise ValueError("need g > 0")
     if ens.split.comp.size:
         raise ValueError("the coupling check requires disorder on every site")
     z = complex(lam, eps)
@@ -108,9 +111,7 @@ def weak_disorder_bound_check(
     if g_inv_s <= c_mu * chi0:
         return {
             "applicable": False,
-            "reason": (
-                f"g^-s = {g_inv_s:.6g} <= C_mu chi = {c_mu * chi0:.6g}"
-            ),
+            "reason": f"g^-s = {g_inv_s:.6g} <= C_mu chi = {c_mu * chi0:.6g}",
             "chi0": chi0,
         }
     kappa = 2 * ens.box.dim
@@ -118,24 +119,21 @@ def weak_disorder_bound_check(
     rhs_pendant = c_mu / (g_inv_s - c_mu * chi0)
     bound = c_mu * kappa**2 * enorm**2 * chi0**2 / (g_inv_s - c_mu * chi0)
     w_base = rho.weight_matrix(ens.box.coords)
-    potentials = ens.potential(np.arange(ens.samples))
-    if np.any(potentials == 0):
-        raise ValueError("zero potential value; reciprocal undefined")
     n = h0.n
     base_sums, pend_sums, idents = [], [], []
-    for v in potentials:
-        u = z - 1.0 / (ens.g * v)
-        # u, hence the matrix, is complex (z is not real): inverted in place
-        gh = _inverse(hedgehog_assemble(h0, u), z)
-        base, pend = gh[n:, n:], gh[:n, :n]
-        # base block must coincide with G_z[H(0) + gV] (exact identity)
-        direct = green(h0.matrix + np.diag(ens.g * v), z)
-        idents.append(float(np.max(np.abs(base - direct))))
-        base_sums.append(np.sum(w_base * np.abs(base) ** s, axis=0))
-        pend_sums.append(np.sum(w_base * np.abs(pend) ** s, axis=0))
+    for _, potentials, h in _operator_stacks(ens):
+        if np.any(potentials == 0):
+            raise ValueError("zero potential value; reciprocal undefined")
+        for v, hv in zip(potentials, h):
+            # U = z - 1/(gV), hence the matrix, is complex: inverted in place
+            gh = _inverse(hedgehog_assemble(h0, z - 1.0 / (ens.g * v)), z)
+            base, pend = gh[n:, n:], gh[:n, :n]
+            # base block must coincide with G_z[H(0) + gV] (exact identity)
+            idents.append(float(np.max(np.abs(base - green(hv, z)))))
+            base_sums.append(np.sum(w_base * np.abs(base) ** s, axis=0))
+            pend_sums.append(np.sum(w_base * np.abs(pend) ** s, axis=0))
     lhs, se = _chi_sup(np.array(base_sums))
     chi_pend, _ = _chi_sup(np.array(pend_sums))
-    worst_ident = max(idents)
     star_rhs = kappa**2 * enorm**2 * chi0**2 * chi_pend
     return {
         "applicable": True,
@@ -151,7 +149,7 @@ def weak_disorder_bound_check(
             "pendant_holds": chi_pend <= rhs_pendant,
             "star_rhs": star_rhs,
             "star_holds": lhs <= star_rhs + 3 * se,
-            "block_identity_residual": worst_ident,
+            "block_identity_residual": max(idents),
         },
         "samples": ens.samples,
     }

@@ -10,7 +10,8 @@ Green rows, and the full kernel e^{itH} (tests/oracles.py) for the
 amplitudes.  The Laplace integral of |e^{itH}(x,y)|^2 is evaluated in
 closed form from the eigenpair differences, so the inequality check
 carries no time quadrature error.  An ensemble is factored chunk by
-chunk from the operator stacks of `fracmoment`, one `eigh` per stack.
+chunk from the operator stacks of `fracmoment`, one `eigh` per stack, and
+a fixed operator as a stack of one.
 
 Working set of one realization of n sites: its matrix in the stack and
 its eigenvectors (n^2 doubles each), `eigh`'s workspace while it runs
@@ -116,10 +117,11 @@ def dynamics_samples(
         return out + [f.green_moment(lam, e) for e in eps_sequence]
 
     if isinstance(target, HamiltonianMatrix):
-        sd = eigendecompose(target)
-        return np.array([row(sd.eigenvalues, sd.eigenvectors)])
+        stacks = [target.matrix[None]]  # a stack of one
+    else:
+        stacks = (h for _, _, h in _operator_stacks(target))
     rows = []
-    for _, _, h, _ in _operator_stacks(target):
+    for h in stacks:
         sd = eigendecompose(h)
         rows += map(row, sd.eigenvalues, sd.eigenvectors)
         del sd  # free this chunk's eigenpairs before the next chunk is factored

@@ -4,17 +4,17 @@ threshold kernel, and eigenvalue-counting (Wegner) statistics.
 
 All Monte Carlo loops are serial, draw disorder through counter-based
 streams and reduce in sample-index order, so estimates are reproducible
-bit for bit; every loop draws its chunks of realizations from
-`_chunks`.  The chi estimates at a non-real z (`localize`) never form an
-n x n matrix: H couples only adjacent slices x_1 = const of the box, so
-`_slice_sums` takes each chunk of `_slice_blocks` once and, at every z,
-reads the weighted column sums of |G_z|^s off the rows of blocks that
-`spectral.slice_green_rows` yields, a few W x W inversions per slice.
-Every other loop takes its operators from the chunked (S, n, n) stacks
-of `_operator_stacks`: `mc_map` inverts them by LU, one inverse per
-realization and z, and resamples a realization that collides with a
-real z; the Wegner statistics and `dynamics` factor them by `eigh` once
-for every eps or t.
+bit for bit.  `_stacks` builds every chunk of realizations, and no
+other module draws a potential.  The chi estimates at a non-real z
+(`localize`) never form an n x n matrix: H couples only adjacent slices
+x_1 = const, so `_slice_sums` takes each chunk of `_slice_blocks` once
+and, at every z, reads the weighted column sums of |G_z|^s off the rows
+of blocks that `spectral.slice_green_rows` yields, a few W x W
+inversions per slice.  Every other loop takes the (S, n, n) stacks of
+`_operator_stacks`: `mc_map` inverts them by LU, one inverse per
+realization and z, resampling a collision with a real z; the Wegner
+statistics and `dynamics` factor them by `eigh` once for every eps or t;
+`coupling`'s weak bound reads them sample by sample.
 
 H(0) is built once per ensemble: `EnsembleSpec.split` caches a
 `TrimmedSplit` (H(0), the Gamma/Gamma^c indices and sites, the eigenpairs
@@ -151,13 +151,23 @@ def chunk_size(entries: int) -> int:
     return max(1, CHUNK_ENTRIES // entries)
 
 
-def _chunks(ens: EnsembleSpec, entries: int):
-    """(sample indices, potentials (S, n) from one draw) per chunk of
-    chunk_size(entries) samples, in sample order: every engine's draws."""
+def _stacks(ens: EnsembleSpec, couplings: np.ndarray, entries: int):
+    """(sample indices, potentials (S, n), stack) per chunk of
+    chunk_size(entries) samples, in sample order.  The stack is one buffer
+    of copies of couplings, a (..., m, m) template whose diagonals hold the
+    n sites, written once per pass; each chunk draws its potentials once
+    and rewrites only the diagonals (`operators.diagonal`)."""
+    v0 = resolve_v0(ens.v0, ens.box)
     step = chunk_size(entries)
+    buf = np.empty((min(step, ens.samples), *couplings.shape))
+    buf[:] = couplings
+    del couplings  # an n x n template held past the fill is a realization more
+    d = np.arange(buf.shape[-1])
     for start in range(0, ens.samples, step):
         idx = np.arange(start, min(start + step, ens.samples))
-        yield idx, ens.potential(idx)
+        v, h = ens.potential(idx), buf[: len(idx)]
+        h[..., d, d] = diagonal(ens.box, v0, ens.g, v).reshape(h.shape[:-1])
+        yield idx, v, h
 
 
 def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
@@ -169,15 +179,15 @@ def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
     stack and inverted by `green` at once, and per_chunk(gs) maps the
     chunk's (S, n, n) stack of G_z to one row per sample; values holds
     the rows of all chunks in order.  A sample whose operator has a real
-    z on its spectrum (SpectralParameterOnSpectrum) is replaced by sample
-    index i + k * samples, k = 1, 2, ...; at most max(1, samples // 100)
-    redraws in all (1% of the samples from 100 samples on, but one below:
-    2% at 50), and ResampleBudgetExceeded past that.
+    z on its spectrum (SpectralParameterOnSpectrum) is replaced by
+    `ens.realization` of i + k * samples, k = 1, 2, ...; at most
+    max(1, samples // 100) redraws in all (1% of the samples from 100
+    samples on, but one below: 2% at 50), ResampleBudgetExceeded past it.
     """
     z = complex(z)
     budget = max(1, ens.samples // 100)
     total, rows, used = ens.samples, [], 0
-    for idx, _, h, redraw in _operator_stacks(ens):
+    for idx, _, h in _operator_stacks(ens):
         k = np.zeros(len(idx), dtype=int)
         while True:
             try:
@@ -190,7 +200,8 @@ def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
                     raise ResampleBudgetExceeded(
                         f"{used + int(k.sum())} resamples exceed the {budget} budget"
                     )
-                redraw(hits, idx[hits] + k[hits] * total)
+                for i in hits:
+                    h[i] = ens.realization(int(idx[i] + k[i] * total)).matrix
         used += int(k.sum())
         rows.append(per_chunk(gs))
         del gs  # free this chunk's G before the next chunk is solved
@@ -198,27 +209,9 @@ def mc_map(per_chunk: Callable, ens: EnsembleSpec, z):
 
 
 def _operator_stacks(ens: EnsembleSpec):
-    """(sample indices, potentials, stack, redraw) per chunk of `_chunks`
-    at n**2 entries per sample; no linear algebra.  The (S, n, n) stack is
-    one buffer, given H(0)'s neighbour couplings once per pass and only
-    new diagonals (`operators.diagonal`) per chunk, so each matrix equals
-    ens.realization(i).matrix bit for bit, and the next chunk overwrites
-    it.  redraw(rows, samples) overwrites the given rows of the potentials
-    and the stack with those of other sample indices."""
-    box = ens.box
-    v0 = resolve_v0(ens.v0, box)
-    d = np.arange(box.size)
-    buf = np.empty((min(chunk_size(box.size**2), ens.samples), box.size, box.size))
-    buf[:] = laplacian_matrix(box)
-    for idx, v in _chunks(ens, box.size**2):
-        h = buf[: len(idx)]
-
-        def redraw(rows: np.ndarray, samples: np.ndarray, v=v, h=h) -> None:
-            v[rows] = ens.potential(samples)
-            h[rows[:, None], d, d] = diagonal(box, v0, ens.g, v[rows])
-
-        h[:, d, d] = diagonal(box, v0, ens.g, v)
-        yield idx, v, h, redraw
+    """`_stacks` of H(g), (S, n, n) at n**2 entries per sample; each
+    matrix equals ens.realization(i).matrix bit for bit."""
+    return _stacks(ens, laplacian_matrix(ens.box), ens.box.size**2)
 
 
 def slice_geometry(box: LatticeBox) -> tuple[int, int, int]:
@@ -232,24 +225,17 @@ def slice_geometry(box: LatticeBox) -> tuple[int, int, int]:
 
 def _slice_blocks(ens: EnsembleSpec):
     """The (S, L, W, W) diagonal blocks of H along axis 0 per chunk of
-    `_chunks` at L W**2 + 2 W n complex entries per sample: a sizing
-    constant that keeps the chunks where they were, not the working set,
-    which is L W**2 + W n (`slice_geometry`) plus what `_slice_sums` adds
-    (on 21 x 21 with 30 samples and 2 z, numpy's peak was 1.16 MiB at 2
-    samples per chunk).  The blocks are one buffer, given the slice
-    Laplacian once per pass and only new diagonals (`operators.diagonal`)
-    per chunk, so the next chunk overwrites them."""
+    `_stacks`, whose template is -Delta on one slice x_1 = const (zeros
+    for one-site slices), at L W**2 + 2 W n complex entries per sample: a
+    sizing constant that keeps the chunks where they were, not the working
+    set, which is L W**2 + W n (`slice_geometry`) plus what `_slice_sums`
+    adds (on 21 x 21 with 30 samples and 2 z, numpy's peak was 1.16 MiB at
+    2 samples per chunk)."""
     box = ens.box
     n_l, w, held = slice_geometry(box)
-    v0 = resolve_v0(ens.v0, box)
-    d, entries = np.arange(w), held + w * box.size
-    buf = np.zeros((min(chunk_size(entries), ens.samples), n_l, w, w))
-    if box.dim > 1:  # -Delta on one slice x_1 = const
-        buf[:] = laplacian_matrix(LatticeBox(box.lo[1:], box.hi[1:]))
-    for idx, v in _chunks(ens, entries):
-        a = buf[: len(idx)]
-        a[..., d, d] = diagonal(box, v0, ens.g, v).reshape(len(idx), n_l, w)
-        yield a
+    cut = laplacian_matrix(LatticeBox(box.lo[1:], box.hi[1:])) if w > 1 else 0.0
+    stacks = _stacks(ens, np.broadcast_to(cut, (n_l, w, w)), held + w * box.size)
+    return (a for _, _, a in stacks)
 
 
 def _slice_sums(
@@ -408,8 +394,10 @@ def am_contraction_check(
     A is the deterministic part of the operator.  The denominator uses
     the off-diagonal chi, which is what the contraction argument yields
     and the only form its own applicability condition keeps positive.
-    Requires full potential support (every box site random).
+    Requires g > 0 and full potential support (every box site random).
     """
+    if not ens.g > 0:
+        raise ValueError("need g > 0")
     if ens.split.comp.size:
         raise ValueError("contraction check requires Gamma = Full on the box")
     a = ens.split.h0.matrix
@@ -652,17 +640,20 @@ def wegner_count(
     one report per eps of eps_values from one eigendecomposition per
     realization.
 
-    Requires the hypotheses of `wegner_preconditions`; refuses otherwise.
-    Also audits the deterministic eigenvector-mass bound on every
-    qualifying eigenvector; the audit does not depend on eps, so every
-    report carries the same one.
+    Requires g > 0, for the mass bound gap / (3 g ||V||_inf), and the
+    hypotheses of `wegner_preconditions`; refuses otherwise.  Also audits
+    the deterministic eigenvector-mass bound on every qualifying
+    eigenvector; the audit does not depend on eps, so every report carries
+    the same one.
     """
+    if not ens.g > 0:
+        raise ValueError("need g > 0")
     eps_values = list(eps_values)
     pre = wegner_preconditions(ens, lam, eps_values)
     mult, gap, ker = pre["mult"], pre["gap"], pre["ker"]
     gamma = ens.split.gamma
     counts, checks = [], []
-    for _, v, h, _ in _operator_stacks(ens):
+    for _, v, h in _operator_stacks(ens):
         sd = eigendecompose(h)
         dist = np.abs(sd.eigenvalues - lam)
         counts.append(np.sum(dist[..., None] < np.array(eps_values), axis=-2) - mult)
@@ -719,8 +710,7 @@ def wegner_uniform_bound_probe(
         raise ValueError(
             f"inner boundary site {box.site(int(offenders[0]))} is outside Gamma"
         )
-    stacks = _operator_stacks(ens)
-    e = np.concatenate([np.linalg.eigvalsh(h) for _, _, h, _ in stacks])
+    e = np.concatenate([np.linalg.eigvalsh(h) for _, _, h in _operator_stacks(ens)])
     rows = []
     for lam in lam_grid:
         for eps in eps_grid:

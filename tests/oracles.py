@@ -124,7 +124,7 @@ def eigen_sweep(ens, zs: Sequence[complex], s: float, rho) -> list:
     sites therefore stay off this oracle."""
     w = rho.weight_matrix(ens.box.coords)
     sums: list[list[np.ndarray]] = [[] for _ in zs]
-    for _, _, h, _ in _operator_stacks(ens):
+    for _, _, h in _operator_stacks(ens):
         sd = eigendecompose(h)
         u, ut = sd.eigenvectors, sd.eigenvectors.swapaxes(-1, -2)
         for rows, z in zip(sums, zs):

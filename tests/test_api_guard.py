@@ -3,9 +3,10 @@ wraps by name still exist and are still called by the package, no public
 function takes a `threads` argument (the engine is serial; only the CLI
 records a thread count), no numpy generator is used outside the per-site
 reference `BernoulliMask.__contains__` (every other draw goes through
-`lattice.philox_uniforms`), no module imports a name it never uses,
-and every public module-level function and class is read by package
-code or named, with its reason, in `UNREAD_BY_SRC`."""
+`lattice.philox_uniforms`), no module but `fracmoment` draws a
+potential (`.potential(`), no module imports a name it never uses, and
+every public module-level function and class is read by package code or
+named, with its reason, in `UNREAD_BY_SRC`."""
 
 from __future__ import annotations
 
@@ -156,6 +157,39 @@ def test_numpy_random_guard_sees_every_form():
     )
     uses = _numpy_random_uses(ast.parse(source))
     assert uses == [("", 1), ("", 2), ("", 3), ("f", 5), ("C.g", 8)]
+
+
+def _attribute_calls(tree: ast.AST, attr: str) -> list[int]:
+    """Line of every call `obj.attr(...)` in tree, in order."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+    )
+
+
+def test_only_fracmoment_draws_potentials():
+    # fracmoment._stacks draws every chunk, and EnsembleSpec.realization
+    # and the kernel identity one sample each: a draw anywhere else builds
+    # realizations past the one chunk stream
+    calls = {
+        path.name: _attribute_calls(ast.parse(path.read_text()), "potential")
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "fracmoment.py"
+    }
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_potential_call_guard_sees_every_form():
+    source = (
+        "def f(ens, idx):\n"
+        "    v = ens.potential(idx)\n"
+        "    w = self.spec.ens.potential(0)\n"
+        "    return [make().potential(i) for i in idx], potential(1), ens.potential\n"
+    )
+    assert _attribute_calls(ast.parse(source), "potential") == [2, 3, 4]
 
 
 def _unused_imports(tree: ast.AST) -> list[tuple[str, int]]:

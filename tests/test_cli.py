@@ -601,6 +601,32 @@ def test_couple_preconditions_exit_2(tmp_path, capsys, flags, message):
     assert not (tmp_path / "couple.csv").exists()
 
 
+@pytest.mark.parametrize("g", ["0", "-5"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["couple", "--box", "1..3,1..3", "--gamma", "full", "--samples", "5"],
+        ["wegner", "--box", "1..3,1..1", "--energy", "4", "--epsilon", "0.4"],
+    ],
+    ids=["couple", "wegner"],
+)
+def test_nonpositive_g_exits_2(tmp_path, capsys, args, g):
+    # couple's g^-s is complex or 1/0, and wegner's mass bound vacuous
+    assert run_cli([*args, "--g", g, "--out", str(tmp_path)]) == 2
+    assert "field 'g'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_dynamics_overflowing_phase_exits_3(tmp_path, capsys):
+    # t E leaves the float range in e^{itE}: M_p at t = 2 and 4 is nan
+    args = ["dynamics", "--box", "1..3,1..3", "--samples", "2"]
+    with np.errstate(all="ignore"):
+        code = run_cli([*args, "--g", "1.7976931348623157e308", "--out", str(tmp_path)])
+    assert code == 3
+    assert "ArithmeticError: Mp at t = 2.0" in capsys.readouterr().err
+    assert not (tmp_path / "dynamics.csv").exists()
+
+
 def test_couple_s2w_rows_print_their_bound(tmp_path):
     args = ["couple", "--box", "0..4", "--gamma", "full", "--g", "0.01"]
     args += ["--energy=-1", "--epsilon", "1e-4", "--s", "0.5", "--samples", "4"]

@@ -1,10 +1,10 @@
 """Config fuzz of the CLI: every experiment, on tiny boxes, at edge values
 of g, s, eta, energy and epsilon, ends in exit 0 (ok), 2 (config error)
-or 3 (numeric failure).  An uncaught exception, exit 1, is a bug.  A
-config file value of the wrong kind for its field (a JSON boolean for a
-number, a string for a number, a number for a string or a list, a
-fractional integer) or a thread count below 1 ends in exit 2, whatever
-the experiment.
+or 3 (numeric failure), and no CSV of an exit-0 run holds a nan.  An
+uncaught exception, exit 1, is a bug.  A config file value of the wrong
+kind for its field (a JSON boolean for a number, a string for a number,
+a number for a string or a list, a fractional integer) or a thread count
+below 1 ends in exit 2, whatever the experiment.
 
 `couple` is fuzzed up to dispatch only: its 200-quadrature search for
 the decoupling constant takes about 0.5 s per run, too long for a fuzz
@@ -14,6 +14,7 @@ once the config has passed every check made before dispatch.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from unittest import mock
@@ -117,6 +118,9 @@ def test_edge_configs_exit_0_2_or_3(tmp_path_factory, case):
             assert not config
             return
     assert code == 2 if config else code in (0, 2, 3)
+    if code == 0:  # a row with no number in it is an error, not a result
+        with open(base / "fuzz" / f"{argv[0]}.csv", newline="") as fh:
+            assert "nan" not in {cell for row in csv.reader(fh) for cell in row}
 
 
 def test_wrong_type_edges_cover_every_field():

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from trimlab import fracmoment
 from trimlab.coupling import (
     s2w_identity_check,
     u_sharp,
@@ -169,6 +172,23 @@ def test_weak_disorder_bound_reads_a_passed_g0(monkeypatch):
     assert weak_disorder_bound_check(*args, g0) == expected
     # the hedgehog operator and G_z[H(0) + gV] of each sample, nothing more
     assert expected["applicable"] and len(calls) == 2 * ens.samples
+
+
+@pytest.mark.parametrize("v0", [None, 0.7])
+def test_weak_disorder_bound_does_not_depend_on_chunk_size(v0):
+    # one, two and three samples per chunk of the operator stacks give the
+    # report of one chunk, audit included; with a background potential
+    # each stack's H(g) is still the base block's operator
+    box = make_box(1, (0,), (8,))
+    ens = EnsembleSpec(box, FullMask(), Uniform(), 0.01, v0=v0, samples=7)
+    args = (ens, -1.0, 1e-4, 0.5, DecayMetric(0.1), 2.5)
+    expected = weak_disorder_bound_check(*args)
+    assert expected["applicable"]
+    assert expected["audit"]["block_identity_residual"] <= 1e-10
+    for per_chunk in (1, 2, 3):
+        with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * box.size**2):
+            assert fracmoment.chunk_size(box.size**2) == per_chunk
+            assert weak_disorder_bound_check(*args) == expected
 
 
 def test_weak_disorder_bound_requires_full_disorder():

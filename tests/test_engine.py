@@ -260,7 +260,7 @@ def test_realization_builds_agree_bit_for_bit(geometry, v0):
     ens = EnsembleSpec(box, mask, Uniform(), 5.0, v0=_v0(v0, box, 3), master_seed=3, samples=5)
     hs = np.array([ens.realization(i).matrix for i in range(ens.samples)])
     with mock.patch.object(fracmoment, "CHUNK_ENTRIES", 2 * box.size**2):
-        stacks = [h.copy() for _, _, h, _ in fracmoment._operator_stacks(ens)]
+        stacks = [h.copy() for _, _, h in fracmoment._operator_stacks(ens)]
     np.testing.assert_array_equal(np.concatenate(stacks), hs)
     with mock.patch.object(fracmoment, "CHUNK_ENTRIES", 2 * _slice_entries(box)):
         blocks = np.concatenate([a.copy() for a in fracmoment._slice_blocks(ens)])

@@ -278,6 +278,19 @@ def test_wegner_count_strip():
         wegner_count(ens, 3.0, [0.01])  # not an eigenvalue
 
 
+@pytest.mark.parametrize("g", [0.0, -5.0])
+def test_bounds_refuse_a_nonpositive_g(g):
+    # g^-s of the weak bound, g^s of the contraction and the mass bound
+    # gap / (3 g ||V||) each need g > 0
+    full = EnsembleSpec(make_box(1, (0,), (4,)), FullMask(), Uniform(), g, samples=3)
+    with pytest.raises(ValueError, match="g > 0"):
+        weak_disorder_bound_check(full, -1.0, 1e-4, 0.5, RHO, 2.5)
+    with pytest.raises(ValueError, match="g > 0"):
+        am_contraction_check(full, 1j, 0.5, RHO, 2.5)
+    with pytest.raises(ValueError, match="g > 0"):
+        wegner_count(_wegner_strip(g=g, samples=3), 4.0, [0.4])
+
+
 def test_wegner_support_precondition_rejected():
     # full-disorder geometry: the lambda-eigenvector lives everywhere
     ens = EnsembleSpec(
