@@ -321,6 +321,10 @@ def _run_localize(config: dict, ens: EnsembleSpec, rho: DecayMetric):
         ]
         for eps, rep in zip(config["epsilon"], reports)
     ]
+    gauge = [
+        {"epsilon": eps, **{k: rep.params[k] for k in ("ward_r", "fallbacks")}}
+        for eps, rep in zip(config["epsilon"], reports)
+    ]
     return [
         "box_size",
         "s",
@@ -329,11 +333,17 @@ def _run_localize(config: dict, ens: EnsembleSpec, rho: DecayMetric):
         "chi_estimate",
         "stderr",
         "samples",
-    ], rows
+    ], rows, {"ward_gauge": gauge}
 
 
 def _run_wegner(config: dict, ens: EnsembleSpec, rho: DecayMetric):
     reports = wegner_count(ens, config["energy"], config["epsilon"])
+    if not reports[0]["mass_bound_checked"]:  # the audit is the same at every eps
+        raise ArithmeticError(
+            f"the eigenvector-mass audit checked no eigenvector at g = {config['g']}: "
+            f"none in the gap/3 window |E - {config['energy']}| <= "
+            f"{reports[0]['gap'] / 3:.6g} off the kernel of H(0) - E"
+        )
     rows = [
         [
             eps,
@@ -466,9 +476,12 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(experiment: str, config: dict, ens: EnsembleSpec, rho: DecayMetric) -> dict:
-    """Dispatch one resolved experiment; returns the in-memory result record."""
+    """Dispatch one resolved experiment; returns the in-memory result record.
+    A runner returns (header, rows), or (header, rows, notes) with notes a
+    dict of numerical-health fields for the record's provenance (localize:
+    the Ward gauge's worst r and LU fallbacks per eps)."""
     start = time.monotonic()
-    header, rows = _RUNNERS[experiment](config, ens, rho)
+    header, rows, *notes = _RUNNERS[experiment](config, ens, rho)
     return {
         "experiment": experiment,
         "config": {k: config[k] for k in sorted(config)},
@@ -478,6 +491,7 @@ def run(experiment: str, config: dict, ens: EnsembleSpec, rho: DecayMetric) -> d
             "version": __version__,
             "seed": config["seed"],
             "wall_time_s": time.monotonic() - start,
+            **(notes[0] if notes else {}),
         },
     }
 

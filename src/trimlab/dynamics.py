@@ -110,11 +110,14 @@ def dynamics_samples(
     ix, w = target.box.index(x), _distance_powers(target.box, x, p)
 
     def row(e: np.ndarray, u: np.ndarray) -> list[float]:
-        f = _Factored(e, u, ix, w)
-        out = [f.moment(float(t)) for t in times]
-        if laplace_eps is not None:
-            out += [f.laplace_lhs(laplace_eps), f.green_moment(lam, laplace_eps)]
-        return out + [f.green_moment(lam, e) for e in eps_sequence]
+        # t E or g V past the float range gives an inf or nan value, silently:
+        # the caller judges the row (the CLI exits 3 on a non-finite mean)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _Factored(e, u, ix, w)
+            out = [f.moment(float(t)) for t in times]
+            if laplace_eps is not None:
+                out += [f.laplace_lhs(laplace_eps), f.green_moment(lam, laplace_eps)]
+            return out + [f.green_moment(lam, e) for e in eps_sequence]
 
     if isinstance(target, HamiltonianMatrix):
         stacks = [target.matrix[None]]  # a stack of one

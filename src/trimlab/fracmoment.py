@@ -6,15 +6,17 @@ All Monte Carlo loops are serial, draw disorder through counter-based
 streams and reduce in sample-index order, so estimates are reproducible
 bit for bit.  `_stacks` builds every chunk of realizations, and no
 other module draws a potential.  The chi estimates at a non-real z
-(`localize`) never form an n x n matrix: H couples only adjacent slices
-x_1 = const, so `_slice_sums` takes each chunk of `_slice_blocks` once
-and, at every z, reads the weighted column sums of |G_z|^s off the rows
-of blocks that `spectral.slice_green_rows` yields, a few W x W
-inversions per slice.  Every other loop takes the (S, n, n) stacks of
-`_operator_stacks`: `mc_map` inverts them by LU, one inverse per
-realization and z, resampling a collision with a real z; the Wegner
-statistics and `dynamics` factor them by `eigh` once for every eps or t;
-`coupling`'s weak bound reads them sample by sample.
+(`localize`) form no n x n matrix but for a realization that fails the
+Ward gauge: H couples only adjacent slices x_1 = const, so `_slice_sums`
+takes each chunk of `_slice_blocks` once and, at every z, reads the
+weighted column sums of |G_z|^s off the rows of blocks that
+`spectral.slice_green_rows` yields, one W x W inversion per slice, and
+checks every realization against the Ward identity; one that fails it
+is recomputed by whole-operator LU.  Every other loop takes the
+(S, n, n) stacks of `_operator_stacks`: `mc_map` inverts them by LU, one
+inverse per realization and z, resampling a collision with a real z;
+the Wegner statistics and `dynamics` factor them by `eigh` once for
+every eps or t; `coupling`'s weak bound reads them sample by sample.
 
 H(0) is built once per ensemble: `EnsembleSpec.split` caches a
 `TrimmedSplit` (H(0), the Gamma/Gamma^c indices and sites, the eigenpairs
@@ -33,7 +35,14 @@ import numpy as np
 
 from .disorder import DisorderSpec, SampleStream, sample_potential
 from .lattice import LatticeBox, Site, SublatticeMask, l1_distances, mask_vector
-from .operators import HamiltonianMatrix, assemble, diagonal, laplacian_matrix, resolve_v0
+from .operators import (
+    DENSE_LIMIT,
+    HamiltonianMatrix,
+    assemble,
+    diagonal,
+    laplacian_matrix,
+    resolve_v0,
+)
 from .spectral import (
     SpectralData,
     SpectralParameterOnSpectrum,
@@ -226,24 +235,55 @@ def slice_geometry(box: LatticeBox) -> tuple[int, int, int]:
 def _slice_blocks(ens: EnsembleSpec):
     """The (S, L, W, W) diagonal blocks of H along axis 0 per chunk of
     `_stacks`, whose template is -Delta on one slice x_1 = const (zeros
-    for one-site slices), at L W**2 + 2 W n complex entries per sample: a
-    sizing constant that keeps the chunks where they were, not the working
-    set, which is L W**2 + W n (`slice_geometry`) plus what `_slice_sums`
-    adds (on 21 x 21 with 30 samples and 2 z, numpy's peak was 1.16 MiB at
-    2 samples per chunk)."""
+    for one-site slices), at L W**2 + 2 W n + 2 n complex entries per
+    sample: a sizing constant, not the working set, which is L W**2 + W n
+    (`slice_geometry`) plus what `_slice_sums` adds, the Ward gauge's two
+    (S, n) arrays among it (on 21 x 21 with 30 samples and 2 z, numpy's
+    peak was 1.16 MiB at 2 samples per chunk)."""
     box = ens.box
     n_l, w, held = slice_geometry(box)
     cut = laplacian_matrix(LatticeBox(box.lo[1:], box.hi[1:])) if w > 1 else 0.0
-    stacks = _stacks(ens, np.broadcast_to(cut, (n_l, w, w)), held + w * box.size)
-    return (a for _, _, a in stacks)
+    entries = held + w * box.size + 2 * box.size
+    return (a for _, _, a in _stacks(ens, np.broadcast_to(cut, (n_l, w, w)), entries))
+
+
+#: the Ward gauge's bound on r, above which `_slice_sums` recomputes a
+#: realization by whole-operator LU.  Calibrated against per-realization
+#: LU on the slice route's test geometries (3500 random ensembles with eps
+#: 1e-9 to 1 at E = 2d and random E, 1000 at E = 2d on gamma boxes with eps
+#: 1e-7 to 1e-3, and a grid at E = 2d): the least r of an ensemble whose chi
+#: was more than 1e-10 off was 1.6e-8 (gamma1:2,2 on 9 x 7, E = 4,
+#: eps = 3.5e-5, off by 3.5e-10), and every chi error above 1e-10 was
+#: below 0.022 r.  1e-9 keeps a factor 16 to the first and, if the second
+#: holds, chi within 2.2e-11.  It trips where chi is far better, too: chains
+#: at E = 2d, and boxes from 31 x 31 at eps 1e-4 and below (r to 8e-6 with
+#: chi within 2e-12), where LU costs time, not bits.  Off the gamma poles,
+#: boxes to 101 x 101 read r below 2e-10 at eps >= 1e-3, and 3e-10 to
+#: 6.5e-9 at 1e-4.
+WARD_TOL = 1e-9
+
+
+def _ward_ratio(sq: np.ndarray, im: np.ndarray, eps: float) -> np.ndarray:
+    """Per sample r = max_x |eps S_x - I_x| / (I_x + eps S_x) of the sums
+    S_x = sum_y |G(x,y)|**2 (sq, (S, n), overwritten) and I_x = |Im G(x,x)|
+    (im): the Ward identity eps sum_y |G(x,y)|**2 = |Im G(x,x)| at
+    z = E +- i eps, read as a relative error.  Where the ratio is not a
+    number (S_x or I_x not finite, or both 0 by underflow) r is inf."""
+    sq *= eps
+    num = np.abs(sq - im)
+    sq += im
+    r = np.max(num / sq, axis=1)
+    r[np.isnan(r)] = np.inf
+    return r
 
 
 def _slice_sums(
     ens: EnsembleSpec, zs: Sequence[complex], s: float, rho: DecayMetric
-) -> list[np.ndarray]:
+) -> list[tuple[np.ndarray, float, int]]:
     """Per-sample weighted column sums sum_y e^{rho(y,x)} |G_z(y,x)|^s, an
     (S, n) array at each non-real z of zs, by `spectral.slice_green_rows`
-    on every chunk of `_slice_blocks`.
+    on every chunk of `_slice_blocks`, each with the worst Ward ratio r of
+    its samples and the number recomputed by LU.
 
     Each row of blocks G_{i,0..i} is reduced as soon as it exists: its
     columns get its column sums and, G and the weights being symmetric,
@@ -253,27 +293,66 @@ def _slice_sums(
     every row.  One (S, W, n) row buffer serves every chunk and z: allocated
     per pass, it was given back to the system and faulted in again each
     time, three times the page faults and 12% more time on a 21 x 21 box.
+
+    The Ward gauge: the same row and column accumulation, unweighted and
+    on |G|**2 (one einsum each, no (S, W, n) temporary), gives
+    sum_y |G(x,y)|**2 beside |Im G(x,x)|, two (S, n) arrays per pass,
+    and `_ward_ratio` reduces them to r per sample.  A sample whose r
+    exceeds WARD_TOL, near an energy that is an eigenvalue of the
+    realization where the recursion cancels, takes its column sums from
+    `green` of `ens.realization` instead; past DENSE_LIMIT sites there is
+    no dense LU, and ArithmeticError names z, the sample and r.
     """
     box = ens.box
     n_l, w, _ = slice_geometry(box)
     weights = rho.weight_matrix(box.coords[-w:], box.coords)
     sums: list[list[np.ndarray]] = [[] for _ in zs]
-    buf = None
+    ratios: list[list[np.ndarray]] = [[] for _ in zs]
+    buf, dense, start = None, None, 0
     for a in _slice_blocks(ens):
         if buf is None:  # the first chunk is the largest
             buf = np.empty((len(a), w, box.size), dtype=complex)
-        for out, z in zip(sums, zs):
+        for out, rs, z in zip(sums, ratios, zs):
             col = np.zeros((len(a), box.size))
-            for i, row in enumerate(slice_green_rows(a, z, buf)):
-                p = np.abs(row)
-                p **= s
-                p *= weights[:, (n_l - 1 - i) * w :]
-                col[:, : (i + 1) * w] += p.sum(axis=1)
-                if i:
-                    col[:, i * w : (i + 1) * w] += p[:, :, : i * w].sum(axis=2)
-            del p  # |G|^s of the last row, before the next z's pass
+            sq, im = np.zeros_like(col), np.empty_like(col)
+            # overflow is silent: an overflowed sum_y |G|**2 makes r inf, and
+            # LU takes the sample; a non-finite chi exits by `_chi_report`
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, row in enumerate(slice_green_rows(a, z, buf)):
+                    cut = slice(i * w, (i + 1) * w)
+                    im[:, cut] = np.abs(row[:, :, cut].diagonal(0, 1, 2).imag)
+                    p = np.abs(row)
+                    off = p[:, :, : i * w]  # slices 0..i-1, a view
+                    sq[:, : (i + 1) * w] += np.einsum("sxy,sxy->sy", p, p)
+                    if i:
+                        sq[:, cut] += np.einsum("sxy,sxy->sx", off, off)
+                    p **= s
+                    p *= weights[:, (n_l - 1 - i) * w :]
+                    col[:, : (i + 1) * w] += p.sum(axis=1)
+                    if i:
+                        col[:, cut] += off.sum(axis=2)
+                del p, off  # |G|^s of the last row, before the next z's pass
+                r = _ward_ratio(sq, im, abs(z.imag))
+            del sq, im
+            for k in map(int, np.flatnonzero(r > WARD_TOL)):
+                if box.size > DENSE_LIMIT:
+                    raise ArithmeticError(
+                        f"sample {start + k} at z = {z} fails the Ward gauge "
+                        f"(r = {r[k]:.3g} > {WARD_TOL:g}), and its {box.size} "
+                        f"sites exceed the dense limit {DENSE_LIMIT} of the LU fallback"
+                    )
+                if dense is None:  # one n x n weight matrix for every fallback
+                    dense = rho.weight_matrix(box.coords)
+                g = green(ens.realization(start + k), z)
+                col[k] = _column_sums(dense, np.abs(g[None]) ** s)[0]
+                del g
             out.append(col)
-    return [np.concatenate(rows) for rows in sums]
+            rs.append(r)
+        start += len(a)
+    return [
+        (np.concatenate(out), float(np.max(r)), int(np.sum(r > WARD_TOL)))
+        for out, r in zip(sums, map(np.concatenate, ratios))
+    ]
 
 
 def sample_mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,11 +409,13 @@ def _chi_report(
     s: float,
     rho: DecayMetric,
     n_resampled: int,
+    **notes,
 ) -> ChiReport:
     """The Monte Carlo chi report of per-sample weighted column sums;
     ArithmeticError when the estimate or its standard error is not finite
     (an overflowed |G|^s, or inf - inf in the spread), since no row
-    should carry a nan or an inf that was not asked for."""
+    should carry a nan or an inf that was not asked for.  notes join the
+    report's params."""
     value, se = _chi_sup(sums)
     if not math.isfinite(value) or not (math.isfinite(se) or len(sums) < 2):
         raise ArithmeticError(
@@ -344,7 +425,7 @@ def _chi_report(
         value,
         samples=ens.samples,
         stderr=se,
-        params={"s": s, "eta": rho.eta, "z": z, "resampled": n_resampled},
+        params={"s": s, "eta": rho.eta, "z": z, "resampled": n_resampled, **notes},
     )
 
 
@@ -356,7 +437,10 @@ def mc_chi_green(
 
     The non-real z share one pass of the slice recursion (`_slice_sums`):
     each chunk of realizations is drawn once and runs at every such z
-    before the next is drawn, and no n x n matrix is formed.  Each real z
+    before the next is drawn, and no n x n matrix is formed but for a
+    realization that fails the Ward gauge; their reports carry the worst
+    Ward ratio (params "ward_r") and the LU recomputations ("fallbacks").
+    Each real z
     takes one LU inverse of the whole operator per realization through
     `mc_map`, and a realization colliding with z is resampled.
     """
@@ -368,12 +452,14 @@ def mc_chi_green(
     reports, w = [], None
     for z in zs:
         if z.imag != 0.0:
-            sums, n_resampled = next(sliced), 0
+            sums, worst, k = next(sliced)
+            report = _chi_report(sums, ens, z, s, rho, 0, ward_r=worst, fallbacks=k)
         else:
             if w is None:  # one weight matrix for every real z
                 w = rho.weight_matrix(ens.box.coords)
             sums, n_resampled = mc_map(lambda g: _column_sums(w, np.abs(g) ** s), ens, z)
-        reports.append(_chi_report(sums, ens, z, s, rho, n_resampled))
+            report = _chi_report(sums, ens, z, s, rho, n_resampled)
+        reports.append(report)
     return reports
 
 
@@ -644,7 +730,7 @@ def wegner_count(
     hypotheses of `wegner_preconditions`; refuses otherwise.  Also audits
     the deterministic eigenvector-mass bound on every qualifying
     eigenvector; the audit does not depend on eps, so every report carries
-    the same one.
+    the same one.  An audit that checked no eigenvector does not hold.
     """
     if not ens.g > 0:
         raise ValueError("need g > 0")
@@ -683,7 +769,7 @@ def wegner_count(
                 "eps": eps,
                 "bound_scale": eps**s * ens.g**s / gap ** (2 * s) * gamma.size**2,
                 "mass_bound_checked": len(checks),
-                "mass_bound_holds": all(checks),
+                "mass_bound_holds": bool(checks) and all(checks),
                 "samples": ens.samples,
             }
         )

@@ -9,8 +9,9 @@ Green functions are computed by pivoted complex LU (LAPACK gesv through
 LAPACK syevd), so the LU route and the eigen route stay oracles for each
 other.  The Monte Carlo chi estimates at a non-real z take a third
 route, `slice_green_rows`: H on a box couples only adjacent slices
-x_1 = const, by -1, so every block of G_z follows from W x W inversions
-per slice (elementwise divisions when W = 1, as on every chain), and
+x_1 = const, by -1, so every block of G_z follows from one W x W
+inversion per slice (an elementwise division when W = 1, as on every
+chain) and products of W x W blocks, and
 the rows of blocks are handed over one at a time instead of an n x n
 matrix.  `fold_complement` folds the deterministic
 complement Gamma^c out of the eigenpairs of H(0)|_{Gamma^c}, for the
@@ -142,34 +143,29 @@ def slice_green_rows(a: np.ndarray, z: complex, buf: np.ndarray | None = None):
     between adjacent slices x_1 = const of a box.  z is non-real, so no
     block is singular in exact arithmetic; one singular to working
     precision raises LinAlgError, naming z and the slice.  One-site slices
-    (W = 1, every chain) are inverted elementwise, without LAPACK.  With the
-    right-connected gR_i = (A_i - z - gR_{i+1})^-1
-    and the left-connected gL_i = (A_i - z - gL_{i-1})^-1, each diagonal
-    block is inverted on its own, G_ii = (A_i - z - gL_{i-1} - gR_{i+1})^-1,
-    and G_{i,j} = gR_i G_{i-1,j} for j < i.  Each row is yielded as one
-    (S, W, (i+1) W) array, the columns of slices 0..i in order, and is
-    overwritten once the next row is taken; G is complex symmetric, so
-    the rows give every entry.  Per matrix the recursion holds the gR_i,
-    each freed once its row is made, and one row of W n complex entries,
-    n = L W: L W**2 + W n entries.  Row i is written over row i - 1 in
-    place, one slab of columns at a time (`_slabs`), bit for bit as one
-    product per row would make it; numpy copies a slab per product.
-    buf, complex and (S', W, n) with S' >= S, holds the row; a caller
-    that runs several z or stacks passes one, since a buffer freed and
-    allocated again per call is given back to the system and faulted in
-    again each time.  The Dyson update
-    G_ii = gR_i + gR_i G_{i-1,i-1} gR_i would save the inversions, but it
-    cancels near an eigenvalue: on a gamma1:2,2 9 x 7 box at E = 4, its
-    chi was off by 1.2e-3 at eps = 1e-9, the direct inversion's by 4e-15.
-    The direct inversion is not that accurate on every geometry.  gamma2:3
-    on (-2..2, -1..3) with g = 2, seed 0, one sample, z = 4 - 1e-9 i, s = 1
-    and eta = 0.1 gives chi = 1529545166.6802347 against 1529545166.2298875
-    from per-realization LU, 2.9e-10 relative.  Near a deterministic pole
-    it is worse: `localize` on 1..11,1..11 with gamma2:3, eps = 1e-9 and
-    20 samples (g = 5, s = 1/3, eta = 0.1, E = 4, seed 0) gives
-    chi = 28328.963197687488 against 28329.265547661555 from LU, 1.07e-5
-    relative, with one column sum off by 4.4%, and still exits 0.  ROADMAP
-    item 2 is the fix.
+    (W = 1, every chain) are inverted elementwise, without LAPACK.  One
+    backward pass makes the right-connected gR_i = (A_i - z - gR_{i+1})^-1
+    down to slice 0, L inversions in all; then G_00 = gR_0,
+    G_{i,j} = gR_i G_{i-1,j} for j < i, and the Dyson update
+    G_ii = gR_i + G_{i,i-1} gR_i gives each diagonal block from the block
+    beside it.  Each row is yielded as one (S, W, (i+1) W) array, the
+    columns of slices 0..i in order, and is overwritten once the next row
+    is taken; G is complex symmetric, so the rows give every entry.  Per
+    matrix the recursion holds the gR_i, each freed once it is read, and
+    one row of W n complex entries, n = L W: L W**2 + W n entries.  Row i
+    is written over row i - 1 in place, one slab of columns at a time
+    (`_slabs`), bit for bit as one product per row would make it; numpy
+    copies a slab per product.  buf, complex and (S', W, n) with S' >= S,
+    holds the row; a caller that runs several z or stacks passes one,
+    since a buffer freed and allocated again per call is given back to
+    the system and faulted in again each time.
+
+    The Dyson update cancels when E = Re z is an eigenvalue of the
+    realization, and so do the row products, which carry the same 1/eps
+    pole in both factors: on a gamma1:2,2 9 x 7 box at E = 4 chi is off by
+    about 1e-3 at eps = 1e-9.  The rows are exact only up to that loss;
+    `fracmoment._slice_sums` checks every realization against the Ward
+    identity and recomputes one that fails it by whole-operator LU.
     """
     n_l, w = a.shape[1], a.shape[-1]
     inv = np.linalg.inv if w > 1 else _reciprocal
@@ -178,34 +174,33 @@ def slice_green_rows(a: np.ndarray, z: complex, buf: np.ndarray | None = None):
     zi = np.zeros((w, w), dtype=complex)
     np.fill_diagonal(zi, z)
     try:
-        gr = [None] * n_l  # gR_i for i >= 1
-        for i in range(n_l - 1, 0, -1):
+        gr = [None] * n_l  # gR_i
+        for i in range(n_l - 1, -1, -1):
             m = a[:, i] - zi
             gr[i] = inv(m - gr[i + 1] if i + 1 < n_l else m)
-        slab = _slabs(n_l, w)
-        if buf is None:
-            buf = np.empty((len(a), w, n_l * w), dtype=complex)
-        buf = buf[: len(a)]
-        gl = None
-        for i in range(n_l):
-            m = a[:, i] - zi
-            if i:
-                m -= gl  # A_i - z - gL_{i-1}, for G_ii and for gL_i
-                cuts = [0, *range(slab, i * w - 1, slab), i * w]
-                for c, d in zip(cuts, cuts[1:]):
-                    # numpy copies a piece that out overlaps (all of it is read);
-                    # two alternating row buffers would not, but moved 21 x 21
-                    # `localize` by -10% to +2% and hold W n more entries a matrix
-                    piece = buf[:, :, c:d]
-                    np.matmul(gr[i], piece, out=piece)
-                gr[i] = None  # read for the last time
-            row = buf[:, :, : (i + 1) * w]
-            row[:, :, i * w :] = inv(m - gr[i + 1] if i + 1 < n_l else m)
-            yield row
-            if i + 1 < n_l:
-                gl = inv(m)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"{exc} at z = {z}, slice {i}") from exc
+    slab = _slabs(n_l, w)
+    if buf is None:
+        buf = np.empty((len(a), w, n_l * w), dtype=complex)
+    buf = buf[: len(a)]
+    for i in range(n_l):
+        row = buf[:, :, : (i + 1) * w]
+        diag = row[:, :, i * w :]
+        if i:
+            cuts = [0, *range(slab, i * w - 1, slab), i * w]
+            for c, d in zip(cuts, cuts[1:]):
+                # numpy copies a piece that out overlaps (all of it is read);
+                # two alternating row buffers would not, but moved 21 x 21
+                # `localize` by -10% to +2% and hold W n more entries a matrix
+                piece = buf[:, :, c:d]
+                np.matmul(gr[i], piece, out=piece)
+            np.matmul(row[:, :, (i - 1) * w : i * w], gr[i], out=diag)
+            diag += gr[i]
+        else:
+            diag[...] = gr[0]
+        gr[i] = None  # read for the last time
+        yield row
 
 
 def fold_complement(

@@ -239,6 +239,27 @@ def test_wegner_run(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("g", ["1e-300", "1.7976931348623157e308"])
+def test_wegner_audit_that_checked_nothing_exits_3(tmp_path, capsys, g):
+    # no eigenvector off the kernel of H(0) - E reaches the gap/3 window: an
+    # audit of nothing wrote mass_checks 0 with mass_bound_holds 1 and exit 0
+    args = ["wegner", "--box", "1..3,1..1", "--energy", "4", "--epsilon", "0.4"]
+    assert run_cli([*args, "--g", g, "--out", str(tmp_path)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "ArithmeticError: the eigenvector-mass audit checked no eigenvector" in line
+    assert f"g = {float(g)}" in line and "gap/3 window |E - 4.0| <= 0.471405" in line
+    assert not (tmp_path / "wegner.csv").exists()
+
+
+def test_wegner_readme_example_checks_120_eigenvectors(tmp_path):
+    args = ["wegner", "--box", "1..3,1..1", "--gamma", "gamma1:2,2", "--g", "10"]
+    args += ["--energy", "4", "--epsilon", "0.4,0.2,0.1", "--samples", "200"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0
+    with open(tmp_path / "wegner.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["mass_checks"], r["mass_bound_holds"]) for r in rows] == [("120", "1")] * 3
+
+
 def test_wegner_builds_h0_and_its_spectrum_once(tmp_path, monkeypatch):
     # the preconditions and the counts read one H(0) and one
     # eigendecomposition of it, beside the one of the single chunk
@@ -471,19 +492,48 @@ def test_localize_non_finite_chi_exits_3(tmp_path, monkeypatch, capsys, poison):
     real = fracmoment._slice_sums
 
     def poisoned(*args):
-        sums = real(*args)
+        results = real(*args)
+        sums = results[0][0]  # the first z's column sums, beside its gauge
         if poison == "nan":
-            sums[0][0, 0] = np.nan
+            sums[0, 0] = np.nan
         else:
-            sums[0][:] = 1e200
-            sums[0][::2] = 3e200
-        return sums
+            sums[:] = 1e200
+            sums[::2] = 3e200
+        return results
 
     monkeypatch.setattr(fracmoment, "_slice_sums", poisoned)
     args = ["localize", "--box", "1..3,1..3", "--samples", "4", "--epsilon", "0.1,0.01"]
     assert run_cli(args + ["--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "ArithmeticError" in err and "z = (4+0.1j)" in err
+    assert not (tmp_path / "localize.csv").exists()
+
+
+POLE = ["localize", "--box", "1..11,1..11", "--gamma", "gamma2:3", "--epsilon", "1e-9"]
+
+
+def test_localize_record_carries_the_ward_gauge(tmp_path):
+    # per eps, the worst Ward ratio and the realizations recomputed by LU:
+    # none at eps = 0.1, every one at README's pole case (E = 4, eps = 1e-9)
+    from trimlab.fracmoment import WARD_TOL
+
+    args = [*POLE[:-1], "1e-9,0.1", "--samples", "4", "--out", str(tmp_path)]
+    assert run_cli(args) == 0
+    gauge = json.loads((tmp_path / "localize.json").read_text())["provenance"]["ward_gauge"]
+    assert [g["epsilon"] for g in gauge] == [1e-9, 0.1]
+    assert gauge[0]["fallbacks"] == 4 and gauge[0]["ward_r"] > WARD_TOL
+    assert gauge[1]["fallbacks"] == 0 and gauge[1]["ward_r"] <= 1e-12
+
+
+def test_localize_gauge_failure_past_the_dense_limit_exits_3(tmp_path, monkeypatch, capsys):
+    # no dense LU past the limit: the failing realization is named, not fixed
+    from trimlab import fracmoment
+
+    monkeypatch.setattr(fracmoment, "DENSE_LIMIT", 120)  # the box has 121 sites
+    assert run_cli([*POLE, "--samples", "20", "--out", str(tmp_path)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("trimlab: ArithmeticError: sample 0 at z = (4+1e-09j)")
+    assert "fails the Ward gauge (r = " in line and "dense limit 120" in line
     assert not (tmp_path / "localize.csv").exists()
 
 
@@ -618,12 +668,13 @@ def test_nonpositive_g_exits_2(tmp_path, capsys, args, g):
 
 
 def test_dynamics_overflowing_phase_exits_3(tmp_path, capsys):
-    # t E leaves the float range in e^{itE}: M_p at t = 2 and 4 is nan
+    # t E leaves the float range in e^{itE}: M_p at t = 2 and 4 is nan, and
+    # the exit-3 line is all that stderr holds, no numpy RuntimeWarning
     args = ["dynamics", "--box", "1..3,1..3", "--samples", "2"]
-    with np.errstate(all="ignore"):
-        code = run_cli([*args, "--g", "1.7976931348623157e308", "--out", str(tmp_path)])
+    code = run_cli([*args, "--g", "1.7976931348623157e308", "--out", str(tmp_path)])
     assert code == 3
-    assert "ArithmeticError: Mp at t = 2.0" in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("trimlab: ArithmeticError: Mp at t = 2.0")
     assert not (tmp_path / "dynamics.csv").exists()
 
 

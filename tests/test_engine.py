@@ -133,7 +133,7 @@ def _slice_entries(box) -> int:
     """Complex entries per sample that sizes the chunks of the slice route."""
     n_l, n = box.shape[0], box.size
     w = n // n_l
-    return n_l * w * w + 2 * w * n
+    return n_l * w * w + 2 * w * n + 2 * n
 
 
 @settings(max_examples=20, deadline=None)
@@ -399,25 +399,22 @@ def test_one_site_overflow_is_silent():
 def _rows_by_whole_products(a, z):
     # the recursion with a fresh array per row and one product for the
     # whole of it, as the rows were made before each was written over the
-    # last in place, one slab of columns at a time
+    # last in place, one slab of columns at a time; each diagonal block by
+    # the Dyson update G_ii = gR_i + G_{i,i-1} gR_i
     n_l, w = a.shape[1], a.shape[-1]
     inv = np.linalg.inv if w > 1 else spectral._reciprocal
     zi = np.zeros((w, w), dtype=complex)
     np.fill_diagonal(zi, z)
     gr = [None] * n_l
-    for i in range(n_l - 1, 0, -1):
+    for i in range(n_l - 1, -1, -1):
         m = a[:, i] - zi
         gr[i] = inv(m - gr[i + 1] if i + 1 < n_l else m)
-    rows = []
-    for i in range(n_l):
-        m = a[:, i] - zi
+    rows = [gr[0]]
+    for i in range(1, n_l):
         row = np.empty((len(a), w, (i + 1) * w), dtype=complex)
-        if i:
-            m -= gl
-            np.matmul(gr[i], rows[-1], out=row[:, :, : i * w])
-        row[:, :, i * w :] = inv(m - gr[i + 1] if i + 1 < n_l else m)
+        np.matmul(gr[i], rows[-1], out=row[:, :, : i * w])
+        row[:, :, i * w :] = gr[i] + row[:, :, (i - 1) * w : i * w] @ gr[i]
         rows.append(row)
-        gl = inv(m)
     return rows
 
 
@@ -737,14 +734,12 @@ def test_real_z_share_one_weight_matrix(monkeypatch):
         )
 
 
-@pytest.mark.xfail(
-    strict=True, reason="the slice recursion loses accuracy near a deterministic pole"
-)
 def test_slice_route_is_accurate_near_a_deterministic_pole():
     # `localize --box 1..11,1..11 --gamma gamma2:3 --epsilon 1e-9 --samples 20`
-    # (g 5, s 1/3, eta 0.1, E 4, seed 0) gives chi = 28328.963197687488
-    # against 28329.265547661555 from per-realization LU and exits 0;
-    # ROADMAP item 2 is the mend that must make this pass
+    # (g 5, s 1/3, eta 0.1, E 4, seed 0): the recursion alone gave
+    # chi = 28328.963197687488 against 28329.265547661555 from
+    # per-realization LU and exited 0; the Ward gauge sends the samples
+    # it gets wrong to LU
     from trimlab import cli
 
     argv = ["localize", "--box", "1..11,1..11", "--gamma", "gamma2:3"]
@@ -754,6 +749,85 @@ def test_slice_route_is_accurate_near_a_deterministic_pole():
     z, s = complex(config["energy"], 1e-9), config["s"]
     (report,) = mc_chi_green(ens, [z], s, rho)
     assert _chi_close(report, _lu_chi(ens, z, s, rho), 1e-10)
+
+
+# The Ward gauge of the slice route: eps sum_y |G(x,y)|^2 = |Im G(x,x)| per
+# realization, and whole-operator LU for a realization that fails it.
+
+
+@pytest.mark.parametrize("geometry", SLICE_GEOMETRIES)
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 6),
+    energy=st.one_of(st.just("2d"), st.floats(-1.0, 9.0)),
+    log_eps=st.floats(-9.0, 0.0),
+    upper=st.booleans(),
+    s=st.floats(0.0, 1.0, exclude_min=True),
+    g=st.floats(0.5, 20.0),
+)
+def test_gauged_slice_route_matches_per_realization_green_down_to_eps_1e_9(
+    geometry, seed, samples, energy, log_eps, upper, s, g
+):
+    box, mask = geometry
+    ens = EnsembleSpec(box, mask, Uniform(), g, master_seed=seed, samples=samples)
+    re = 2.0 * box.dim if energy == "2d" else energy
+    rho = DecayMetric(0.1)
+    z = complex(re, 10.0**log_eps if upper else -(10.0**log_eps))
+    (report,) = mc_chi_green(ens, [z], s, rho)
+    assert _chi_close(report, _lu_chi(ens, z, s, rho), 1e-10)
+    assert 0 <= report.params["fallbacks"] <= samples
+
+
+def test_ward_gauge_trips_at_a_deterministic_pole_and_not_on_the_benchmark():
+    # gamma2:3 on 5 x 5 at E = 4: the recursion cancels, the gauge sees it
+    box, mask = SLICE_GEOMETRIES[7]
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=0, samples=3)
+    ((_, worst, fallbacks),) = fracmoment._slice_sums(
+        ens, [4.0 + 1e-6j], 1.0 / 3.0, DecayMetric(0.1)
+    )
+    assert worst > fracmoment.WARD_TOL and fallbacks >= 1
+    # the first chunk of the `localize-bernoulli` benchmark: two samples of
+    # 21 x 21 bernoulli:0.5:3 at E = 4, eps 0.1 and 0.01
+    from trimlab import cli
+
+    argv = ["localize", "--box", "1..21,1..21", "--gamma", "bernoulli:0.5:3"]
+    argv += ["--samples", "2", "--epsilon", "0.1,0.01", "--out", "unused"]
+    config = cli._load_config(cli._build_parser().parse_args(argv))
+    ens, rho = cli._resolved(config, "localize")
+    assert fracmoment.chunk_size(_slice_entries(ens.box)) == 2
+    zs = [complex(config["energy"], eps) for eps in config["epsilon"]]
+    for _, worst, fallbacks in fracmoment._slice_sums(ens, zs, config["s"], rho):
+        assert worst <= 1e-10 and fallbacks == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 12),
+    log_eps=st.floats(-9.0, -7.0),
+    per_chunk=st.integers(1, 5),
+)
+def test_fallback_results_do_not_depend_on_chunk_size(seed, samples, log_eps, per_chunk):
+    box, mask = SLICE_GEOMETRIES[7]  # gamma2:3 on 5 x 5, E = 4: a pole
+    ens = EnsembleSpec(box, mask, Uniform(), 5.0, master_seed=seed, samples=samples)
+    z, rho = complex(4.0, 10.0**log_eps), DecayMetric(0.1)
+    (chi,) = mc_chi_green(ens, [z], 0.5, rho)
+    assert chi.params["fallbacks"] >= 1
+    with mock.patch.object(fracmoment, "CHUNK_ENTRIES", per_chunk * _slice_entries(box)):
+        (small,) = mc_chi_green(ens, [z], 0.5, rho)
+    assert (small.value, small.stderr, small.params) == (chi.value, chi.stderr, chi.params)
+
+
+def test_slice_recursion_makes_one_inverse_per_slice():
+    # L W x W inversions per pass: the diagonal blocks come by the Dyson update
+    box = make_box(2, (1, 1), (6, 4))
+    ens = EnsembleSpec(box, Gamma1Mask(2, 2), Uniform(), 5.0, master_seed=3, samples=2)
+    (a,) = fracmoment._slice_blocks(ens)
+    assert a.shape == (2, 6, 4, 4)
+    with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+        rows = list(spectral.slice_green_rows(a, 4.0 + 0.1j))
+    assert len(rows) == 6 and inv.call_count == 6
 
 
 def test_localize_routes_every_eps_to_the_slice_recursion():
@@ -847,7 +921,7 @@ def test_wegner_count_matches_per_eps_loop(geometry, seed, samples, fractions, g
         assert (rep["eps"], rep["p_excess"]) == (eps, p_excess)
         assert rep["histogram"] == histogram
         assert rep["mass_bound_checked"] == len(checks)
-        assert rep["mass_bound_holds"] == all(checks)
+        assert rep["mass_bound_holds"] == (bool(checks) and all(checks))
 
 
 # geometries whose inner boundary lies in Gamma, as the probe requires

@@ -135,7 +135,8 @@ def test_non_finite_chi_raises_on_both_routes(monkeypatch, z):
     def poisoned(real):
         def wrapper(*args):
             out = real(*args)
-            (out[0] if isinstance(out, list) else out)[0, 0] = np.nan
+            # _slice_sums gives (sums, worst r, fallbacks) per z
+            (out[0][0] if isinstance(out, list) else out)[0, 0] = np.nan
             return out
 
         return wrapper
