@@ -232,7 +232,7 @@ def assumption_scan(
         dists = l1_distances([x], cand)[0]
         r_out = int(dists.max())
         # the sites nearest x off B lie on its outer boundary
-        r_in = int(l1_distances([x], boundary(cand).outer).min()) - 1
+        r_in = int(l1_distances([x], boundary(cand)).min()) - 1
         report: dict = {
             "sites": cand,
             "n_sites": len(cand),

@@ -11,13 +11,13 @@ each field once against its kind in `_FIELDS`, and `_resolved` applies
 the range rules and the experiment's own checks (wegner's hypotheses
 among them) and builds the (ens, rho) every runner receives with config.
 
-The thread count (--threads, TRIMLAB_THREADS, default os.cpu_count()) is
-validated and recorded in the JSON config echo, and nothing else reads
-it: the Monte Carlo engine is serial and takes no thread count, so
-outputs cannot depend on it.  Their last bits can depend on OpenBLAS's
-own thread count (101 x 101 `localize`, 2 samples: stderr ...7967e+06
-under one thread, ...8007e+06 under two); OPENBLAS_NUM_THREADS=1 gives
-reproducible bits on large boxes.
+The thread count (--threads or the config field, default
+os.cpu_count()) is validated and recorded in the JSON config echo, and
+nothing else reads it: the Monte Carlo engine is serial and takes no
+thread count, so outputs cannot depend on it.  Their last bits can
+depend on OpenBLAS's own thread count (101 x 101 `localize`, 2 samples:
+stderr ...7967e+06 under one thread, ...8007e+06 under two);
+OPENBLAS_NUM_THREADS=1 gives reproducible bits on large boxes.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric, memory or I/O error
 (a ValueError, ArithmeticError, RuntimeError, MemoryError or OSError
@@ -182,13 +182,7 @@ def _load_config(args: argparse.Namespace) -> dict:
         (k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None
     )
     if config["threads"] is None:
-        env = os.environ.get("TRIMLAB_THREADS")
-        try:
-            config["threads"] = int(env) if env else (os.cpu_count() or 1)
-        except ValueError as exc:
-            raise ConfigError(
-                f"TRIMLAB_THREADS must be an integer, not {env!r}"
-            ) from exc
+        config["threads"] = os.cpu_count() or 1
     return {key: _checked(key, value) for key, value in config.items()}
 
 
@@ -436,15 +430,17 @@ def _run_couple(config: dict, ens: EnsembleSpec, rho: DecayMetric):
         c_mu,
         g0 if z.imag == eps else None,  # the weak bound is taken at eps itself
     )
+    # pass -1 marks a row that checks nothing
     if rep["applicable"]:
         audit = rep["audit"]
         pendant = [audit["pendant_chi"], audit["pendant_bound"], audit["pendant_holds"]]
-        star = [rep["lhs"], audit["star_rhs"], audit["star_holds"]]
-        rows.append(["weak-bound", rep["lhs"], rep["bound"], rep["holds"]])
+        star = [rep["diff"], audit["star_rhs"], audit["star_holds"]]
+        rows.append(["weak-bound", rep["diff"], rep["bound"], rep["holds"]])
         rows.append(["weak-bound-audit-pendant", *pendant])
         rows.append(["weak-bound-audit-star", *star])
+        rows.append(["weak-bound-lhs", rep["lhs"], rep["chi0"], -1])
     else:
-        rows.append(["weak-bound-inapplicable", rep["chi0"], 0.0, True])
+        rows.append(["weak-bound-inapplicable", rep["chi0"], 0.0, -1])
     return ["check", "value", "bound", "pass"], rows
 
 
@@ -538,10 +534,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LN_FLOAT_MAX = math.log(sys.float_info.max)  # about 709.78
+
+
+def _check_weights(box: LatticeBox, eta: float, reach: int = 0) -> None:
+    """e^{eta d} must be a finite float for d up to the box's l1 diameter
+    sum(hi - lo), or reach if longer: `math.exp` overflows past it."""
+    diameter = sum(b - a for a, b in zip(box.lo, box.hi))
+    dist = max(diameter, reach)
+    if eta * dist > _LN_FLOAT_MAX:
+        raise ConfigError(
+            f"field 'eta': e^(eta * {dist}) overflows: eta = {eta!r} times {dist} "
+            f"exceeds ln(float max) = {_LN_FLOAT_MAX:.2f} (the box's l1 diameter "
+            f"is {diameter})"
+        )
+
+
 def _check_localize(ens: EnsembleSpec, config: dict) -> None:
-    """chi_rho(E|G|^s) is estimated for 0 < s <= 1 only."""
+    """chi_rho(E|G|^s) is estimated for 0 < s <= 1 and finite weights only."""
     if not 0 < config["s"] <= 1:
         raise ConfigError("field 's' must satisfy 0 < s <= 1 for localize")
+    _check_weights(ens.box, config["eta"])
 
 
 def _check_wegner(ens: EnsembleSpec, config: dict) -> None:
@@ -576,6 +589,7 @@ def _check_couple(ens: EnsembleSpec, config: dict) -> None:
         raise ConfigError(
             "couple needs disorder on every site: gamma must cover the box"
         )
+    _check_weights(ens.box, config["eta"], reach=2)  # the bound's e^{2 eta}
 
 
 #: per-experiment checks that `_resolved` runs last

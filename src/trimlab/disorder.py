@@ -54,9 +54,6 @@ class DisorderSpec:
         """Map uniforms of shape (n, draws_per_sample) to n samples."""
         raise NotImplementedError
 
-    def descriptor(self) -> str:
-        raise NotImplementedError
-
     @property
     def moment_Mq(self) -> float:
         """Declared-q absolute moment of mu, by quadrature."""
@@ -112,9 +109,6 @@ class Uniform(DisorderSpec):
     def from_uniform(self, u):
         return self.a + (self.b - self.a) * u[..., 0]
 
-    def descriptor(self):
-        return f"uniform:{self.a},{self.b}"
-
 
 @dataclass(frozen=True)
 class BernoulliMixture(DisorderSpec):
@@ -156,9 +150,6 @@ class BernoulliMixture(DisorderSpec):
     def from_uniform(self, u):
         atom = (u[..., 0] < self.p).astype(float)
         return atom + self.w * (u[..., 1] - 0.5)
-
-    def descriptor(self):
-        return f"bmix:{self.p},{self.w}"
 
 
 @dataclass(frozen=True)
@@ -203,24 +194,26 @@ class TruncatedCauchy(DisorderSpec):
         theta = (2.0 * u[..., 0] - 1.0) * math.atan(self.cutoff / self.scale)
         return self.scale * np.tan(theta)
 
-    def descriptor(self):
-        return f"tcauchy:{self.scale},{self.cutoff}"
+
+_FAMILIES = {"uniform": Uniform, "bmix": BernoulliMixture, "tcauchy": TruncatedCauchy}
 
 
 def spec_from_descriptor(text: str) -> DisorderSpec:
-    parts = text.strip().split(":")
-    kind = parts[0].lower()
-    args = [float(v) for v in parts[1].split(",")] if len(parts) > 1 else []
+    """Parse a disorder descriptor as used on the command line: a family,
+    `uniform`, `bmix` or `tcauchy`, then optionally `:` and its
+    constructor's numbers, comma-separated (`uniform:0,1`).  A trailing
+    field is a ValueError."""
+    kind, *fields = text.strip().split(":")
+    kind = kind.lower()
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown disorder family {kind!r}")
     try:
-        if kind == "uniform":
-            return Uniform(*args) if args else Uniform()
-        if kind == "bmix":
-            return BernoulliMixture(*args) if args else BernoulliMixture()
-        if kind == "tcauchy":
-            return TruncatedCauchy(*args) if args else TruncatedCauchy()
+        if len(fields) > 1:
+            raise ValueError(f"{len(fields)} fields after {kind}, at most 1")
+        args = [float(v) for v in fields[0].split(",")] if fields else []
+        return _FAMILIES[kind](*args)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed disorder descriptor {text!r}: {exc}") from exc
-    raise ValueError(f"unknown disorder family {kind!r}")
 
 
 # ---------------------------------------------------------------------------

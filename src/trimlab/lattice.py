@@ -164,9 +164,6 @@ class SublatticeMask:
             (s in self for s in box.sites()), dtype=bool, count=box.size
         )
 
-    def descriptor(self) -> str:
-        raise NotImplementedError
-
 
 def _plane_coords(box: LatticeBox) -> np.ndarray:
     """(x1, x2) of the sites of a two-dimensional box, in index order."""
@@ -184,9 +181,6 @@ class FullMask(SublatticeMask):
 
     def indicator(self, box: LatticeBox) -> np.ndarray:
         return np.ones(box.size, dtype=bool)
-
-    def descriptor(self) -> str:
-        return "full"
 
 
 @dataclass(frozen=True)
@@ -213,9 +207,6 @@ class Gamma1Mask(SublatticeMask):
         x1, x2 = _plane_coords(box)
         return (x1 % self.k == 0) | (x2 % self.m == 0)
 
-    def descriptor(self) -> str:
-        return f"gamma1:{self.k},{self.m}"
-
 
 @dataclass(frozen=True)
 class Gamma2Mask(SublatticeMask):
@@ -241,9 +232,6 @@ class Gamma2Mask(SublatticeMask):
     def indicator(self, box: LatticeBox) -> np.ndarray:
         x1, x2 = _plane_coords(box)
         return (x1 % self.k == 0) | ((x2 - x1) % 2 == 0)
-
-    def descriptor(self) -> str:
-        return f"gamma2:{self.k}"
 
 
 @dataclass(frozen=True)
@@ -281,11 +269,6 @@ class PeriodicCellMask(SublatticeMask):
         residues = box.coords % np.array(self.cell_period)
         idx = np.ravel_multi_index(tuple(residues.T), self.cell_period)
         return np.array(self.cell, dtype=bool)[idx]
-
-    def descriptor(self) -> str:
-        dims = "x".join(str(p) for p in self.cell_period)
-        bits = "".join("1" if b else "0" for b in self.cell)
-        return f"cell:{dims}:{bits}"
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +393,6 @@ class BernoulliMask(SublatticeMask):
     def indicator(self, box: LatticeBox) -> np.ndarray:
         return philox_uniforms(*_site_keys(self.seed, box.coords), 1)[:, 0] < self.p
 
-    def descriptor(self) -> str:
-        return f"bernoulli:{self.p}:{self.seed}"
-
 
 @functools.lru_cache(maxsize=64)
 def mask_vector(mask: SublatticeMask, box: LatticeBox) -> np.ndarray:
@@ -422,11 +402,21 @@ def mask_vector(mask: SublatticeMask, box: LatticeBox) -> np.ndarray:
     return keep
 
 
+#: the most fields each kind of mask descriptor takes after its kind
+_MASK_FIELDS = {"full": 0, "gamma1": 1, "gamma2": 1, "cell": 2, "bernoulli": 2}
+
+
 def mask_from_descriptor(text: str) -> SublatticeMask:
-    """Parse a mask descriptor as used on the command line."""
+    """Parse a mask descriptor as used on the command line: `full`,
+    `gamma1:k,m`, `gamma2:k`, `cell:PxQ...:bits` (one 0 or 1 per residue,
+    row-major) or `bernoulli:p[:seed]`.  A trailing field, or a cell bit
+    other than 0 or 1, is a ValueError."""
     parts = text.strip().split(":")
     kind = parts[0].lower()
     try:
+        if len(parts) - 1 > _MASK_FIELDS.get(kind, len(parts)):
+            most = _MASK_FIELDS[kind]
+            raise ValueError(f"{len(parts) - 1} fields after {kind}, at most {most}")
         if kind == "full":
             return FullMask()
         if kind == "gamma1":
@@ -436,6 +426,8 @@ def mask_from_descriptor(text: str) -> SublatticeMask:
             return Gamma2Mask(int(parts[1]))
         if kind == "cell":
             period = tuple(int(v) for v in parts[1].split("x"))
+            if set(parts[2]) - {"0", "1"}:
+                raise ValueError(f"cell bits {parts[2]!r} are not all 0 or 1")
             cell = tuple(c == "1" for c in parts[2])
             return PeriodicCellMask(period, cell)
         if kind == "bernoulli":
@@ -452,27 +444,11 @@ def mask_from_descriptor(text: str) -> SublatticeMask:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryData:
-    """Edge boundary of a finite site set, with its two site projections."""
-
-    edges: tuple[tuple[Site, Site], ...]
-    inner: tuple[Site, ...]
-    outer: tuple[Site, ...]
-
-
-def boundary(sites: Sequence[Site] | set) -> BoundaryData:
-    """Edges (x in B, y not in B) with their inner/outer projections."""
+def boundary(sites: Sequence[Site] | set) -> tuple[Site, ...]:
+    """The outer boundary of a finite site set: the sites outside it with
+    a nearest neighbour in it, sorted."""
     inside = set(sites)
-    edges = []
-    for x in inside:
-        for y in neighbors(x):
-            if y not in inside:
-                edges.append((x, y))
-    edges.sort()
-    inner = tuple(sorted({x for x, _ in edges}))
-    outer = tuple(sorted({y for _, y in edges}))
-    return BoundaryData(tuple(edges), inner, outer)
+    return tuple(sorted({y for x in inside for y in neighbors(x)} - inside))
 
 
 def _union_find(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:

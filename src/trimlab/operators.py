@@ -60,11 +60,9 @@ class HamiltonianMatrix:
 
 def resolve_v0(v0, box: LatticeBox) -> np.ndarray:
     """Background potential per box site, as a new array, from None, a
-    number, one number per site, or a callable on sites."""
+    number, or one number per site in index order."""
     if v0 is None:
         return np.zeros(box.size)
-    if callable(v0):
-        return np.array([float(v0(s)) for s in box.sites()])
     arr = np.array(v0, dtype=float)
     if arr.ndim == 0:
         return np.full(box.size, float(arr))

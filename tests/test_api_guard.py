@@ -4,9 +4,10 @@ function takes a `threads` argument (the engine is serial; only the CLI
 records a thread count), no numpy generator is used outside the per-site
 reference `BernoulliMask.__contains__` (every other draw goes through
 `lattice.philox_uniforms`), no module but `fracmoment` draws a
-potential (`.potential(`), no module imports a name it never uses, and
+potential (`.potential(`), no module imports a name it never uses,
 every public module-level function and class is read by package code or
-named, with its reason, in `UNREAD_BY_SRC`."""
+named, with its reason, in `UNREAD_BY_SRC`, and every public class member
+likewise or in `MEMBERS_UNREAD_BY_SRC`."""
 
 from __future__ import annotations
 
@@ -332,4 +333,116 @@ def test_unread_name_guard_sees_every_form():
     }
     assert _unread_public_names(sources) == [
         "a.Shadowed", "a.imported_unread", "a.recursive", "b.f",
+    ]
+
+
+#: public class members that no code of the package reads, each with why
+#: it stays; a member leaves this table once package code reads its name
+MEMBERS_UNREAD_BY_SRC = {
+    **dict.fromkeys(
+        [
+            "lattice.SublatticeMask.period",
+            "lattice.Gamma1Mask.period",
+            "lattice.Gamma2Mask.period",
+            "lattice.PeriodicCellMask.period",
+        ],
+        "awaits its reader, the strip localisation lengths, whose strip "
+        "width is a multiple of the mask's period",
+    ),
+    **dict.fromkeys(
+        [
+            "disorder.Uniform.regularity_C",
+            "disorder.BernoulliMixture.regularity_C",
+            "disorder.TruncatedCauchy.regularity_C",
+            "disorder.DisorderSpec.moment_Mq",
+        ],
+        f"{AWAITS_READER}, which reads regularity_check against them",
+    ),
+    **dict.fromkeys(
+        [
+            "lattice.InsulationReport.witness",
+            "lattice.InsulationReport.witness_distance",
+            "lattice.InsulationReport.possibly_infinite",
+        ],
+        f"{AWAITS_READER}, which must not rest on the insulation flag alone",
+    ),
+    "anomalous.CompactEigenReport.basis": (
+        "the result of compact_eigenfunctions, read by its tests"
+    ),
+    "anomalous.PeriodicEigenfunction.max_mask_value": "acceptance criterion 5",
+}
+
+
+def _unread_members(sources: dict[str, str]) -> list[str]:
+    """"module.Class.member" of each public method, property, class
+    attribute and dataclass field of the classes in sources (module name
+    -> source) whose name no attribute access `obj.member` in any of them
+    reads.  Like `_called_names`, the match is by name only."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names = [node.target.id]
+                else:
+                    continue
+                unread += [
+                    f"{module}.{cls.name}.{name}"
+                    for name in names
+                    if not name.startswith("_") and name not in read
+                ]
+    return sorted(unread)
+
+
+def test_every_public_member_is_read_by_the_package_or_listed():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unread_members(sources) == sorted(MEMBERS_UNREAD_BY_SRC)
+
+
+def test_unread_member_guard_sees_every_form():
+    sources = {
+        "a": (
+            "import functools\n"
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class C:\n"
+            "    field_read: int\n"
+            "    field_unread: int = 0\n"
+            "    attr_read = 1\n"
+            "    attr_unread = 2\n"
+            "    _private_attr: int = 3\n"
+            "    def method_read(self): pass\n"
+            "    def method_unread(self): pass\n"
+            "    def _private(self): pass\n"
+            "    @property\n"
+            "    def prop_read(self): return self.field_read\n"
+            "    @property\n"
+            "    def prop_unread(self): pass\n"
+            "    @functools.cached_property\n"
+            "    def cached_read(self): pass\n"
+            "    @functools.cached_property\n"
+            "    def cached_unread(self): pass\n"
+            "def method_unread(): pass\n"
+        ),
+        "b": (
+            "from .a import C\n"
+            "def f(c: C):\n"
+            "    c.method_read()\n"
+            "    return c.attr_read + c.prop_read + c.cached_read\n"
+        ),
+    }
+    assert _unread_members(sources) == [
+        "a.C.attr_unread", "a.C.cached_unread", "a.C.field_unread",
+        "a.C.method_unread", "a.C.prop_unread",
     ]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -330,22 +331,26 @@ def test_config_roundtrip(tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize(
-    "value, message",
-    [
-        ("abc", "TRIMLAB_THREADS"),
-        ("1.5", "TRIMLAB_THREADS"),
-        (" ", "TRIMLAB_THREADS"),
-        ("0", "field 'threads' must be >= 1"),
-    ],
-    ids=["abc", "1.5", " ", "0"],
-)
-def test_bad_trimlab_threads_exits_2(tmp_path, monkeypatch, capsys, value, message):
-    # a thread count of 0 is an integer, and as bad as one from --threads
-    monkeypatch.setenv("TRIMLAB_THREADS", value)
-    assert run_cli(["lattice-info", "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "lattice-info.csv").exists()
+def test_threads_default_is_the_cpu_count_and_no_environment_variable(
+    tmp_path, monkeypatch
+):
+    # TRIMLAB_THREADS was a second source of the thread count; it is not read
+    monkeypatch.setenv("TRIMLAB_THREADS", "abc")
+    assert run_cli(["lattice-info", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "lattice-info.json").read_text())
+    assert summary["config"]["threads"] == (os.cpu_count() or 1)
+
+
+def test_descriptor_with_a_trailing_field_exits_2(tmp_path, capsys):
+    # both ran with exit 0, the trailing field dropped
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"disorder": "uniform:0,1:junk"}))
+    out = str(tmp_path / "out")
+    assert run_cli(["lattice-info", "--gamma", "gamma2:3:junk", "--out", out]) == 2
+    assert "malformed mask descriptor 'gamma2:3:junk'" in capsys.readouterr().err
+    assert run_cli(["lattice-info", "--config", str(cfg), "--out", out]) == 2
+    assert "malformed disorder descriptor 'uniform:0,1:junk'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_emit_quotes_fields_with_commas(tmp_path):
@@ -583,6 +588,33 @@ def test_out_of_range_field_exits_2_before_dispatch(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, flags, dist",
+    [
+        ("localize", ["--eta", "800"], 8),
+        ("couple", ["--box", "0..0", "--gamma", "full", "--g", "0.01", "--eta", "400"], 2),
+    ],
+)
+def test_decay_rate_too_large_for_the_box_exits_2(
+    tmp_path, capsys, experiment, flags, dist
+):
+    # e^{eta |x - y|_1} over the box (and couple's e^{2 eta}) raised
+    # OverflowError: math range error, exit 3
+    import trimlab.cli as cli
+
+    args = [experiment, "--samples", "2", *flags]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"field 'eta': e^(eta * {dist}) overflows" in err
+    assert "ln(float max) = 709.78" in err and "l1 diameter is" in err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+    # at eta * dist = ln(float max) every weight is finite, and the check passes
+    eta = math.log(sys.float_info.max) / dist
+    assert math.isfinite(math.exp(eta * dist))
+    parsed = cli._build_parser().parse_args(args + ["--eta", repr(eta)])
+    cli._resolved(cli._load_config(parsed), experiment)
+
+
 def test_dynamics_accepts_an_eps_whose_square_is_subnormal(tmp_path):
     args = ["dynamics", "--box", "0..2", "--gamma", "full", "--epsilon", "1e-160"]
     assert run_cli(args + ["--out", str(tmp_path)]) == 0
@@ -676,6 +708,31 @@ def test_dynamics_overflowing_phase_exits_3(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("trimlab: ArithmeticError: Mp at t = 2.0")
     assert not (tmp_path / "dynamics.csv").exists()
+
+
+def test_couple_weak_bound_holds_and_falls_with_g(tmp_path):
+    # the bound was checked on chi(E|G_z[H(g)]|^s), which tends to chi0 as g
+    # falls while the bound tends to 0: pass 0 at g <= 1e-9, with exit 0
+    base = ["couple", "--box", "1..3,1..3", "--gamma", "full", "--samples", "5"]
+    tables = []
+    for g in ("1e-9", "1e-12", "1e-300"):
+        assert run_cli(base + ["--g", g, "--out", str(tmp_path / g)]) == 0
+        with open(tmp_path / g / "couple.csv", newline="") as fh:
+            tables.append({row[0]: row[1:] for row in csv.reader(fh)})
+    for table in tables:
+        for check in ("weak-bound", "weak-bound-audit-pendant", "weak-bound-audit-star"):
+            value, bound, ok = table[check]
+            assert ok == "1" and float(value) <= float(bound)
+        # the full block's chi, kept in the record, is checked by no row
+        assert table["weak-bound-lhs"][2] == "-1"
+    for col in (0, 1):
+        values = [float(table["weak-bound"][col]) for table in tables]
+        assert values[0] > values[1] > values[2] > 0
+    # at the default g = 5 the bound does not apply; that row checks nothing
+    assert run_cli(base + ["--out", str(tmp_path / "big")]) == 0
+    with open(tmp_path / "big" / "couple.csv", newline="") as fh:
+        last = list(csv.reader(fh))[-1]
+    assert last[0] == "weak-bound-inapplicable" and last[3] == "-1"
 
 
 def test_couple_s2w_rows_print_their_bound(tmp_path):

@@ -134,6 +134,24 @@ def test_weak_disorder_bound():
     assert audit["block_identity_residual"] <= 1e-10
 
 
+def test_weak_bound_difference_is_g_of_h_minus_g0():
+    # the checked chi reads G0 P_p G0 off the doubled operator; where the
+    # subtraction keeps its digits it is chi(E|G_z[H(g)] - G0|^s) itself
+    box, z, s = make_box(1, (0,), (6,)), complex(-1.0, 1e-2), 0.5
+    rho = DecayMetric(0.1)
+    ens = EnsembleSpec(box, FullMask(), Uniform(), 0.01, samples=6, master_seed=4)
+    out = weak_disorder_bound_check(ens, z.real, z.imag, s, rho, 2.5)
+    g0 = green(ens.split.h0, z)
+    w = rho.weight_matrix(box.coords)
+    sums = [
+        np.sum(w * np.abs(green(ens.realization(i), z) - g0) ** s, axis=0)
+        for i in range(ens.samples)
+    ]
+    assert out["diff"] == pytest.approx(fracmoment._chi_sup(np.array(sums))[0], rel=1e-9)
+    assert out["diff"] < out["lhs"] and out["holds"] and out["audit"]["star_holds"]
+    assert out["audit"]["block_identity_residual"] <= 1e-10
+
+
 def test_weak_disorder_bound_one_sample():
     # one sample has no Monte Carlo error estimate: stderr inf, not NaN
     c_mu = estimate_decoupling_constants(Uniform(), 0.5, 200, 0)["C_s"]

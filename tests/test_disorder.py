@@ -47,11 +47,20 @@ def test_tcauchy_normalization():
         TruncatedCauchy(1.0, 50.0, declared_q=1.5)
 
 
-def test_descriptor_roundtrip():
-    for text in ("uniform:0.0,1.0", "bmix:0.5,0.1", "tcauchy:1.0,50.0"):
-        spec = spec_from_descriptor(text)
-        assert spec.descriptor() == text
-    with pytest.raises(ValueError):
+def test_descriptor_parse():
+    expected = {
+        "uniform:0.0,1.0": Uniform(0.0, 1.0),
+        "uniform": Uniform(),
+        "bmix:0.5,0.1": BernoulliMixture(0.5, 0.1),
+        "tcauchy:1.0,50.0": TruncatedCauchy(1.0, 50.0),
+    }
+    for text, spec in expected.items():
+        assert spec_from_descriptor(text) == spec
+    # a trailing field was dropped
+    for text in ("uniform:0,1:junk", "uniform:x", "bmix:2,0.1"):
+        with pytest.raises(ValueError, match="malformed disorder descriptor"):
+            spec_from_descriptor(text)
+    with pytest.raises(ValueError, match="unknown disorder family"):
         spec_from_descriptor("gauss:0,1")
 
 

@@ -215,8 +215,6 @@ def _v0(kind: str, box, seed: int):
         return 0.7
     if kind == "vector":
         return np.random.default_rng(seed).uniform(-1.0, 1.0, box.size)
-    if kind == "callable":
-        return lambda site: 0.25 * sum(site)
     return None
 
 
@@ -225,7 +223,7 @@ def _v0(kind: str, box, seed: int):
     geometry=st.sampled_from(SLICE_GEOMETRIES),
     seed=st.integers(0, 2**32),
     samples=st.integers(1, 6),
-    v0=st.sampled_from(["none", "number", "vector", "callable"]),
+    v0=st.sampled_from(["none", "number", "vector"]),
     energy=st.one_of(st.just("2d"), st.floats(-1.0, 9.0)),
     eps=st.floats(1e-6, 1.0),
     upper=st.booleans(),
@@ -250,7 +248,7 @@ def test_slice_route_matches_per_realization_green(
     assert (listed.value, listed.stderr) == (report.value, report.stderr)
 
 
-@pytest.mark.parametrize("v0", ["none", "number", "vector", "callable"])
+@pytest.mark.parametrize("v0", ["none", "number", "vector"])
 @pytest.mark.parametrize("geometry", SLICE_GEOMETRIES)
 def test_realization_builds_agree_bit_for_bit(geometry, v0):
     # every build of H(g) on a box: the dense stacks, the slice blocks and

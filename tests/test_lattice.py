@@ -291,23 +291,35 @@ def test_closed_form_indicators_refuse_other_dimensions(mask):
         mask.indicator(make_box(3, (0, 0, 0), (1, 1, 1)))
 
 
-def test_mask_descriptor_roundtrip():
-    for text in ("full", "gamma1:2,3", "gamma2:4", "bernoulli:0.3:7"):
-        mask = mask_from_descriptor(text)
-        assert mask_from_descriptor(mask.descriptor()).descriptor() == text
-    with pytest.raises(ValueError):
-        mask_from_descriptor("gamma1:xx")
-    with pytest.raises(ValueError):
+def test_mask_descriptor_parse():
+    expected = {
+        "full": FullMask(),
+        "gamma1:2,3": Gamma1Mask(2, 3),
+        "gamma2:4": Gamma2Mask(4),
+        "cell:2x2:1001": PeriodicCellMask((2, 2), (True, False, False, True)),
+        "bernoulli:0.3:7": BernoulliMask(0.3, 7),
+        "bernoulli:0.3": BernoulliMask(0.3, 0),
+    }
+    for text, mask in expected.items():
+        assert mask_from_descriptor(text) == mask
+    # a trailing field, or a cell bit other than 0 or 1, was dropped or read as 0
+    for text in (
+        "gamma1:xx", "full:xyz", "gamma2:3:junk", "gamma1:2,2:9",
+        "bernoulli:0.5:3:7", "cell:2x2:10x0",
+    ):
+        with pytest.raises(ValueError, match="malformed mask descriptor"):
+            mask_from_descriptor(text)
+    with pytest.raises(ValueError, match="unknown mask kind"):
         mask_from_descriptor("nope")
 
 
 def test_boundary_of_box():
     box = make_box(2, (0, 0), (2, 2))
-    bd = boundary(list(box.sites()))
-    assert len(bd.edges) == 12  # 4 edges per side of the 3x3 square
-    assert (0, 0) in bd.inner
-    assert (-1, 0) in bd.outer
-    assert (1, 1) not in bd.inner
+    outer = boundary(list(box.sites()))
+    assert len(outer) == 12  # 3 sites beyond each side of the 3x3 square
+    assert outer == tuple(sorted(outer))
+    assert (-1, 0) in outer
+    assert not set(outer) & set(box.sites())
 
 
 def test_components_sorted_and_disjoint():

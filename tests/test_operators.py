@@ -89,8 +89,9 @@ def test_assemble_v0_variants():
     box = make_box(1, (0,), (3,))
     vec = np.array([0.0, 1.0, 2.0, 3.0])
     by_vec = assemble(box, FullMask(), vec, 0.0, None)
-    by_fn = assemble(box, FullMask(), lambda s: float(s[0]), 0.0, None)
-    np.testing.assert_array_equal(by_vec.matrix, by_fn.matrix)
+    np.testing.assert_array_equal(np.diag(by_vec.matrix), 2.0 + vec)
+    by_number = assemble(box, FullMask(), 0.5, 0.0, None)
+    np.testing.assert_array_equal(np.diag(by_number.matrix), np.full(4, 2.5))
     with pytest.raises(ValueError):
         assemble(box, FullMask(), np.zeros(3), 0.0, None)
 
