@@ -364,7 +364,7 @@ def _run_wegner(config: dict, ens: EnsembleSpec, rho: DecayMetric):
 def _run_anomalous(config: dict, ens: EnsembleSpec, rho: DecayMetric):
     mask, split = ens.mask, ens.split
     try:
-        rep = compact_eigenfunctions(split.h0, mask, config["energy"])
+        rep = compact_eigenfunctions(split.h0, split.spectrum, mask, config["energy"])
         found = [rep.full_mult, rep.supported_dim, rep.assumption3]
     except ValueError:
         found = [0, 0, False]

@@ -201,8 +201,8 @@ _FAMILIES = {"uniform": Uniform, "bmix": BernoulliMixture, "tcauchy": TruncatedC
 def spec_from_descriptor(text: str) -> DisorderSpec:
     """Parse a disorder descriptor as used on the command line: a family,
     `uniform`, `bmix` or `tcauchy`, then optionally `:` and its
-    constructor's numbers, comma-separated (`uniform:0,1`).  A trailing
-    field is a ValueError."""
+    two shape numbers, comma-separated (`uniform:0,1`).  A trailing field
+    or a third number (which would set the declared q) is a ValueError."""
     kind, *fields = text.strip().split(":")
     kind = kind.lower()
     if kind not in _FAMILIES:
@@ -211,6 +211,8 @@ def spec_from_descriptor(text: str) -> DisorderSpec:
         if len(fields) > 1:
             raise ValueError(f"{len(fields)} fields after {kind}, at most 1")
         args = [float(v) for v in fields[0].split(",")] if fields else []
+        if len(args) > 2:
+            raise ValueError(f"{len(args)} numbers after {kind}, at most 2")
         return _FAMILIES[kind](*args)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed disorder descriptor {text!r}: {exc}") from exc

@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .anomalous import compact_eigenfunctions
 from .disorder import DisorderSpec, SampleStream, sample_potential
 from .lattice import LatticeBox, Site, SublatticeMask, l1_distances, mask_vector
 from .operators import (
@@ -46,7 +47,6 @@ from .operators import (
 from .spectral import (
     SpectralData,
     SpectralParameterOnSpectrum,
-    _cluster_tol,
     _index_split,
     eigendecompose,
     fold_complement,
@@ -695,9 +695,9 @@ def wegner_preconditions(
     """The counting bound's hypotheses, decided from H(0)|_B alone.
 
     lam must be an eigenvalue of H(0)|_B, every eps at most a third of
-    its gap, and every lam-eigenvector must vanish on Gamma; ValueError
-    names the first that fails.  Returns the multiplicity, the gap and
-    an orthonormal basis of the lam-eigenspace.
+    its gap, and the lam-eigenspace must vanish on Gamma (by
+    `compact_eigenfunctions`); ValueError names the first that fails.
+    Returns the multiplicity, the gap and an orthonormal lam-eigenbasis.
     """
     sd = ens.split.spectrum
     gm = gap_and_mult(sd, lam)
@@ -707,14 +707,13 @@ def wegner_preconditions(
     for eps in eps_values:
         if eps > gap / 3:
             raise ValueError(f"eps = {eps} exceeds gap/3 = {gap / 3:.6g}")
-    ker = sd.eigenvectors[:, np.abs(sd.eigenvalues - lam) <= _cluster_tol(sd)]
-    mass = np.linalg.norm(ker[ens.split.gamma], axis=0)
-    if np.any(mass > 1e-8):
+    ce = compact_eigenfunctions(ens.split.h0, sd, ens.mask, lam)
+    if not ce.assumption3:
         raise ValueError(
-            "support precondition fails: a lambda-eigenvector of "
-            f"H(0)|_B has Gamma mass {mass[np.argmax(mass > 1e-8)]:.3g}"
+            "support precondition fails: a unit lambda-eigenvector of "
+            f"H(0)|_B has Gamma mass {ce.gamma_mass:.3g}"
         )
-    return {"mult": mult, "gap": gap, "ker": ker}
+    return {"mult": mult, "gap": gap, "ker": ce.basis}
 
 
 def wegner_count(

@@ -130,11 +130,6 @@ class LatticeBox:
         """All sites in index (lexicographic) order."""
         return map(tuple, self.coords.tolist())
 
-    def is_boundary_site(self, site: Site) -> bool:
-        return any(
-            s == a or s == b for s, a, b in zip(site, self.lo, self.hi)
-        )
-
 
 def make_box(d: int, lo: Sequence[int], hi: Sequence[int]) -> LatticeBox:
     if len(lo) != d or len(hi) != d:

@@ -22,6 +22,10 @@ package neither compiles them nor loads numpy.random for them.
   of `fracmoment.mc_chi_green` that shares none of its algebra.
 - `relative_density`: |B(center, R) intersect Gamma| / |B(center, R)|
   read site by site through `s in mask`.
+- `periodic_window_checks`: the eigen-equation residual and the largest
+  value on Gamma of a periodic eigenfunction over a window, site by site
+  through `neighbors` and a lookup in its period cell, the reference for
+  `PeriodicEigenfunction.window_residual` and `max_mask_value`.
 - `_numpy_peak`: the peak of numpy's buffers during one call, the
   measure of the memory tests.
 """
@@ -36,7 +40,7 @@ import numpy as np
 
 from trimlab.disorder import DisorderSpec, SampleStream, _stream_key
 from trimlab.fracmoment import _chi_report, _operator_stacks
-from trimlab.lattice import Site, SublatticeMask, ball
+from trimlab.lattice import LatticeBox, Site, SublatticeMask, ball, neighbors
 from trimlab.spectral import SpectralData, eigendecompose
 
 
@@ -148,6 +152,23 @@ def relative_density(mask: SublatticeMask, radius: int, center: Site):
 
     sites = ball(center, radius)
     return Fraction(sum(1 for s in sites if s in mask), len(sites))
+
+
+def periodic_window_checks(fn, window: LatticeBox) -> tuple[float, float]:
+    """(window_residual, max_mask_value) of a `PeriodicEigenfunction`, as
+    the per-site loop over the window's sites computes them."""
+
+    def psi(x: Site) -> float:
+        return float(fn.cell[tuple(c % p for c, p in zip(x, fn.cell.shape))])
+
+    worst = 0.0
+    for x in window.sites():
+        if any(c in (a, b) for c, a, b in zip(x, window.lo, window.hi)):
+            continue  # a face of the window
+        val = 4.0 * psi(x) - sum(psi(y) for y in neighbors(x))
+        worst = max(worst, abs(val - fn.lam * psi(x)))
+    on_mask = max((abs(psi(x)) for x in window.sites() if x in fn.mask), default=0.0)
+    return worst, on_mask
 
 
 def _numpy_peak(fn) -> int:

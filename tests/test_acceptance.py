@@ -34,6 +34,7 @@ from trimlab.lattice import (
 from trimlab.operators import assemble, trimmed_restriction
 from trimlab.spectral import (
     combes_thomas_rate,
+    eigendecompose,
     green,
     resolvent_identity_residual,
     schur_green,
@@ -177,7 +178,7 @@ def test_criterion_5_anomalous_structure():
     resid = fn.window_residual(window)
     mask_val = fn.max_mask_value(window)
     h0 = assemble(make_box(2, (1, 1), (3, 3)), Gamma1Mask(2, 2), None, 0.0, None)
-    rep = compact_eigenfunctions(h0, Gamma1Mask(2, 2), 4.0)
+    rep = compact_eigenfunctions(h0, eigendecompose(h0), Gamma1Mask(2, 2), 4.0)
     ok = (
         sigma_ok
         and resid <= 1e-12

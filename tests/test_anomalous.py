@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import trimlab.anomalous as anomalous
 from trimlab.anomalous import (
     assumption_scan,
     compact_eigenfunctions,
@@ -14,14 +15,27 @@ from trimlab.lattice import (
     Gamma1Mask,
     ball,
     make_box,
+    mask_from_descriptor,
 )
 from trimlab.operators import assemble
+from trimlab.spectral import eigendecompose
+
+from oracles import eigenvector_gamma_mass, periodic_window_checks
+
+
+def _compact(h0, mask, lam):
+    return compact_eigenfunctions(h0, eigendecompose(h0), mask, lam)
+
+
+def _at(fn, site):
+    """psi at one site, read through `values` on a one-site box."""
+    return fn.values(make_box(2, site, site))[0, 0]
 
 
 def test_compact_report_3x3_oracle():
     box = make_box(2, (1, 1), (3, 3))
     h0 = assemble(box, Gamma1Mask(2, 2), None, 0.0, None)
-    rep = compact_eigenfunctions(h0, Gamma1Mask(2, 2), 4.0)
+    rep = _compact(h0, Gamma1Mask(2, 2), 4.0)
     assert rep.full_mult == 3
     assert rep.supported_dim == 1
     assert not rep.assumption3
@@ -36,15 +50,45 @@ def test_compact_report_3x3_oracle():
 def test_compact_report_trivial_cases():
     box = make_box(1, (0,), (2,))
     h0 = assemble(box, FullMask(), None, 0.0, None)
-    rep = compact_eigenfunctions(h0, FullMask(), 2.0)
+    rep = _compact(h0, FullMask(), 2.0)
     assert rep.supported_dim == 0
     with pytest.raises(ValueError):
-        compact_eigenfunctions(h0, FullMask(), 1.0)
+        _compact(h0, FullMask(), 1.0)
     # isolated complement site: delta vector at the isolated-site energy 2d
     box2 = make_box(2, (1, 1), (1, 1))
     h2 = assemble(box2, Gamma1Mask(2, 2), None, 0.0, None)
-    rep2 = compact_eigenfunctions(h2, Gamma1Mask(2, 2), 4.0)
+    rep2 = _compact(h2, Gamma1Mask(2, 2), 4.0)
     assert rep2.supported_dim == 1 and rep2.full_mult == 1
+    # README's `wegner` box: the eigenvector at E = 4 has Gamma mass 1.7e-16,
+    # which a cut relative to the largest singular value counted as rank
+    h3 = assemble(make_box(2, (1, 1), (3, 1)), Gamma1Mask(2, 2), None, 0.0, None)
+    rep3 = _compact(h3, Gamma1Mask(2, 2), 4.0)
+    assert (rep3.full_mult, rep3.supported_dim) == (1, 1) and rep3.assumption3
+    assert rep3.gamma_mass < 1e-15
+
+
+CLUSTER_MASKS = ["gamma1:2,2", "gamma1:3,2", "gamma2:3", "gamma2:2", "cell:2x2:1000"]
+
+
+@pytest.mark.parametrize("descriptor", CLUSTER_MASKS)
+def test_compact_rule_agrees_with_per_vector_gamma_mass(descriptor):
+    # on every eigenvalue cluster of H(0) on boxes up to 7 x 7, assumption 3
+    # holds exactly when every eigenvector has Gamma mass at most 1e-8
+    mask = mask_from_descriptor(descriptor)
+    for l1 in range(1, 8):
+        for l2 in range(1, 8):
+            h0 = assemble(make_box(2, (1, 1), (l1, l2)), mask, None, 0.0, None)
+            sd = eigendecompose(h0)
+            sites = h0.site_list()
+            masses = np.array(
+                [eigenvector_gamma_mass(phi, mask, sites) for phi in sd.eigenvectors.T]
+            )
+            for lam in sd.eigenvalues:
+                cluster = np.abs(sd.eigenvalues - lam) <= 1e-9
+                rep = compact_eigenfunctions(h0, sd, mask, lam)
+                assert rep.assumption3 == bool(np.all(masses[cluster] <= 1e-8))
+                if not rep.assumption3:  # the largest mass of a unit vector
+                    assert rep.gamma_mass >= masses[cluster].max() - 1e-12
 
 
 def test_gamma1_energy_formula():
@@ -63,10 +107,11 @@ def test_gamma1_energy_formula():
 
 def test_gamma1_pattern_22():
     fn = gamma1_eigenfunction(2, 2, 1, 1)
-    assert fn.sampler((1, 1)) == pytest.approx(1.0)
-    assert fn.sampler((1, 3)) == pytest.approx(-1.0)
-    assert fn.sampler((3, 3)) == pytest.approx(1.0)
-    assert fn.sampler((2, 5)) == pytest.approx(0.0, abs=1e-12)
+    assert _at(fn, (1, 1)) == pytest.approx(1.0)
+    assert _at(fn, (1, 3)) == pytest.approx(-1.0)
+    assert _at(fn, (3, 3)) == pytest.approx(1.0)
+    assert _at(fn, (2, 5)) == pytest.approx(0.0, abs=1e-12)
+    assert fn.cell.shape == (4, 4)
 
 
 @pytest.mark.parametrize("k,m", [(2, 2), (3, 2), (4, 5), (5, 5)])
@@ -87,17 +132,47 @@ def test_gamma2_constructions(k):
     assert fn.window_residual(window) <= 1e-10
     assert fn.max_mask_value(window) == 0.0
     # the function is not identically zero
-    assert max(abs(fn.sampler(s)) for s in window.sites()) > 0.1
+    assert np.max(np.abs(fn.values(window))) > 0.1
 
 
 def test_gamma2_k2_alternating():
     fn = gamma2_eigenfunction(2)
     # complement sites are {x1 odd, x2 even}; signs alternate both ways
-    base = fn.sampler((1, 0))
+    base = _at(fn, (1, 0))
     assert abs(base) > 0.1
-    assert fn.sampler((1, 2)) == pytest.approx(-base)
-    assert fn.sampler((3, 0)) == pytest.approx(-base)
-    assert fn.sampler((1, 1)) == 0.0
+    assert _at(fn, (1, 2)) == pytest.approx(-base)
+    assert _at(fn, (3, 0)) == pytest.approx(-base)
+    assert _at(fn, (1, 1)) == 0.0
+
+
+# windows off the origin, with negative coordinates, and one too thin to
+# have an interior
+ORACLE_WINDOWS = [
+    make_box(2, (-3, -5), (8, 6)),
+    make_box(2, (-11, -2), (-1, 9)),
+    make_box(2, (4, -7), (13, 3)),
+    make_box(2, (-2, 0), (-1, 5)),
+]
+
+
+def _assert_matches_oracle(fn):
+    for window in ORACLE_WINDOWS:
+        resid, on_mask = periodic_window_checks(fn, window)
+        assert abs(fn.window_residual(window) - resid) <= 1e-15
+        assert abs(fn.max_mask_value(window) - on_mask) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_gamma1_arrays_match_per_site_oracle(k, m):
+    for a in range(1, k):
+        for b in range(1, m):
+            _assert_matches_oracle(gamma1_eigenfunction(k, m, a, b))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_gamma2_arrays_match_per_site_oracle(k):
+    _assert_matches_oracle(gamma2_eigenfunction(k))
 
 
 def test_gamma2_invalid_index():
@@ -117,6 +192,22 @@ def test_assumption_scan_gamma1():
     assert rep["applicable"]
     assert not rep["assumption3"]["holds"]
     assert rep["assumption3"]["supported_dim"] < rep["assumption3"]["full_mult"]
+
+
+def test_assumption_scan_eigendecomposes_once_per_candidate(monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return eigendecompose(h)
+
+    monkeypatch.setattr(anomalous, "eigendecompose", counted)
+    candidates = [tuple(make_box(2, (1, 1), (5, n)).sites()) for n in (5, 6)]
+    reports = assumption_scan(
+        Gamma1Mask(2, 2), (3, 3), 4.0, candidates, big_c=2.0, small_c=0.5
+    )
+    assert [rep["applicable"] for rep in reports] == [True, True]
+    assert len(calls) == len(candidates)
 
 
 def test_assumption_scan_degenerate_candidate():

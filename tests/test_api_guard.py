@@ -366,9 +366,6 @@ MEMBERS_UNREAD_BY_SRC = {
         ],
         f"{AWAITS_READER}, which must not rest on the insulation flag alone",
     ),
-    "anomalous.CompactEigenReport.basis": (
-        "the result of compact_eigenfunctions, read by its tests"
-    ),
     "anomalous.PeriodicEigenfunction.max_mask_value": "acceptance criterion 5",
 }
 

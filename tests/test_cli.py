@@ -152,10 +152,18 @@ def test_wegner_defaults_fail_its_hypotheses_where_its_example_runs(tmp_path, ca
     # of H(0) at E lives mostly on Gamma; README's example box does not
     assert run_cli(["wegner", "--samples", "50", "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err
-    assert "support precondition fails" in err and "Gamma mass 0.987" in err
+    assert "support precondition fails" in err and "Gamma mass 1\n" in err
     example = ["wegner", "--box", "1..3,1..1", "--gamma", "gamma1:2,2", "--g", "10"]
     example += ["--energy", "4.0", "--epsilon", "0.4,0.2,0.1", "--samples", "200"]
     assert run_cli(example + ["--out", str(tmp_path / "e")]) == 0
+
+
+def test_anomalous_meets_assumption_3_on_the_wegner_example_box(tmp_path):
+    # the eigenvector at E = 4 has Gamma mass 1.7e-16, not rank
+    args = ["anomalous", "--box", "1..3,1..1", "--gamma", "gamma1:2,2", "--energy", "4"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "anomalous.csv").read_text().splitlines()
+    assert "compact,4.0000000000000000e+00,1,1,1" in rows
 
 
 def test_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -351,6 +359,17 @@ def test_descriptor_with_a_trailing_field_exits_2(tmp_path, capsys):
     assert run_cli(["lattice-info", "--config", str(cfg), "--out", out]) == 2
     assert "malformed disorder descriptor 'uniform:0,1:junk'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_disorder_with_a_third_number_exits_2(tmp_path, capsys):
+    # uniform[:a,b] takes two shape numbers; `couple` ran with a third read
+    # as the declared q
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"disorder": "uniform:0,1,0.5", "gamma": "full"}))
+    out = tmp_path / "out"
+    assert run_cli(["couple", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "3 numbers after uniform, at most 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_emit_quotes_fields_with_commas(tmp_path):

@@ -56,8 +56,9 @@ def test_descriptor_parse():
     }
     for text, spec in expected.items():
         assert spec_from_descriptor(text) == spec
-    # a trailing field was dropped
-    for text in ("uniform:0,1:junk", "uniform:x", "bmix:2,0.1"):
+    # a trailing field was dropped, and a third number was read as declared_q
+    malformed = ("uniform:0,1:junk", "uniform:x", "bmix:2,0.1")
+    for text in malformed + ("uniform:0,1,0.5", "bmix:0.5,0.1,7", "tcauchy:1,50,0.3"):
         with pytest.raises(ValueError, match="malformed disorder descriptor"):
             spec_from_descriptor(text)
     with pytest.raises(ValueError, match="unknown disorder family"):

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from trimlab.anomalous import SUPPORT_TOL, _null_space, compact_eigenfunctions
+from trimlab.anomalous import SUPPORT_TOL, compact_eigenfunctions
 from trimlab.coupling import weak_disorder_bound_check
 from trimlab.disorder import BernoulliMixture, Uniform
 from trimlab.fracmoment import (
@@ -40,7 +40,7 @@ from trimlab.operators import (
     restrict,
     trimmed_restriction,
 )
-from trimlab.spectral import SpectralParameterOnSpectrum, green
+from trimlab.spectral import SpectralParameterOnSpectrum, eigendecompose, green
 
 from oracles import eigenvector_gamma_mass
 
@@ -431,12 +431,15 @@ def test_restriction_and_gamma_checks_read_gamma_as_arrays(mask):
     for h in (ham, sub, corner):
         # compact_eigenfunctions: the Gamma rows of the eigenbasis, on the
         # box and on restrictions, against per-site membership
-        vals, vecs = np.linalg.eigh(h.matrix)
+        # (the directions whose singular value is at most SUPPORT_TOL)
+        sd = eigendecompose(h)
+        vals, vecs = sd.eigenvalues, sd.eigenvectors
         gamma_rows = [s in mask for s in h.site_list()]
         for lam in vals:
             eig_basis = vecs[:, np.abs(vals - lam) <= 1e-9]
-            coeff = _null_space(eig_basis[gamma_rows], rcond=SUPPORT_TOL)
-            got = compact_eigenfunctions(h, mask, lam)
+            _, sigma, vh = np.linalg.svd(eig_basis[gamma_rows])
+            coeff = vh[np.sum(sigma > SUPPORT_TOL) :].T
+            got = compact_eigenfunctions(h, sd, mask, lam)
             np.testing.assert_array_equal(got.basis, eig_basis @ coeff)
     for h in (ham, sub):
         comp = [s for s in h.site_list() if s not in mask]
@@ -461,20 +464,24 @@ def test_restriction_and_gamma_checks_read_gamma_as_arrays(mask):
         expected = weak_disorder_bound_check(full, 1.0, 0.1, 0.5, RHO, 1e-3)
         assert expected["applicable"]
         assert weak_disorder_bound_check(ens, 1.0, 0.1, 0.5, RHO, 1e-3) == expected
-    # wegner_preconditions: Gamma mass of every lambda-eigenvector
+    # wegner_preconditions: Gamma mass of every lambda-eigenvector; the
+    # message names the largest Gamma mass of a unit eigenvector
     h0 = ens.split.h0
     vals, vecs = np.linalg.eigh(h0.matrix)
+    gamma_rows = [s in mask for s in h0.site_list()]
     for lam in vals:
         ker = vecs[:, np.abs(vals - lam) <= 1e-9]
         masses = [eigenvector_gamma_mass(phi, mask, h0.site_list()) for phi in ker.T]
-        bad = [m for m in masses if m > 1e-8]
-        if bad:
-            with pytest.raises(ValueError, match=f"has Gamma mass {bad[0]:.3g}"):
+        if any(m > 1e-8 for m in masses):
+            largest = np.linalg.norm(ker[gamma_rows], 2)
+            with pytest.raises(ValueError, match=f"has Gamma mass {largest:.3g}$"):
                 wegner_preconditions(ens, lam, [])
         else:
             assert wegner_preconditions(ens, lam, [])["mult"] == ker.shape[1]
     offenders = [
-        s for s in box.sites() if box.is_boundary_site(s) and s not in mask
+        s
+        for s in box.sites()
+        if any(c in (a, b) for c, a, b in zip(s, box.lo, box.hi)) and s not in mask
     ]
     if offenders:
         with pytest.raises(ValueError) as exc:

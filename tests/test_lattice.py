@@ -72,8 +72,6 @@ def test_box_basics():
     assert box.size == 12
     assert (2, 4) in box
     assert (0, 1) not in box
-    assert box.is_boundary_site((1, 2))
-    assert not box.is_boundary_site((2, 2))
     with pytest.raises(ValueError):
         make_box(2, (3, 3), (1, 1))
 
@@ -501,7 +499,7 @@ def _insulation_loop(mask, window):
     flagged = tuple(
         i
         for i, comp in enumerate(comps)
-        if any(window.is_boundary_site(s) for s in comp)
+        if any(c in (a, b) for s in comp for c, a, b in zip(s, window.lo, window.hi))
     )
     best = None
     for i in range(len(comps)):
