@@ -73,6 +73,7 @@ from .lattice import (
 )
 from .operators import DENSE_LIMIT, resolve_v0
 from .spectral import (
+    _cluster_tol,
     green,
     off_x_green,
     resolvent_identity_residual,
@@ -370,10 +371,14 @@ def _run_anomalous(config: dict, ens: EnsembleSpec, rho: DecayMetric):
         found = [0, 0, False]
     rows = [["compact", config["energy"], *found]]
     if split.comp.size:
+        # a cluster ends where the ascending spectrum gaps by more than
+        # `_cluster_tol`; its first eigenvalue, to 10 decimals, names it
         spectrum = split.sd.eigenvalues
-        for lam in sorted(set(np.round(spectrum, 10))):
-            mult = int(np.sum(np.abs(spectrum - lam) < 1e-9))
-            rows.append(["trimmed-spectrum", float(lam), mult, 0, True])
+        gaps = np.diff(spectrum, prepend=-np.inf) > _cluster_tol(split.sd)
+        starts = np.flatnonzero(gaps)
+        for i, mult in zip(starts, np.diff(starts, append=spectrum.size)):
+            lam = round(float(spectrum[i]), 10)  # Python's round: finite at any size
+            rows.append(["trimmed-spectrum", lam, mult, 0, True])
     if isinstance(mask, (Gamma1Mask, Gamma2Mask)):
         if isinstance(mask, Gamma1Mask):
             check, fn = "gamma1", gamma1_eigenfunction(mask.k, mask.m, 1, 1)

@@ -2,15 +2,17 @@
 
 Sampling is counter-based: every draw is a pure function of
 (distribution, master seed, site index, sample index), so ensemble
-averages are reproducible under any scheduling of the work.  Each
-sample index keys one Philox4x64-10 stream.  Every potential, of one
-sample or of a block, is drawn by the vectorised kernel
+averages are reproducible under any scheduling of the work.  One rule,
+`_uniforms`, keys every stream: (master seed, purpose, index) gives one
+Philox4x64-10 stream, drawn by the vectorised kernel
 `lattice.philox_uniforms`, bit-identical to numpy's `Philox` generator.
 That generator is the reference the tests compare against
 (`draw_vector` and `draw` in tests/oracles.py); nothing here loads
-numpy.random.  The same kernel draws the test points of the CLI's
-identity checks (`trial_uniforms`, on streams no potential uses) and the
-(a, b) pairs of `estimate_decoupling_constants`.
+numpy.random.  The purposes are the potentials (`sample_potential`, one
+stream per sample index), the test points of the CLI's identity checks
+(`trial_uniforms`) and the (a, b) pairs of
+`estimate_decoupling_constants`; each has its own mix word, so no two
+share a stream of one master seed.
 """
 
 from __future__ import annotations
@@ -224,70 +226,50 @@ def spec_from_descriptor(text: str) -> DisorderSpec:
 
 
 _MASK64 = (1 << 64) - 1
-_STREAM_MIX = 0x9E3779B97F4A7C15  # xored into both 64-bit halves of a stream key
-
-
-def _stream_key(master_seed: int, sample_index: int) -> int:
-    # int(): a numpy integer index would overflow against the 64-bit mask
-    h = (int(master_seed) & _MASK64) << 64 | (int(sample_index) & _MASK64)
-    return h ^ (_STREAM_MIX << 64 | _STREAM_MIX)
-
-
-@dataclass(frozen=True)
-class SampleStream:
-    """Seeded source of i.i.d. draws indexed by (site index, sample index)."""
-
-    spec: DisorderSpec
-    master_seed: int
-
-    def draw_block(self, n_sites: int, sample_indices: Sequence[int]) -> np.ndarray:
-        """Draws for site indices 0..n_sites-1 of each sample index's
-        realization, as one (len(indices), n_sites) array.
-
-        All rows come from one call of the vectorised Philox4x64-10 kernel
-        `lattice.philox_uniforms`, keyed by `_stream_key` of each index; it
-        reproduces numpy's `Philox` generator bit for bit, the reference
-        `draw_vector` of tests/oracles.py.
-        """
-        idx = np.asarray(sample_indices)
-        if idx.dtype.kind not in "iu":  # empty, or Python ints beyond 64 bits
-            idx = np.array([int(i) & _MASK64 for i in sample_indices], dtype=np.uint64)
-        # the low key word is the index's, the high one the seed's
-        key_lo = idx.astype(np.uint64) ^ np.uint64(_STREAM_MIX)
-        key_hi = _stream_key(self.master_seed, 0) >> 64
-        k = self.spec.draws_per_sample
-        u = philox_uniforms(key_lo, key_hi, n_sites * k)
-        return self.spec.from_uniform(u.reshape(len(idx), n_sites, k))
-
-
-#: xored into the seed word of `trial_uniforms`' keys, which no potential uses
+_STREAM_MIX = 0x9E3779B97F4A7C15  # xored into both 64-bit words of every key
+#: xored into the seed word of the streams of `trial_uniforms`
 _TRIAL_MIX = 0xBB67AE8584CAA73B
+#: xored into the seed word of the stream of `estimate_decoupling_constants`
+_PAIR_MIX = 0x3C6EF372FE94F82B
 
 
-def trial_uniforms(master_seed: int, trials: int, m: int) -> np.ndarray:
-    """(trials, m) uniforms on [0, 1), row t keyed by (master_seed, t).
+def _uniforms(seed: int, indices, m: int, mix: int = 0) -> np.ndarray:
+    """(len(indices), m) uniforms on [0, 1), row i from the Philox4x64-10
+    stream of (seed, indices[i]), all from one `philox_uniforms` call.
 
-    The keys are `SampleStream`'s with _TRIAL_MIX xored into the seed
-    word, so no potential of the same master seed shares a stream with
-    them; all rows come from one `philox_uniforms` call.
+    The package's one key rule: the high word is seed ^ _STREAM_MIX ^ mix
+    and the low word index ^ _STREAM_MIX, both mod 2**64.  Potentials use
+    mix 0; every other purpose has a mix of its own.
     """
-    key_lo = np.arange(trials, dtype=np.uint64) ^ np.uint64(_STREAM_MIX)
-    key_hi = _stream_key(master_seed, 0) >> 64 ^ _TRIAL_MIX
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":  # empty, or Python ints beyond 64 bits
+        idx = np.array([int(i) & _MASK64 for i in indices], dtype=np.uint64)
+    key_lo = idx.astype(np.uint64) ^ np.uint64(_STREAM_MIX)
+    # int(): a numpy integer seed would overflow against the 64-bit mask
+    key_hi = (int(seed) ^ _STREAM_MIX ^ mix) & _MASK64
     return philox_uniforms(key_lo, key_hi, m)
 
 
+def trial_uniforms(master_seed: int, trials: int, m: int) -> np.ndarray:
+    """(trials, m) uniforms on [0, 1), row t keyed by (master_seed, t)."""
+    return _uniforms(master_seed, np.arange(trials), m, _TRIAL_MIX)
+
+
 def sample_potential(
-    stream: SampleStream,
+    dist: DisorderSpec,
+    seed: int,
     mask: SublatticeMask,
     box: LatticeBox,
     sample_index,
 ) -> np.ndarray:
     """Potential vector on the box: mu-distributed on Gamma, zero off it.
 
-    A sequence of sample indices gives one row per index; both shapes
-    draw through `SampleStream.draw_block`.
+    Site i of sample index j takes its draws from stream (seed, j) of
+    `_uniforms`; a sequence of sample indices gives one row per index.
     """
-    v = stream.draw_block(box.size, np.ravel(sample_index))
+    idx, k = np.ravel(sample_index), dist.draws_per_sample
+    u = _uniforms(seed, idx, box.size * k).reshape(len(idx), box.size, k)
+    v = dist.from_uniform(u)
     v[:, ~mask_vector(mask, box)] = 0.0
     return v.reshape(*np.shape(sample_index), box.size)
 
@@ -305,7 +287,8 @@ def regularity_check(spec: DisorderSpec, n: int, seed: int) -> dict:
     """
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
-    v = SampleStream(spec, seed).draw_block(n, [0])[0]
+    k = spec.draws_per_sample
+    v = spec.from_uniform(_uniforms(seed, [0], n * k).reshape(n, k))
     alpha = spec.declared_alpha
     lo = min(a for a, _ in spec.support)
     hi = max(b for _, b in spec.support)
@@ -419,9 +402,8 @@ def estimate_decoupling_constants(
     lo = min(a for a, _ in spec.support)
     hi = max(b for _, b in spec.support)
     span = hi - lo
-    # one Philox stream, five uniforms per trial
-    key = _stream_key(seed, 0)
-    draws = philox_uniforms(key & _MASK64, key >> 64, 5 * trials).reshape(trials, 5)
+    # one stream, five uniforms per trial
+    draws = _uniforms(seed, [0], 5 * trials, _PAIR_MIX).reshape(trials, 5)
     best = {"C_s": -np.inf}
     for re_a, re_b, im_a, im_b, u in draws.tolist():
         a = complex(lo - 0.5 * span + 2.0 * span * re_a, 2.0 * (im_a - 0.5))

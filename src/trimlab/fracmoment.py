@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .anomalous import compact_eigenfunctions
-from .disorder import DisorderSpec, SampleStream, sample_potential
+from .disorder import DisorderSpec, sample_potential
 from .lattice import LatticeBox, Site, SublatticeMask, l1_distances, mask_vector
 from .operators import (
     DENSE_LIMIT,
@@ -130,8 +130,9 @@ class EnsembleSpec:
 
     def potential(self, sample_index) -> np.ndarray:
         """V of one sample index; a sequence of indices gives one row each."""
-        stream = SampleStream(self.dist, self.master_seed)
-        return sample_potential(stream, self.mask, self.box, sample_index)
+        return sample_potential(
+            self.dist, self.master_seed, self.mask, self.box, sample_index
+        )
 
     def realization(self, sample_index: int) -> HamiltonianMatrix:
         """H(g)|_B of one sample index: a copy of split.h0, diagonal rewritten."""

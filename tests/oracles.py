@@ -4,7 +4,8 @@ Nothing in `trimlab` calls these; they live here so that a run of the
 package neither compiles them nor loads numpy.random for them.
 
 - `draw_vector` and `draw`: one realization's draws from numpy's own
-  `Philox` generator, the reference for `SampleStream.draw_block`.
+  `Philox` generator under the potential key rule written out here, the
+  reference for `disorder.sample_potential`.
 - `window_mass`: the exact mass mu[t-eps, t+eps] of a disorder
   distribution by quadrature, the oracle for regularity tests.
 - `eigenvector_gamma_mass`: the l^2 mass of a vector on Gamma, read
@@ -38,24 +39,32 @@ from typing import Sequence
 
 import numpy as np
 
-from trimlab.disorder import DisorderSpec, SampleStream, _stream_key
+from trimlab.disorder import DisorderSpec
 from trimlab.fracmoment import _chi_report, _operator_stacks
 from trimlab.lattice import LatticeBox, Site, SublatticeMask, ball, neighbors
 from trimlab.spectral import SpectralData, eigendecompose
 
 
-def draw_vector(stream: SampleStream, n_sites: int, sample_index: int) -> np.ndarray:
+_MIX = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def draw_vector(
+    spec: DisorderSpec, seed: int, n_sites: int, sample_index: int
+) -> np.ndarray:
     """Draws for site indices 0..n_sites-1 of one disorder realization,
-    from numpy's Philox generator keyed by `_stream_key`."""
-    key = _stream_key(stream.master_seed, sample_index)
-    k = stream.spec.draws_per_sample
+    from numpy's Philox generator.  Its 128-bit key has the high word
+    seed ^ _MIX and the low word sample_index ^ _MIX, both mod 2**64."""
+    hi, lo = ((int(v) ^ _MIX) & _MASK64 for v in (seed, sample_index))
+    key = hi << 64 | lo
+    k = spec.draws_per_sample
     u = np.random.Generator(np.random.Philox(key=key)).random(n_sites * k)
-    return stream.spec.from_uniform(u.reshape(n_sites, k))
+    return spec.from_uniform(u.reshape(n_sites, k))
 
 
-def draw(stream: SampleStream, site_index: int, sample_index: int) -> float:
+def draw(spec: DisorderSpec, seed: int, site_index: int, sample_index: int) -> float:
     """Single draw; identical to draw_vector(...)[site_index]."""
-    return float(draw_vector(stream, site_index + 1, sample_index)[site_index])
+    return float(draw_vector(spec, seed, site_index + 1, sample_index)[site_index])
 
 
 def window_mass(spec: DisorderSpec, t: float, eps: float) -> float:

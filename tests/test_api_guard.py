@@ -3,11 +3,13 @@ wraps by name still exist and are still called by the package, no public
 function takes a `threads` argument (the engine is serial; only the CLI
 records a thread count), no numpy generator is used outside the per-site
 reference `BernoulliMask.__contains__` (every other draw goes through
-`lattice.philox_uniforms`), no module but `fracmoment` draws a
-potential (`.potential(`), no module imports a name it never uses,
-every public module-level function and class is read by package code or
-named, with its reason, in `UNREAD_BY_SRC`, and every public class member
-likewise or in `MEMBERS_UNREAD_BY_SRC`."""
+`lattice.philox_uniforms`), only the key rule `disorder._uniforms` and
+`BernoulliMask.indicator` call that kernel, no module but `fracmoment`
+draws a potential (`.potential(` or `sample_potential(`), no module
+imports a name it never uses, every public module-level function and
+class is read by package code or named, with its reason, in
+`UNREAD_BY_SRC`, and every public class member likewise or in
+`MEMBERS_UNREAD_BY_SRC`."""
 
 from __future__ import annotations
 
@@ -44,14 +46,14 @@ def test_tracer_targets_exist_and_are_callable():
     assert missing == []
 
 
+def _call_name(node: ast.Call) -> str | None:
+    """The name a call calls, as `f(...)` or `obj.f(...)`."""
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
 def _called_names(tree: ast.AST) -> set[str]:
-    """The name of every function a call in tree calls, as `f(...)` or
-    `obj.f(...)`."""
-    return {
-        getattr(node.func, "id", getattr(node.func, "attr", None))
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-    }
+    """The name of every function a call in tree calls."""
+    return {_call_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
 
 def test_tracer_targets_are_called_by_the_package():
@@ -105,27 +107,15 @@ def test_no_public_function_takes_threads():
     assert takes_threads == []
 
 
-def _numpy_random_uses(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing qualified name, line) of every `np.random` or
-    `numpy.random` attribute and every import of numpy.random in tree."""
+def _scoped_hits(tree: ast.AST, hit) -> list[tuple[str, int]]:
+    """(enclosing qualified name, line) of every node of tree for which
+    hit(node) holds."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        hit = (
-            isinstance(node, ast.Attribute)
-            and node.attr == "random"
-            and getattr(node.value, "id", None) in ("np", "numpy")
-        )
-        if isinstance(node, ast.Import):
-            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
-        if isinstance(node, ast.ImportFrom):
-            module = (node.module or "").split(".")
-            hit = module[:2] == ["numpy", "random"] or (
-                module == ["numpy"] and any(a.name == "random" for a in node.names)
-            )
-        if hit:
+        if hit(node):
             found.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -134,9 +124,34 @@ def _numpy_random_uses(tree: ast.AST) -> list[tuple[str, int]]:
     return found
 
 
+def _is_numpy_random(node: ast.AST) -> bool:
+    """Whether node is an `np.random` or `numpy.random` attribute or an
+    import of numpy.random."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return module[:2] == ["numpy", "random"] or (
+            module == ["numpy"] and any(a.name == "random" for a in node.names)
+        )
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and getattr(node.value, "id", None) in ("np", "numpy")
+    )
+
+
+def _callers(tree: ast.AST, name: str) -> list[tuple[str, int]]:
+    """(enclosing qualified name, line) of every call of `name(...)` or
+    `obj.name(...)` in tree."""
+    return _scoped_hits(
+        tree, lambda node: isinstance(node, ast.Call) and _call_name(node) == name
+    )
+
+
 def test_numpy_random_is_used_only_by_the_bernoulli_reference():
     uses = {
-        path.name: _numpy_random_uses(ast.parse(path.read_text()))
+        path.name: _scoped_hits(ast.parse(path.read_text()), _is_numpy_random)
         for path in sorted(SRC.glob("*.py"))
     }
     assert {scope for scope, _ in uses.pop("lattice.py")} == {
@@ -156,8 +171,33 @@ def test_numpy_random_guard_sees_every_form():
         "    def g(self):\n"
         "        return numpy.random.Philox\n"
     )
-    uses = _numpy_random_uses(ast.parse(source))
+    uses = _scoped_hits(ast.parse(source), _is_numpy_random)
     assert uses == [("", 1), ("", 2), ("", 3), ("f", 5), ("C.g", 8)]
+
+
+def test_only_the_key_rule_and_the_bernoulli_mask_call_the_kernel():
+    # disorder._uniforms builds every potential, trial and pair key; a
+    # second caller would key its streams by a rule of its own
+    callers = {
+        (path.stem, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, _ in _callers(ast.parse(path.read_text()), "philox_uniforms")
+    }
+    assert callers == {("disorder", "_uniforms"), ("lattice", "BernoulliMask.indicator")}
+
+
+def test_caller_guard_sees_every_form():
+    source = (
+        "def f(k):\n"
+        "    return philox_uniforms(k, 0, 1)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return lattice.philox_uniforms(1, 0, [philox_uniforms(2, 0, 1)])\n"
+        "h = [philox_uniforms, g(philox_uniforms(3, 0, 1))]\n"
+    )
+    assert _callers(ast.parse(source), "philox_uniforms") == [
+        ("f", 2), ("C.g", 5), ("C.g", 5), ("", 6),
+    ]
 
 
 def _attribute_calls(tree: ast.AST, attr: str) -> list[int]:
@@ -181,6 +221,12 @@ def test_only_fracmoment_draws_potentials():
         if path.name != "fracmoment.py"
     }
     assert {name: lines for name, lines in calls.items() if lines} == {}
+    drawers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if _callers(ast.parse(path.read_text()), "sample_potential")
+    ]
+    assert drawers == ["fracmoment.py"]
 
 
 def test_potential_call_guard_sees_every_form():

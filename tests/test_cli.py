@@ -852,7 +852,8 @@ def test_verify_builds_the_deterministic_half_once(monkeypatch):
 @pytest.mark.parametrize("gamma", ["gamma1:2,2", "gamma2:3", "bernoulli:0.5:3"])
 def test_anomalous_trimmed_spectrum_matches_eigvalsh_of_the_restriction(gamma):
     # the rows as `_run_anomalous` made them before it read the split's
-    # eigenpairs: eigvalsh of trimmed_restriction(H(0))
+    # eigenpairs: eigvalsh of trimmed_restriction(H(0)), cut into clusters
+    # where the ascending spectrum gaps by more than the cluster tolerance
     import trimlab.cli as cli
     from trimlab.operators import trimmed_restriction
 
@@ -863,11 +864,38 @@ def test_anomalous_trimmed_spectrum_matches_eigvalsh_of_the_restriction(gamma):
     got = [row for row in rows if row[0] == "trimmed-spectrum"]
     ens, _ = cli._resolved(dict(config), "anomalous")
     spectrum = np.linalg.eigvalsh(trimmed_restriction(ens.split.h0).matrix)
+    tol = max(1e-9, 1e-12 * max(np.max(np.abs(spectrum)), 1.0))
+    clusters = []
+    for lam in spectrum:
+        if clusters and lam - clusters[-1][-1] <= tol:
+            clusters[-1].append(lam)
+        else:
+            clusters.append([lam])
     expected = [
-        ["trimmed-spectrum", float(lam), int(np.sum(np.abs(spectrum - lam) < 1e-9))]
-        for lam in sorted(set(np.round(spectrum, 10)))
+        ["trimmed-spectrum", round(float(c[0]), 10), len(c)] for c in clusters
     ]
     assert got and got == [row + [0, True] for row in expected]
+
+
+@pytest.mark.parametrize(
+    "v0, offsets, mults", [(1e10, [2, 4, 6], [9, 18, 9]), (1e299, [0], [36])]
+)
+def test_anomalous_trimmed_spectrum_stays_clustered_at_large_v0(
+    tmp_path, v0, offsets, mults
+):
+    # H(0)|Gamma^c on 1..8,1..8 under gamma1:3,3 has the eigenvalues v0 + 2,
+    # v0 + 4 and v0 + 6, of multiplicities 9, 18 and 9; at v0 = 1e299 they
+    # are one float
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v0": v0}))
+    argv = ["anomalous", "--box", "1..8,1..8", "--gamma", "gamma1:3,3"]
+    assert run_cli(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "anomalous.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row[0] == "trimmed-spectrum"]
+    energies = [float(row[1]) for row in rows]
+    assert all(math.isfinite(e) for e in energies)
+    assert [int(row[2]) for row in rows] == mults
+    assert energies == pytest.approx([v0 + d for d in offsets], rel=1e-15)
 
 
 @pytest.mark.parametrize(

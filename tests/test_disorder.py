@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from trimlab.disorder import (
     BernoulliMixture,
-    SampleStream,
     TruncatedCauchy,
     Uniform,
     decoupling_pair_ratio,
@@ -18,8 +17,16 @@ from trimlab.disorder import (
     regularity_check,
     sample_potential,
     spec_from_descriptor,
+    trial_uniforms,
 )
-from trimlab.lattice import PHILOX_PAIRS, Gamma1Mask, make_box, mask_vector
+from trimlab.lattice import (
+    PHILOX_PAIRS,
+    FullMask,
+    Gamma1Mask,
+    make_box,
+    mask_vector,
+    philox_uniforms,
+)
 
 from oracles import draw, draw_vector, window_mass
 
@@ -66,34 +73,40 @@ def test_descriptor_parse():
 
 
 def test_stream_is_pure_and_prefix_consistent():
-    stream = SampleStream(Uniform(), 123)
-    a = draw_vector(stream, 10, 4)
-    b = draw_vector(stream, 10, 4)
+    a = draw_vector(Uniform(), 123, 10, 4)
+    b = draw_vector(Uniform(), 123, 10, 4)
     np.testing.assert_array_equal(a, b)
     # single-site draws are prefix slices of the vector draw
     for i in range(10):
-        assert draw(stream, i, 4) == a[i]
+        assert draw(Uniform(), 123, i, 4) == a[i]
     # different samples decorrelate
-    c = draw_vector(stream, 10, 5)
+    c = draw_vector(Uniform(), 123, 10, 5)
     assert not np.array_equal(a, c)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32), st.integers(0, 1000))
 def test_stream_values_in_support(seed, sample):
-    v = draw_vector(SampleStream(Uniform(), seed), 5, sample)
+    v = draw_vector(Uniform(), seed, 5, sample)
     assert np.all((v >= 0.0) & (v <= 1.0))
 
 
 def test_sample_potential_vanishes_off_gamma():
     box = make_box(2, (1, 1), (5, 5))
     mask = Gamma1Mask(2, 2)
-    v = sample_potential(SampleStream(Uniform(), 7), mask, box, 0)
+    v = sample_potential(Uniform(), 7, mask, box, 0)
     for i, s in enumerate(box.sites()):
         if s in mask:
             assert v[i] > 0.0
         else:
             assert v[i] == 0.0
+
+
+def _block(spec, seed, n_sites, idx):
+    """The draws of sites 0..n_sites-1 of each sample index, through
+    `sample_potential` on a line of n_sites sites, all of them in Gamma."""
+    box = make_box(1, (0,), (n_sites - 1,))
+    return sample_potential(spec, seed, FullMask(), box, idx)
 
 
 # draw_vector(3, 2**40 + 5) at master seed 1409, as recorded before batching
@@ -110,18 +123,17 @@ _PINNED_DRAWS = {
     [(Uniform(-1.0, 2.0), "uniform"), (BernoulliMixture(0.3, 0.2), "bmix")],
 )
 def test_draw_block_pins_the_philox_stream(spec, pin):
-    stream = SampleStream(spec, 1409)
-    got = [float(v).hex() for v in draw_vector(stream, 3, 2**40 + 5)]
+    got = [float(v).hex() for v in draw_vector(spec, 1409, 3, 2**40 + 5)]
     assert got == _PINNED_DRAWS[pin]
     # scattered, repeated and out-of-order indices, n > 1
     idx = [7, 0, 3, 2**40 + 5, 100_003, 3]
-    expected = np.stack([draw_vector(stream, 9, i) for i in idx])
-    np.testing.assert_array_equal(stream.draw_block(9, idx), expected)
-    np.testing.assert_array_equal(stream.draw_block(9, np.array(idx)), expected)
+    expected = np.stack([draw_vector(spec, 1409, 9, i) for i in idx])
+    np.testing.assert_array_equal(_block(spec, 1409, 9, idx), expected)
+    np.testing.assert_array_equal(_block(spec, 1409, 9, np.array(idx)), expected)
     box, mask = make_box(2, (1, 1), (3, 3)), Gamma1Mask(2, 2)
     np.testing.assert_array_equal(
-        sample_potential(stream, mask, box, idx),
-        np.stack([sample_potential(stream, mask, box, i) for i in idx]),
+        sample_potential(spec, 1409, mask, box, idx),
+        np.stack([sample_potential(spec, 1409, mask, box, i) for i in idx]),
     )
 
 
@@ -132,16 +144,15 @@ _SPECS = [Uniform(-1.0, 2.0), BernoulliMixture(0.3, 0.2), TruncatedCauchy(2.0, 1
 @pytest.mark.parametrize("sample", [0, 2**40 + 5, 2**70])
 def test_scalar_sample_potential_is_the_masked_draw_vector(spec, sample):
     # one sample draws through the kernel too; numpy's generator is the oracle
-    stream = SampleStream(spec, 1409)
     box, mask = make_box(2, (1, 1), (4, 3)), Gamma1Mask(2, 2)
-    expected = draw_vector(stream, box.size, sample)
+    expected = draw_vector(spec, 1409, box.size, sample)
     expected[~mask_vector(mask, box)] = 0.0
-    got = sample_potential(stream, mask, box, sample)
+    got = sample_potential(spec, 1409, mask, box, sample)
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
-def _stacked_draw_vector(stream, n_sites, idx):
-    return np.array([draw_vector(stream, n_sites, i) for i in idx]).reshape(
+def _stacked_draw_vector(spec, seed, n_sites, idx):
+    return np.array([draw_vector(spec, seed, n_sites, i) for i in idx]).reshape(
         len(idx), n_sites
     )
 
@@ -160,11 +171,10 @@ def _stacked_draw_vector(stream, n_sites, idx):
 def test_draw_block_matches_draw_vector(spec, seed, n_sites, draws, pairs):
     # resample-style indices i + k * samples for 50 samples; small slab
     # sizes make rows and blocks cross slab boundaries
-    stream = SampleStream(spec, seed)
     idx = [i + k * 50 for i, k in draws]
-    expected = _stacked_draw_vector(stream, n_sites, idx)
+    expected = _stacked_draw_vector(spec, seed, n_sites, idx)
     with mock.patch("trimlab.lattice.PHILOX_PAIRS", pairs):
-        got = stream.draw_block(n_sites, np.array(idx, dtype=np.int64))
+        got = _block(spec, seed, n_sites, np.array(idx, dtype=np.int64))
     np.testing.assert_array_equal(got, expected)
 
 
@@ -176,29 +186,28 @@ def test_draw_block_matches_draw_vector(spec, seed, n_sites, draws, pairs):
     ],
 )
 def test_draw_block_crosses_the_slab_limit(spec, n_sites, n_samples):
-    stream = SampleStream(spec, 2**63 + 11)
-    idx = np.arange(n_samples) * 3 + 1
+    seed, idx = 2**63 + 11, np.arange(n_samples) * 3 + 1
     np.testing.assert_array_equal(
-        stream.draw_block(n_sites, idx), _stacked_draw_vector(stream, n_sites, idx)
+        _block(spec, seed, n_sites, idx), _stacked_draw_vector(spec, seed, n_sites, idx)
     )
 
 
 def test_draw_block_constructs_no_numpy_philox():
-    # the per-sample Philox loop must not come back: draw_block keys the
-    # vectorised kernel only, while the oracle draw_vector stays on numpy's
-    # generator
-    stream = SampleStream(BernoulliMixture(0.3, 0.2), -5)
+    # the per-sample Philox loop must not come back: sample_potential keys
+    # the vectorised kernel only, while the oracle draw_vector stays on
+    # numpy's generator
+    spec = BernoulliMixture(0.3, 0.2)
     box, mask = make_box(2, (1, 1), (3, 3)), Gamma1Mask(2, 2)
-    # negative and beyond-64-bit indices wrap modulo 2**64, as in _stream_key
+    # negative and beyond-64-bit indices wrap modulo 2**64, as in the oracle
     idx = [4, 0, 2**62, 4, -7, 2**64 + 3]
-    expected = _stacked_draw_vector(stream, 9, idx)
+    expected = _stacked_draw_vector(spec, -5, 9, idx)
     with mock.patch.object(
-        np.random, "Philox", side_effect=AssertionError("draw_block made a Philox")
+        np.random, "Philox", side_effect=AssertionError("a draw made a Philox")
     ):
-        got = stream.draw_block(9, idx)
-        wrapped = stream.draw_block(9, np.array(idx[:5]))
-        block = sample_potential(stream, mask, box, idx)
-        empty = stream.draw_block(9, [])
+        got = _block(spec, -5, 9, idx)
+        wrapped = _block(spec, -5, 9, np.array(idx[:5]))
+        block = sample_potential(spec, -5, mask, box, idx)
+        empty = _block(spec, -5, 9, [])
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(wrapped, expected[:5])
     on_gamma = mask_vector(mask, box)
@@ -252,9 +261,27 @@ def test_decoupling_pair_ratio_basic():
 
 def test_estimate_decoupling_constants_pinned():
     out = estimate_decoupling_constants(Uniform(), 0.5, 200, 0)
-    # frozen value for the seeded estimator; the analytic supremum over
-    # coincident pairs approaching the axis is 2 sqrt(2) ~ 2.8284
-    assert out["C_s"] == pytest.approx(2.4763965796353435, rel=1e-12)
+    # frozen value for the seeded estimator, whose pairs have their own
+    # stream; the analytic supremum over coincident pairs approaching the
+    # axis is 2 sqrt(2) ~ 2.8284
+    assert out["C_s"] == pytest.approx(2.47087016397614, rel=1e-12)
     assert out["C_s"] < 2.0 * np.sqrt(2.0)
     with pytest.raises(ValueError):
         estimate_decoupling_constants(Uniform(), 1.5, 10, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1409, 2**64 - 1])
+def test_potential_trial_and_pair_streams_of_one_seed_are_distinct(seed):
+    # (key_lo, key_hi) of the first row of each kernel call: sample 0's
+    # potential, trial 0's points and the decoupling pairs
+    keys = []
+
+    def recording(key_lo, key_hi, m):
+        keys.append((int(np.ravel(key_lo)[0]), int(key_hi)))
+        return philox_uniforms(key_lo, key_hi, m)
+
+    with mock.patch("trimlab.disorder.philox_uniforms", recording):
+        sample_potential(Uniform(), seed, FullMask(), make_box(1, (0,), (2,)), 0)
+        trial_uniforms(seed, 1, 4)
+        estimate_decoupling_constants(Uniform(), 0.5, 1, seed)
+    assert len(keys) == 3 and len(set(keys)) == 3

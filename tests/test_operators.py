@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from trimlab.disorder import SampleStream, Uniform, sample_potential
+from trimlab.disorder import Uniform, sample_potential
 from trimlab.lattice import FullMask, Gamma1Mask, Gamma2Mask, make_box
 from trimlab.operators import (
     DENSE_LIMIT,
@@ -75,7 +75,7 @@ def test_dense_limit_enforced():
 def test_assemble_diagonal_and_support():
     box = make_box(2, (1, 1), (3, 3))
     mask = Gamma1Mask(2, 2)
-    v = sample_potential(SampleStream(Uniform(), 0), mask, box, 0)
+    v = sample_potential(Uniform(), 0, mask, box, 0)
     ham = assemble(box, mask, 1.5, 2.0, v)
     for i, s in enumerate(box.sites()):
         assert ham.matrix[i, i] == pytest.approx(4.0 + 1.5 + 2.0 * v[i])
@@ -141,7 +141,7 @@ def test_assemble_off_gamma_error_names_site():
 
 def test_restrict_of_a_restriction():
     box = make_box(2, (0, 0), (3, 3))
-    v = sample_potential(SampleStream(Uniform(), 2), FullMask(), box, 0)
+    v = sample_potential(Uniform(), 2, FullMask(), box, 0)
     ham = assemble(box, FullMask(), None, 1.0, v)
     outer = [s for s in box.sites() if s != (1, 1)]
     inner = [(0, 0), (1, 2), (2, 1), (3, 3)]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trimlab.disorder import SampleStream, Uniform, sample_potential
+from trimlab.disorder import Uniform, sample_potential
 from trimlab import spectral
 from trimlab.lattice import FullMask, Gamma1Mask, make_box, neighbors
 from trimlab.operators import assemble, hedgehog_assemble, restrict
@@ -26,7 +26,7 @@ from trimlab.spectral import (
 def _random_ham(seed: int, n: int = 4, g: float = 2.0):
     box = make_box(2, (1, 1), (n, n))
     mask = FullMask()
-    v = sample_potential(SampleStream(Uniform(), seed), mask, box, 0)
+    v = sample_potential(Uniform(), seed, mask, box, 0)
     return assemble(box, mask, None, g, v)
 
 
@@ -184,7 +184,7 @@ def test_resolvent_identity_matches_loop(monkeypatch, case, region, shift):
         sites = ham.site_list()
     if region == "3d":
         box = make_box(3, (0, 0, 0), (2, 2, 1))
-        v = sample_potential(SampleStream(Uniform(), 4), FullMask(), box, 0)
+        v = sample_potential(Uniform(), 4, FullMask(), box, 0)
         ham = assemble(box, FullMask(), None, 2.0, v)
         x_sites = [(1, 1, 0), (0, 0, 1), (2, 1, 1)]
     elif region == "empty-complement":
